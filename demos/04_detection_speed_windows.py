@@ -37,7 +37,7 @@ for prefix, label in ((16, "large"), (20, "small")):
         (timedelta(minutes=15), "15m", 4),
         (timedelta(hours=3), "3h", 4),
     ):
-        rows = time_series_report(dataset, "size_entropy", window=window)
+        rows = time_series_report(dataset, ["size_entropy"], window=window)["size_entropy"]
         print(f"  first {show} {name} windows (entropy score / rank):")
         for row in rows[:show]:
             score = "-" if row.score is None else f"{row.score:.2f}"

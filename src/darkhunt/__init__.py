@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .metrics import (  # noqa: F401
     METRIC_IDS,
-    MetricValue,
     address_count,
     block_count,
     compute_metric,

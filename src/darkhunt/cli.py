@@ -30,12 +30,13 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import CsvFormatError, LabeledDataset, day_of_ts, read_csv
+from .records import PROTO_UDP, CsvFormatError, LabeledDataset, day_of_ts, read_csv
 from .sim import (
     load_config,
     read_labels_csv,
     simulate,
     write_dataset,
+    write_manifest,
 )
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
@@ -89,17 +90,37 @@ def _parse_telescope(spec: str) -> TelescopeSpec:
 
 def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> None:
     blob = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
-    manifest = {
-        "tool": "darkhunt",
-        "version": __version__,
-        "command": command,
-        "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "params": params,
-        "outputs": outputs,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(
+        out_dir,
+        command,
+        config_sha256=hashlib.sha256(blob).hexdigest(),
+        params=params,
+        outputs=outputs,
+    )
+
+
+def _read_traffic(path) -> list:
+    """read_csv with unreadable or malformed files mapped to DataError."""
+    try:
+        return read_csv(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except CsvFormatError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _write_or_print(args, name: str, rows: list[list], command: str, params: dict) -> None:
+    """Write rows as CSV plus a manifest under --out, or print them."""
+    if not args.out:
+        for row in rows:
+            print(",".join(str(v) for v in row))
+        return
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    _write_manifest(args.out, command, params, [name])
+    print(f"wrote {path}")
 
 
 def _cmd_simulate(args) -> int:
@@ -126,12 +147,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_labeled(csv_path, labels_path) -> LabeledDataset:
-    try:
-        records = read_csv(csv_path)
-    except OSError as exc:
-        raise DataError(f"cannot read {csv_path}: {exc}") from None
-    except CsvFormatError as exc:
-        raise DataError(f"{csv_path}: {exc}") from None
+    records = _read_traffic(csv_path)
     if not records:
         raise DataError(f"{csv_path}: no records")
     try:
@@ -156,8 +172,9 @@ def _cmd_analyze(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     reports = []
+    rows_by_metric = time_series_report(dataset, metrics, window=window)
     for metric_id in metrics:
-        rows = time_series_report(dataset, metric_id, window=window)
+        rows = rows_by_metric[metric_id]
         name = f"report_{metric_id}.csv"
         write_report_csv(rows, os.path.join(args.out, name))
         outputs.append(name)
@@ -194,20 +211,13 @@ def _cmd_model_table(args) -> int:
         lines.append(
             [r["size"], f"{r['p_collision']:.3g}", f"{r['p_observe']:.3g}", f"{r['expected_packets']:.3g}"]
         )
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "table.csv"), "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(lines)
-        _write_manifest(
-            args.out,
-            "model table",
-            {"prefixes": prefixes, "rate": args.rate, "duration": args.duration},
-            ["table.csv"],
-        )
-        print(f"wrote {os.path.join(args.out, 'table.csv')}")
-    else:
-        for line in lines:
-            print(",".join(str(v) for v in line))
+    _write_or_print(
+        args,
+        "table.csv",
+        lines,
+        "model table",
+        {"prefixes": prefixes, "rate": args.rate, "duration": args.duration},
+    )
     return EXIT_OK
 
 
@@ -234,39 +244,30 @@ def _cmd_model_tte(args) -> int:
             raise DataError("visible rate is zero; check --hosts/--rate/size")
         seconds = time_to_n_packets(rate, args.packets)
         rows.append([size, f"{rate:.6g}", f"{seconds:.6g}", f"{seconds / 3600:.4g}"])
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "time_to_entropy.csv"), "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        _write_manifest(
-            args.out,
-            "model time-to-entropy",
-            {"sizes": sizes, "hosts": args.hosts, "rate": args.rate, "packets": args.packets},
-            ["time_to_entropy.csv"],
-        )
-        print(f"wrote {os.path.join(args.out, 'time_to_entropy.csv')}")
-    else:
-        for line in rows:
-            print(",".join(str(v) for v in line))
+    _write_or_print(
+        args,
+        "time_to_entropy.csv",
+        rows,
+        "model time-to-entropy",
+        {"sizes": sizes, "hosts": args.hosts, "rate": args.rate, "packets": args.packets},
+    )
     return EXIT_OK
 
 
 def _cmd_population(args) -> int:
     tel = _parse_telescope(args.telescope)
-    try:
-        records = read_csv(args.csv)
-    except OSError as exc:
-        raise DataError(f"cannot read {args.csv}: {exc}") from None
-    except CsvFormatError as exc:
-        raise DataError(f"{args.csv}: {exc}") from None
+    # Days with no UDP packet inside the telescope have nothing to report.
     by_day: dict = {}
-    for rec in records:
-        by_day.setdefault(day_of_ts(rec.ts_us), []).append(rec)
+    for rec in _read_traffic(args.csv):
+        if rec.proto == PROTO_UDP and rec.dst_ip in tel:
+            by_day.setdefault(day_of_ts(rec.ts_us), []).append(rec)
+    if not by_day:
+        raise DataError(f"{args.csv}: no UDP traffic inside telescope {tel}")
     os.makedirs(args.out, exist_ok=True)
     day_reports = {}
     samples = []
     for day in sorted(by_day):
-        report = always_on(by_day[day], telescope=tel)
+        report = always_on(by_day[day])
         day_reports[day.isoformat()] = {
             "always_on_count": len(report.always_on_ips),
             "daily_packets": dict(

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .records import PortDayPartition
 
 __all__ = [
     "METRIC_IDS",
-    "MetricValue",
     "address_count",
     "block_count",
     "src_spread",
@@ -35,12 +33,6 @@ __all__ = [
 ]
 
 METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    metric_id: str
-    value: float
 
 
 def address_count(part: PortDayPartition) -> int:
@@ -89,7 +81,7 @@ _METRIC_FUNCS = {
 }
 
 
-def compute_metric(metric_id: str, part: PortDayPartition) -> MetricValue:
+def compute_metric(metric_id: str, part: PortDayPartition) -> float:
     """Evaluate one metric by id; ids are listed in METRIC_IDS."""
     try:
         func = _METRIC_FUNCS[metric_id]
@@ -97,4 +89,4 @@ def compute_metric(metric_id: str, part: PortDayPartition) -> MetricValue:
         raise ValueError(
             f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}"
         ) from None
-    return MetricValue(metric_id=metric_id, value=float(func(part)))
+    return float(func(part))

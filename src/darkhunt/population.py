@@ -24,9 +24,8 @@ from datetime import date
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from .records import PacketRecord, day_of_ts
+from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, PacketRecord, day_of_ts
 from .telescope import IPV4_SPACE, TelescopeSpec
 
 __all__ = [
@@ -45,10 +44,7 @@ __all__ = [
 # A day is cut into 144 equal bins aligned to 0000Z (600 s each); a source
 # qualifies as always-on when every bin holds at least one of its packets.
 BINS_PER_DAY = 144
-_US_PER_DAY = 86_400_000_000
-_BIN_US = _US_PER_DAY // BINS_PER_DAY
-
-SECONDS_PER_DAY = 86400.0
+_BIN_US = US_PER_DAY // BINS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -90,14 +86,17 @@ def always_on(
 ) -> AlwaysOnReport:
     """Find sources observed in every one of a day's 144 bins.
 
-    `records` must span a single UTC day.  When a telescope is given,
-    only packets destined to it are considered (a no-op for data captured
-    at the telescope itself).
+    `records` must span a single UTC day.  Only UDP packets count, as in
+    partitions and metrics.  When a telescope is given, only packets
+    destined to it are considered (a no-op for data captured at the
+    telescope itself).
     """
     day = None
     bins: dict[int, set[int]] = {}
     counts: dict[int, int] = {}
     for rec in records:
+        if rec.proto != PROTO_UDP:
+            continue
         if telescope is not None and rec.dst_ip not in telescope:
             continue
         rec_day = day_of_ts(rec.ts_us)
@@ -107,7 +106,7 @@ def always_on(
             raise ValueError(
                 f"records span multiple days: {day.isoformat()} and {rec_day.isoformat()}"
             )
-        bins.setdefault(rec.src_ip, set()).add((rec.ts_us % _US_PER_DAY) // _BIN_US)
+        bins.setdefault(rec.src_ip, set()).add((rec.ts_us % US_PER_DAY) // _BIN_US)
         counts[rec.src_ip] = counts.get(rec.src_ip, 0) + 1
     if day is None:
         raise ValueError("no records for the day")
@@ -153,14 +152,29 @@ _GRID_MARGIN_BW = 6.0
 _PEAK_FLOOR = 0.05
 
 
+def _local_maxima(y: np.ndarray, floor: float) -> np.ndarray:
+    """Indices of the local maxima of y at or above floor.
+
+    A maximum is a run of equal values whose neighbouring runs are both
+    lower; a run of several points reports its middle index
+    (start + end) // 2, and runs touching either end never count.  This is
+    the rule of scipy.signal.find_peaks with a `height` floor.
+    """
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    ends = np.r_[starts[1:], y.size] - 1
+    vals = y[starts]
+    inner = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:]) & (vals[1:-1] >= floor)
+    return (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+
+
 def density_profile(
     samples: Sequence[float], bandwidth: Optional[float] = None
 ) -> DensityProfile:
     """Gaussian-kernel KDE of daily packet counts on a 512-point grid.
 
-    Bandwidth defaults to Silverman's rule.  Peaks are the strict local
-    maxima of the gridded density, discarding any below 5% of the global
-    maximum.
+    Bandwidth defaults to Silverman's rule.  Peaks are the local maxima of
+    the gridded density (a flat top reports its middle point), discarding
+    any below 5% of the global maximum.
     """
     x = np.asarray(list(samples), dtype=float)
     if x.size < 2:
@@ -173,7 +187,7 @@ def density_profile(
     grid = np.linspace(lo, hi, _GRID_POINTS)
     z = (grid[:, None] - x[None, :]) / bw
     density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bw * math.sqrt(2 * math.pi))
-    idx, _ = find_peaks(density, height=_PEAK_FLOOR * float(density.max()))
+    idx = _local_maxima(density, _PEAK_FLOOR * float(density.max()))
     return DensityProfile(
         sample=tuple(float(v) for v in x),
         bandwidth=bw,
@@ -201,15 +215,13 @@ def write_density_csv(profile: DensityProfile, path) -> None:
             writer.writerow([f"{g:.6f}", f"{d:.10g}"])
 
 
-def write_peaks_json(
-    profile: DensityProfile, path, k_telescope: Optional[int] = None
-) -> None:
-    """Export peak locations (and mapped pps rates when k is given)."""
+def write_peaks_json(profile: DensityProfile, path, k_telescope: int) -> None:
+    """Export peak locations, and their pps rates on a k-address telescope."""
     payload: dict = {
         "bandwidth": profile.bandwidth,
         "peaks_packets_per_day": list(profile.peaks),
     }
-    if k_telescope is not None and profile.peaks:
+    if profile.peaks:
         payload["k_telescope"] = k_telescope
         payload["peaks_pps"] = peaks_to_rates(profile, k_telescope)
     with open(path, "w") as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 __all__ = ["DailyPortOracle", "PORT_LO", "PORT_HI"]
 
@@ -46,9 +46,3 @@ class DailyPortOracle:
         digest = hmac.digest(self.secret, day.isoformat().encode("ascii"), "sha256")
         span = self.port_hi - self.port_lo + 1
         return self.port_lo + int.from_bytes(digest, "big") % span
-
-    def port_sequence(self, start_day: date, n_days: int) -> list[int]:
-        """Ports for n_days consecutive days starting at start_day."""
-        if n_days < 1:
-            raise ValueError(f"n_days must be >= 1, got {n_days}")
-        return [self.daily_port(start_day + timedelta(days=i)) for i in range(n_days)]

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .metrics import METRIC_IDS, compute_metric
 from .records import LabeledDataset, PortDayPartition, partition_by_window
 
@@ -29,7 +27,6 @@ __all__ = [
     "rank_of_labeled_port",
     "discoverability",
     "time_series_report",
-    "score_correlation",
     "write_report_csv",
     "write_report_json",
 ]
@@ -91,7 +88,7 @@ def rank_ports(
         raise ValueError("rank_ports needs at least one non-empty partition")
     day = next(iter(nonempty.values())).day
     scored = [
-        (compute_metric(metric_id, part).value, port)
+        (compute_metric(metric_id, part), port)
         for port, part in nonempty.items()
     ]
     scored.sort(key=lambda sv: (-sv[0], sv[1]))
@@ -135,11 +132,12 @@ def discoverability(
 
 def time_series_report(
     dataset: LabeledDataset,
-    metric_id: str,
+    metric_ids: Sequence[str],
     window: timedelta = timedelta(days=1),
-) -> list[ReportRow]:
-    """Score and rank of the labeled port per period, ready for plotting.
+) -> dict[str, list[ReportRow]]:
+    """Score and rank of the labeled port per period, for each metric.
 
+    The records are partitioned once, whatever the number of metrics.
     The window must divide a day evenly; each window is ranked
     independently and compared against its UTC day's label.  Periods with
     no traffic at all produce no row; periods with traffic but no packet
@@ -148,42 +146,21 @@ def time_series_report(
     grouped: dict[datetime, dict[int, PortDayPartition]] = {}
     for (start, port), part in partition_by_window(dataset.records, window).items():
         grouped.setdefault(start, {})[port] = part
-    rows = []
+    rows: dict[str, list[ReportRow]] = {metric_id: [] for metric_id in metric_ids}
     for start in sorted(grouped):
         parts = grouped[start]
         day = next(iter(parts.values())).day
         if day not in dataset.labels:
             raise ValueError(f"no label for day {day.isoformat()}")
-        labeled_port = dataset.labels[day]
-        ranked = rank_ports(parts, metric_id)
-        rank = rank_of_labeled_port(ranked, labeled_port)
-        score = None
-        if rank is not None:
-            score = ranked.entries[rank - 1].value
         period = start.date() if window == timedelta(days=1) else start
-        rows.append(ReportRow(period=period, metric_id=metric_id, score=score, rank=rank))
+        for metric_id, metric_rows in rows.items():
+            ranked = rank_ports(parts, metric_id)
+            rank = rank_of_labeled_port(ranked, dataset.labels[day])
+            score = None if rank is None else ranked.entries[rank - 1].value
+            metric_rows.append(
+                ReportRow(period=period, metric_id=metric_id, score=score, rank=rank)
+            )
     return rows
-
-
-def score_correlation(rows_a: Sequence[ReportRow], rows_b: Sequence[ReportRow]) -> float:
-    """Pearson correlation between two metrics' per-period scores.
-
-    Only periods where both metrics produced a score participate.  The
-    value is dataset-dependent; it is a comparison utility, not a fixed
-    property of the metrics.
-    """
-    by_period_a = {r.period: r.score for r in rows_a if r.score is not None}
-    pairs = [
-        (by_period_a[r.period], r.score)
-        for r in rows_b
-        if r.score is not None and r.period in by_period_a
-    ]
-    if len(pairs) < 2:
-        raise ValueError("need at least two common scored periods")
-    a, b = np.array(pairs, dtype=float).T
-    if a.std() == 0 or b.std() == 0:
-        raise ValueError("scores are constant; correlation undefined")
-    return float(np.corrcoef(a, b)[0, 1])
 
 
 def _period_str(period: datetime | date) -> str:

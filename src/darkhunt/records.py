@@ -7,6 +7,7 @@ functions, so partitions can be built and consumed concurrently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
@@ -19,6 +20,8 @@ __all__ = [
     "CSV_HEADER",
     "PROTO_UDP",
     "MAX_UDP_PAYLOAD",
+    "US_PER_DAY",
+    "SECONDS_PER_DAY",
     "ip_to_str",
     "ip_from_str",
     "day_of_ts",
@@ -35,8 +38,19 @@ CSV_HEADER = "ts_us,src_ip,src_port,dst_ip,dst_port,proto,payload_len"
 PROTO_UDP = 17
 MAX_UDP_PAYLOAD = 65507  # 65535 - 8 (UDP header) - 20 (IP header)
 
-_US_PER_DAY = 86_400_000_000
+US_PER_DAY = 86_400_000_000
+SECONDS_PER_DAY = 86400.0
 _EPOCH = date(1970, 1, 1)
+
+# The CSV grammar: unsigned decimal integers in ASCII digits with no sign,
+# separator or leading zero, and dotted quads whose octets follow the same
+# rule and stay within 0-255.
+_UINT = "(0|[1-9][0-9]*)"
+_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+_IPV4 = r"\.".join([_OCTET] * 4)
+_UINT_RE = re.compile(_UINT)
+_IPV4_RE = re.compile(_IPV4)
+_ROW_RE = re.compile(",".join([_UINT, _IPV4, _UINT, _IPV4, _UINT, _UINT, _UINT]) + "\n?")
 
 
 def ip_to_str(ip: int) -> str:
@@ -47,21 +61,14 @@ def ip_to_str(ip: int) -> str:
 def ip_from_str(s: str) -> int:
     """Parse a strict dotted-quad IPv4 address to a 32-bit integer.
 
-    Rejects IPv6, empty octets, and out-of-range octets.  No shorthand
-    forms ("1.2.3" etc.) are accepted.
+    Rejects IPv6, empty octets, out-of-range octets, leading zeros and
+    non-ASCII digits.  No shorthand forms ("1.2.3" etc.) are accepted.
     """
-    parts = s.split(".")
-    if len(parts) != 4:
+    m = _IPV4_RE.fullmatch(s)
+    if m is None:
         raise ValueError(f"not a dotted-quad IPv4 address: {s!r}")
-    ip = 0
-    for part in parts:
-        if not part.isdigit():
-            raise ValueError(f"not a dotted-quad IPv4 address: {s!r}")
-        octet = int(part)
-        if octet > 255:
-            raise ValueError(f"octet out of range in {s!r}")
-        ip = (ip << 8) | octet
-    return ip
+    a, b, c, d = map(int, m.groups())
+    return a << 24 | b << 16 | c << 8 | d
 
 
 def day_of_ts(ts_us: int) -> date:
@@ -70,12 +77,12 @@ def day_of_ts(ts_us: int) -> date:
     Days are half-open [0000Z, next 0000Z): a timestamp exactly at
     midnight belongs to the day that starts there.
     """
-    return _EPOCH + timedelta(days=ts_us // _US_PER_DAY)
+    return _EPOCH + timedelta(days=ts_us // US_PER_DAY)
 
 
 def day_start_us(day: date) -> int:
     """Microsecond timestamp of a day's 0000Z boundary."""
-    return (day - _EPOCH).days * _US_PER_DAY
+    return (day - _EPOCH).days * US_PER_DAY
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,45 +168,67 @@ class CsvFormatError(ValueError):
 _FIELDS = CSV_HEADER.split(",")
 
 
-def _parse_row(parts: list[str], line_no: int) -> PacketRecord:
+def _row_error(line: str, line_no: int) -> CsvFormatError:
+    """Name the first field of a row that breaks the grammar."""
+    parts = line.removesuffix("\n").split(",")
     if len(parts) != 7:
-        raise CsvFormatError(f"expected 7 fields, got {len(parts)}", line=line_no)
-    vals = {}
+        return CsvFormatError(f"expected 7 fields, got {len(parts)}", line=line_no)
     for name, raw in zip(_FIELDS, parts):
-        try:
-            if name in ("src_ip", "dst_ip"):
-                vals[name] = ip_from_str(raw)
-            else:
-                vals[name] = int(raw)
-        except ValueError as exc:
-            raise CsvFormatError(str(exc), line=line_no, field=name) from None
-    try:
-        return PacketRecord(**vals)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc), line=line_no) from None
+        if name.endswith("_ip"):
+            if _IPV4_RE.fullmatch(raw) is None:
+                message = f"not a dotted-quad IPv4 address: {raw!r}"
+                return CsvFormatError(message, line=line_no, field=name)
+        elif _UINT_RE.fullmatch(raw) is None:
+            message = f"not an unsigned decimal integer: {raw!r}"
+            return CsvFormatError(message, line=line_no, field=name)
+    raise AssertionError(f"line {line_no} matches every field pattern but not the row")
 
 
-def read_csv(path) -> list[PacketRecord]:
-    """Read a canonical traffic CSV, in file order.
-
-    Strict by default: any malformed row raises CsvFormatError naming the
-    line and field.  Use read_csv_lenient to skip and count bad rows
-    instead (silent data loss corrupts population metrics, so skipping is
-    always opt-in).
-    """
+def _read(path, bad: list[tuple[int, str]] | None) -> list[PacketRecord]:
+    """The row loop behind read_csv (bad is None) and read_csv_lenient."""
     records = []
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
+    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
+        header = fh.readline().removesuffix("\n")
         if header != CSV_HEADER:
             raise CsvFormatError(
                 f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1
             )
         for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+            m = _ROW_RE.fullmatch(line)
+            if m is not None:
+                ts, s1, s2, s3, s4, sport, d1, d2, d3, d4, dport, proto, size = map(int, m.groups())
+                try:
+                    records.append(PacketRecord(
+                        ts,
+                        s1 << 24 | s2 << 16 | s3 << 8 | s4,
+                        sport,
+                        d1 << 24 | d2 << 16 | d3 << 8 | d4,
+                        dport,
+                        proto,
+                        size,
+                    ))
+                    continue
+                except ValueError as exc:
+                    err = CsvFormatError(str(exc), line=line_no)
+            elif line == "\n":
                 continue
-            records.append(_parse_row(line.split(","), line_no))
+            else:
+                err = _row_error(line, line_no)
+            if bad is None:
+                raise err
+            bad.append((line_no, str(err)))
     return records
+
+
+def read_csv(path) -> list[PacketRecord]:
+    """Read a canonical traffic CSV, in file order.
+
+    Strict: any malformed row raises CsvFormatError naming the line and
+    field.  Use read_csv_lenient to skip and report bad rows instead
+    (silent data loss corrupts population metrics, so skipping is always
+    opt-in).  The grammar is in the README; empty lines are skipped.
+    """
+    return _read(path, None)
 
 
 def read_csv_lenient(path) -> tuple[list[PacketRecord], list[tuple[int, str]]]:
@@ -208,23 +237,8 @@ def read_csv_lenient(path) -> tuple[list[PacketRecord], list[tuple[int, str]]]:
     bad_rows holds (line_number, reason) for each skipped row.  A bad
     header is still fatal.
     """
-    records = []
     bad: list[tuple[int, str]] = []
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().rstrip("\n").rstrip("\r")
-        if header != CSV_HEADER:
-            raise CsvFormatError(
-                f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1
-            )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(_parse_row(line.split(","), line_no))
-            except CsvFormatError as exc:
-                bad.append((line_no, str(exc)))
-    return records, bad
+    return _read(path, bad), bad
 
 
 def write_csv(records: Iterable[PacketRecord], path) -> None:
@@ -235,27 +249,6 @@ def write_csv(records: Iterable[PacketRecord], path) -> None:
             fh.write(rec.to_csv_row() + "\n")
 
 
-def partition_by_day_port(
-    records: Iterable[PacketRecord],
-) -> dict[tuple[date, int], PortDayPartition]:
-    """Group UDP records into (UTC day, destination port) partitions.
-
-    Only proto-17 records participate; other protocols are carried by the
-    data model but never feed the metrics.  Within each partition records
-    are ordered by timestamp.
-    """
-    buckets: dict[tuple[date, int], list[PacketRecord]] = {}
-    for rec in records:
-        if rec.proto != PROTO_UDP:
-            continue
-        buckets.setdefault((rec.day, rec.dst_port), []).append(rec)
-    out = {}
-    for (day, port), recs in buckets.items():
-        recs.sort(key=lambda r: r.ts_us)
-        out[(day, port)] = PortDayPartition(day=day, dst_port=port, records=tuple(recs))
-    return out
-
-
 def partition_by_window(
     records: Iterable[PacketRecord], window: timedelta
 ) -> dict[tuple[datetime, int], PortDayPartition]:
@@ -263,10 +256,13 @@ def partition_by_window(
 
     Windows are aligned to 0000Z and must divide a day evenly (15 minutes,
     3 hours, 24 hours, ...).  Each partition's `day` is the UTC day
-    containing the window, so daily-port labels still apply.
+    containing the window, so daily-port labels still apply.  Only
+    proto-17 records participate; other protocols are carried by the data
+    model but never feed the metrics.  Within each partition records are
+    ordered by timestamp.
     """
     window_us = int(window.total_seconds() * 1_000_000)
-    if window_us <= 0 or _US_PER_DAY % window_us != 0:
+    if window_us <= 0 or US_PER_DAY % window_us != 0:
         raise ValueError(f"window must evenly divide one day, got {window}")
     buckets: dict[tuple[int, int], list[PacketRecord]] = {}
     for rec in records:
@@ -282,6 +278,16 @@ def partition_by_window(
             day=day_of_ts(start_us), dst_port=port, records=tuple(recs)
         )
     return out
+
+
+def partition_by_day_port(
+    records: Iterable[PacketRecord],
+) -> dict[tuple[date, int], PortDayPartition]:
+    """partition_by_window over one-day windows, keyed by (UTC day, port)."""
+    return {
+        (part.day, port): part
+        for (_, port), part in partition_by_window(records, timedelta(days=1)).items()
+    }
 
 
 def label_dataset(records: Sequence[PacketRecord], oracle) -> LabeledDataset:

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .portgen import DailyPortOracle
 from .records import (
+    SECONDS_PER_DAY,
     LabeledDataset,
     PacketRecord,
     day_start_us,
@@ -45,16 +46,13 @@ __all__ = [
     "SimConfig",
     "default_background",
     "three_epoch_schedule",
-    "population_at",
-    "emit_ephemeral_src_port",
     "simulate",
     "write_dataset",
+    "write_manifest",
     "write_labels_csv",
     "read_labels_csv",
     "config_digest",
 ]
-
-SECONDS_PER_DAY = 86400.0
 
 # Ephemeral UDP source-port range used by the scanners.
 EPHEMERAL_LO = 49152
@@ -70,11 +68,6 @@ _K_NOISE = 4
 
 def _stream(seed: int, kind: int, a: int = 0, b: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, kind, a, b))))
-
-
-def emit_ephemeral_src_port(rng: np.random.Generator) -> int:
-    """Uniform ephemeral UDP source port in [49152, 65535]."""
-    return int(rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1))
 
 
 def _modal_entropy(probs: Sequence[float]) -> float:
@@ -197,14 +190,6 @@ def three_epoch_schedule(days_per_epoch: int, scale: float = 1.0) -> tuple[int, 
     for count in (90000, 40000, 26000):
         schedule.extend([round(count * scale)] * days_per_epoch)
     return tuple(schedule)
-
-
-def population_at(config: SimConfig, day: date | int) -> int:
-    """Scheduled host count for a simulated day (index or calendar date)."""
-    idx = day if isinstance(day, int) else (day - config.start_day).days
-    if not 0 <= idx < config.days:
-        raise ValueError(f"day {day} outside the simulated schedule")
-    return config.crackonosh.population[idx]
 
 
 # Service ports commonly scanned for vulnerabilities or DDoS reflection.
@@ -664,35 +649,36 @@ def config_digest(config: SimConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def write_manifest(out_dir, command: str, **fields) -> dict:
+    """Write a run's manifest.json: tool, version and command plus fields.
+
+    Keys are sorted and nothing time- or host-dependent is added, so equal
+    runs give byte-identical manifests.  Returns the manifest.
+    """
+    manifest = {"tool": "darkhunt", "version": __version__, "command": command, **fields}
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest
+
+
 def write_dataset(
     dataset: LabeledDataset,
     out_dir,
     config: SimConfig,
-    command: str = "simulate",
     inputs: Optional[dict] = None,
 ) -> dict:
     """Write traffic.csv, labels.csv, and the run manifest; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    traffic_path = os.path.join(out_dir, "traffic.csv")
-    labels_path = os.path.join(out_dir, "labels.csv")
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    write_csv(dataset.records, traffic_path)
-    write_labels_csv(dataset.labels, labels_path)
-    manifest = {
-        "tool": "darkhunt",
-        "version": __version__,
-        "command": command,
-        "seed": config.seed,
-        "config_sha256": config_digest(config),
-        "inputs": inputs or {},
-        "outputs": {
-            "traffic": os.path.basename(traffic_path),
-            "labels": os.path.basename(labels_path),
-        },
-        "records": len(dataset.records),
-        "days": config.days,
-    }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    write_csv(dataset.records, os.path.join(out_dir, "traffic.csv"))
+    write_labels_csv(dataset.labels, os.path.join(out_dir, "labels.csv"))
+    return write_manifest(
+        out_dir,
+        "simulate",
+        seed=config.seed,
+        config_sha256=config_digest(config),
+        inputs=inputs or {},
+        outputs={"traffic": "traffic.csv", "labels": "labels.csv"},
+        records=len(dataset.records),
+        days=config.days,
+    )

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from darkhunt import ranking
 from darkhunt.cli import main
-from darkhunt.records import CSV_HEADER
+from darkhunt.records import CSV_HEADER, PacketRecord, write_csv
 
 CONFIG = {
     "seed": 21,
@@ -130,6 +133,27 @@ def test_analyze_window_15m(sim_dir, tmp_path):
     rows = (out / "report_size_entropy.csv").read_text().splitlines()
     assert len(rows) > 2 * 24 * 4 * 0.5  # most 15-minute windows have traffic
     assert rows[1].startswith("2024-01-01T00:")
+
+
+def test_analyze_partitions_once_for_all_metrics(sim_dir, tmp_path, monkeypatch):
+    calls = []
+    partition = ranking.partition_by_window
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(ranking, "partition_by_window", counting)
+    assert main([
+        "analyze",
+        "--csv", str(sim_dir / "traffic.csv"),
+        "--labels", str(sim_dir / "labels.csv"),
+        "--out", str(tmp_path / "rep"),
+        "--window", "3h",
+    ]) == 0
+    assert len(calls) == 1
+    for metric in ("address_count", "block_count", "src_spread", "size_entropy"):
+        assert (tmp_path / "rep" / f"report_{metric}.csv").exists()
 
 
 def test_analyze_empty_csv_no_partial_reports(tmp_path, capsys):
@@ -272,3 +296,60 @@ def test_population_malformed_cidr(sim_dir, tmp_path):
         "population", "--csv", str(sim_dir / "traffic.csv"),
         "--telescope", "999.0.0.0/8", "--out", str(tmp_path / "pop"),
     ]) == 2
+
+
+def _packet(ts_us, dst_ip, proto=17, src_ip=0x01020304):
+    return PacketRecord(
+        ts_us=ts_us, src_ip=src_ip, src_port=50000, dst_ip=dst_ip,
+        dst_port=51234, proto=proto, payload_len=100,
+    )
+
+
+DAY_US = 86_400_000_000
+BIN_US = DAY_US // 144
+INSIDE = 0x0A000001  # 10.0.0.1
+OUTSIDE = 0xC0000201  # 192.0.2.1
+
+
+def test_population_skips_days_without_telescope_traffic(tmp_path, capsys):
+    # Day 0 has traffic only outside the telescope; day 1 has an always-on
+    # source inside it.  Day 0 is skipped, not fatal.
+    records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
+    records += [_packet(DAY_US + i * BIN_US, INSIDE) for i in range(144)]
+    csv_path = tmp_path / "t.csv"
+    write_csv(records, csv_path)
+    out = tmp_path / "pop"
+    assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
+    always = json.loads((out / "always_on.json").read_text())
+    assert list(always) == ["1970-01-02"]
+    assert always["1970-01-02"]["always_on_count"] == 1
+
+
+def test_population_without_udp_inside_telescope_names_it(tmp_path, capsys):
+    # Outside-telescope UDP and inside-telescope TCP: nothing to analyze.
+    records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
+    records += [_packet(DAY_US + i * BIN_US, INSIDE, proto=6) for i in range(144)]
+    csv_path = tmp_path / "t.csv"
+    write_csv(records, csv_path)
+    code = main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(tmp_path / "pop")])
+    assert code == 2
+    assert "no UDP traffic inside telescope 10.0.0.0/24" in capsys.readouterr().err
+
+
+def test_population_ignores_tcp_only_sources(tmp_path, capsys):
+    udp = [_packet(i * BIN_US, INSIDE) for i in range(144)]
+    tcp = [_packet(i * BIN_US + 1, INSIDE, proto=6, src_ip=0x05060708) for i in range(144)]
+    csv_path = tmp_path / "t.csv"
+    write_csv(udp + tcp, csv_path)
+    out = tmp_path / "pop"
+    assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
+    day = json.loads((out / "always_on.json").read_text())["1970-01-01"]
+    assert day == {"always_on_count": 1, "daily_packets": {str(0x01020304): 144}}
+
+
+# ------------------------------------------------------------------- imports
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, darkhunt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

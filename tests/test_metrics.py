@@ -91,8 +91,8 @@ def test_entropy_empty_partition_errors():
 def test_compute_metric_dispatch():
     p = part_of([make_record()])
     for mid in METRIC_IDS:
-        mv = compute_metric(mid, p)
-        assert mv.metric_id == mid
+        value = compute_metric(mid, p)
+        assert type(value) is float
     with pytest.raises(ValueError):
         compute_metric("bogus", p)
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from darkhunt.population import (
+    _PEAK_FLOOR,
+    _local_maxima,
     BINS_PER_DAY,
     always_on,
     density_profile,
@@ -75,6 +78,19 @@ def test_always_on_telescope_filter():
     ]
     report = always_on(inside + outside, telescope=tel)
     assert report.always_on_ips == frozenset({111})
+
+
+def test_always_on_counts_udp_only():
+    # A TCP-only source in every bin is not an always-on UDP scanner, and
+    # TCP packets of a UDP source do not add to its daily count.
+    tcp_only = [
+        make_record(ts_us=i * BIN_US + 3, src=333, dst_port=50000, proto=6)
+        for i in range(BINS_PER_DAY)
+    ]
+    mixed_tcp = [make_record(ts_us=11, src=111, dst_port=50000, proto=6)]
+    report = always_on(one_per_bin(111, BINS_PER_DAY) + tcp_only + mixed_tcp)
+    assert report.always_on_ips == frozenset({111})
+    assert report.per_ip_daily_packets == {111: BINS_PER_DAY}
 
 
 def test_almost_no_always_on_hosts_on_slash16():
@@ -206,6 +222,46 @@ def test_density_needs_two_samples():
         density_profile([])
 
 
+def scipy_peaks(density):
+    idx, _ = find_peaks(density, height=_PEAK_FLOOR * float(density.max()))
+    return tuple(idx)
+
+
+def test_peaks_match_find_peaks_on_equal_sample_plateau():
+    # All-equal samples give a symmetric KDE whose top can be a two-point
+    # plateau; both finders must report the same (middle) index.
+    for value in (250.0, 1.0, 0.0, 1370.0):
+        profile = density_profile([value] * 40)
+        expected = scipy_peaks(profile.density)
+        assert len(expected) == 1
+        assert profile.peaks == tuple(float(profile.grid[i]) for i in expected)
+
+
+def test_peaks_match_find_peaks_on_random_kdes():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        kind = rng.integers(3)
+        if kind == 0:
+            samples = rng.normal(rng.uniform(0, 3000), rng.uniform(1, 200), n)
+        elif kind == 1:
+            samples = rng.integers(0, 6, n).astype(float) * rng.uniform(10, 500)
+        else:
+            samples = np.full(n, float(rng.integers(0, 5000)))
+        profile = density_profile(samples)
+        expected = scipy_peaks(profile.density)
+        assert profile.peaks == tuple(float(profile.grid[i]) for i in expected)
+
+
+def test_peak_finder_plateaus_edges_and_floor():
+    y = np.array([0, 1, 3, 3, 3, 1, 2, 2, 0, 5, 5, 4, 4, 6, 6], dtype=float)
+    expected, _ = find_peaks(y, height=0)
+    assert list(_local_maxima(y, 0)) == list(expected) == [3, 6, 9]
+    # The floor is inclusive: a peak exactly at the floor stays.
+    assert list(_local_maxima(y, 3)) == [3, 9]
+    assert list(_local_maxima(np.ones(8), 0)) == []
+
+
 def test_peak_count_matches_components_when_separated():
     # Well-separated components (>4 bandwidths apart) each get one peak.
     rng = np.random.default_rng(46)
@@ -267,4 +323,5 @@ def test_density_exports(tmp_path):
 
     payload = json.loads(json_path.read_text())
     assert payload["peaks_packets_per_day"] == list(profile.peaks)
-    assert "peaks_pps" in payload
+    assert payload["k_telescope"] == 2**20
+    assert payload["peaks_pps"] == peaks_to_rates(profile, 2**20)

@@ -53,26 +53,11 @@ def test_invalid_range_rejected():
         DailyPortOracle(secret=b"x", port_lo=0, port_hi=70000)
 
 
-def test_port_sequence_matches_daily_port():
-    oracle = DailyPortOracle(secret=b"seq")
-    start = date(2023, 3, 1)
-    seq = oracle.port_sequence(start, 10)
-    assert len(seq) == 10
-    for i, port in enumerate(seq):
-        assert port == oracle.daily_port(start + timedelta(days=i))
-    assert oracle.port_sequence(start, 1) == [oracle.daily_port(start)]
-
-
-def test_port_sequence_rejects_zero_days():
-    with pytest.raises(ValueError):
-        DailyPortOracle(secret=b"x").port_sequence(date(2023, 1, 1), 0)
-
-
 def test_year_of_ports_is_roughly_uniform():
     # Coarse chi-square over 8 equal bins; a year of daily ports from a
     # keyed hash should not concentrate anywhere.
     oracle = DailyPortOracle(secret=b"uniformity-check")
-    seq = oracle.port_sequence(date(2022, 1, 1), 365)
+    seq = [oracle.daily_port(date(2022, 1, 1) + timedelta(days=i)) for i in range(365)]
     span = PORT_HI - PORT_LO + 1
     bins = [0] * 8
     for port in seq:
@@ -82,6 +67,7 @@ def test_year_of_ports_is_roughly_uniform():
 
 
 def test_different_secrets_diverge():
-    a = DailyPortOracle(secret=b"secret-a").port_sequence(date(2022, 1, 1), 64)
-    b = DailyPortOracle(secret=b"secret-b").port_sequence(date(2022, 1, 1), 64)
+    days = [date(2022, 1, 1) + timedelta(days=i) for i in range(64)]
+    a = [DailyPortOracle(secret=b"secret-a").daily_port(day) for day in days]
+    b = [DailyPortOracle(secret=b"secret-b").daily_port(day) for day in days]
     assert a != b

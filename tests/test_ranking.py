@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkhunt.metrics import METRIC_IDS
 from darkhunt.ranking import (
     discoverability,
     rank_of_labeled_port,
     rank_ports,
-    score_correlation,
     time_series_report,
     write_report_csv,
     write_report_json,
@@ -175,7 +175,7 @@ class FixedOracle:
 def test_time_series_single_day():
     records = burst(50000, 5) + burst(5060, 3)
     ds = LabeledDataset(records=tuple(records), labels={DAY0: 50000})
-    rows = time_series_report(ds, "address_count")
+    rows = time_series_report(ds, ["address_count"])["address_count"]
     assert len(rows) == 1
     assert rows[0].period == DAY0
     assert rows[0].rank == 1 and rows[0].score == 5
@@ -184,7 +184,7 @@ def test_time_series_single_day():
 def test_time_series_absent_label_port():
     records = burst(5060, 3)
     ds = LabeledDataset(records=tuple(records), labels={DAY0: 50000})
-    [row] = time_series_report(ds, "address_count")
+    [row] = time_series_report(ds, ["address_count"])["address_count"]
     assert row.rank is None and row.score is None
 
 
@@ -195,11 +195,11 @@ def test_time_series_multi_day_and_windows():
         recs += burst(5060, 3, ts0=day_idx * US_PER_DAY)
     labels = {d(i): 50000 for i in range(3)}
     ds = LabeledDataset(records=tuple(recs), labels=labels)
-    rows = time_series_report(ds, "address_count")
+    rows = time_series_report(ds, ["address_count"])["address_count"]
     assert [r.period for r in rows] == [d(0), d(1), d(2)]
     assert [r.rank for r in rows] == [1, 1, 2]  # day 2: 3 sources vs 3, tie -> 5060 first
 
-    rows_3h = time_series_report(ds, "address_count", window=timedelta(hours=3))
+    rows_3h = time_series_report(ds, ["address_count"], window=timedelta(hours=3))["address_count"]
     assert len(rows_3h) == 3  # all bursts land in the first window of each day
     assert all(r.rank is not None for r in rows_3h)
 
@@ -207,26 +207,21 @@ def test_time_series_multi_day_and_windows():
 def test_time_series_unlabeled_day_errors():
     ds = LabeledDataset(records=tuple(burst(50000, 2)), labels={d(1): 50000})
     with pytest.raises(ValueError):
-        time_series_report(ds, "address_count")
+        time_series_report(ds, ["address_count"])
 
 
-def test_score_correlation_perfect_on_proportional_metrics():
+def test_time_series_all_metrics_match_single_metric_runs():
     recs = []
-    for day_idx, n in enumerate((10, 7, 4)):
-        recs += [
-            make_record(
-                ts_us=day_idx * US_PER_DAY + i,
-                src=(50 + i) * 256 + day_idx,  # one source per /24
-                dst_port=50000,
-            )
-            for i in range(n)
-        ]
-    ds = LabeledDataset(
-        records=tuple(recs), labels={d(i): 50000 for i in range(3)}
-    )
-    rows_a = time_series_report(ds, "address_count")
-    rows_b = time_series_report(ds, "block_count")
-    assert score_correlation(rows_a, rows_b) == pytest.approx(1.0)
+    for day_idx in range(3):
+        recs += burst(50000, 5 - day_idx, ts0=day_idx * US_PER_DAY)
+        recs += burst(5060, 3, ts0=day_idx * US_PER_DAY)
+    ds = LabeledDataset(records=tuple(recs), labels={d(i): 50000 for i in range(3)})
+    together = time_series_report(ds, METRIC_IDS, window=timedelta(hours=3))
+    assert list(together) == list(METRIC_IDS)
+    for metric_id in METRIC_IDS:
+        alone = time_series_report(ds, [metric_id], window=timedelta(hours=3))
+        assert together[metric_id] == alone[metric_id]
+        assert all(row.metric_id == metric_id for row in alone[metric_id])
 
 
 # ---------------------------------------------------------------- emitters
@@ -236,8 +231,8 @@ def test_write_report_csv_golden(tmp_path):
     records = burst(50000, 2) + burst(5060, 3) + burst(50000, 4, ts0=US_PER_DAY)
     labels = {d(0): 50000, d(1): 50000}
     rows = time_series_report(
-        LabeledDataset(records=tuple(records), labels=labels), "address_count"
-    )
+        LabeledDataset(records=tuple(records), labels=labels), ["address_count"]
+    )["address_count"]
     out = tmp_path / "report.csv"
     write_report_csv(rows, out)
     assert out.read_text() == (

@@ -143,6 +143,154 @@ def test_round_trip_any_valid_record(tmp_path_factory, **fields):
     assert read_csv(p) == [rec]
 
 
+# ------------------------------------------------------------ CSV grammar
+
+GOOD_ROW = "1663372800000000,198.51.7.9,50000,10.0.0.1,51812,17,212"
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def with_field(name, raw):
+    parts = GOOD_ROW.split(",")
+    parts[CSV_HEADER.split(",").index(name)] = raw
+    return ",".join(parts)
+
+
+# Rows that break the grammar in one field; int() and str.isdigit() accept
+# most of these values.
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        (with_field("ts_us", "1_663_372_800_000_000"), "ts_us"),
+        (with_field("dst_port", "+51812"), "dst_port"),
+        (with_field("src_ip", "198.051.7.9"), "src_ip"),
+        (with_field("dst_port", "051812"), "dst_port"),
+        (with_field("dst_port", " 51812"), "dst_port"),
+        (with_field("payload_len", "212 "), "payload_len"),
+        (" " + GOOD_ROW, "ts_us"),
+        (GOOD_ROW + "\r", "payload_len"),
+        (with_field("src_ip", "١٩٨.51.7.9"), "src_ip"),
+        (with_field("ts_us", "1663372800000000".translate(ARABIC_INDIC)), "ts_us"),
+        (with_field("proto", "-0"), "proto"),
+        (with_field("dst_ip", "10.0.0.1\t"), "dst_ip"),
+    ],
+)
+def test_grammar_rejects_row(tmp_path, row, field):
+    p = tmp_path / "t.csv"
+    p.write_bytes(
+        (CSV_HEADER + "\n" + GOOD_ROW + "\n" + row + "\n" + GOOD_ROW + "\n").encode()
+    )
+    with pytest.raises(CsvFormatError) as exc_info:
+        read_csv(p)
+    assert exc_info.value.line == 3
+    assert exc_info.value.field == field
+    records, bad = read_csv_lenient(p)
+    assert len(records) == 2
+    assert bad == [(3, str(exc_info.value))]
+
+
+def test_grammar_rejects_crlf_header(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes((CSV_HEADER + "\r\n" + GOOD_ROW + "\n").encode())
+    for reader in (read_csv, read_csv_lenient):
+        with pytest.raises(CsvFormatError) as exc_info:
+            reader(p)
+        assert exc_info.value.line == 1 and exc_info.value.field is None
+
+
+def test_grammar_field_count_and_range_errors_name_the_line(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + GOOD_ROW + ",7\n" + with_field("proto", "256") + "\n")
+    records, bad = read_csv_lenient(p)
+    assert records == []
+    assert [line for line, _ in bad] == [2, 3]
+    assert "expected 7 fields, got 8" in bad[0][1]
+    assert "proto out of range" in bad[1][1]
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW)
+    assert len(read_csv(p)) == 2
+    assert read_csv_lenient(p) == (read_csv(p), [])
+
+
+def test_undecodable_bytes_are_a_row_error(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes((CSV_HEADER + "\n").encode() + b"1663\xff,1.2.3.4,1,1.2.3.4,1,17,1\n")
+    with pytest.raises(CsvFormatError) as exc_info:
+        read_csv(p)
+    assert exc_info.value.line == 2 and exc_info.value.field == "ts_us"
+
+
+records_st = st.builds(
+    PacketRecord,
+    ts_us=st.integers(min_value=0, max_value=2**62),
+    src_ip=st.integers(min_value=0, max_value=2**32 - 1),
+    src_port=st.integers(min_value=0, max_value=65535),
+    dst_ip=st.integers(min_value=0, max_value=2**32 - 1),
+    dst_port=st.integers(min_value=0, max_value=65535),
+    proto=st.integers(min_value=0, max_value=255),
+    payload_len=st.integers(min_value=0, max_value=65507),
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(records_st, max_size=30))
+def test_read_inverts_write(tmp_path_factory, records):
+    p = tmp_path_factory.mktemp("rt") / "many.csv"
+    write_csv(records, p)
+    assert read_csv(p) == records
+
+
+def _corrupt(row, kind, field_idx):
+    """One grammar violation applied to a valid row."""
+    parts = row.split(",")
+    if kind == "sign":
+        parts[field_idx] = "+" + parts[field_idx]
+    elif kind == "leading_zero":
+        parts[field_idx] = "0" + parts[field_idx]
+    elif kind == "space":
+        parts[field_idx] = " " + parts[field_idx]
+    elif kind == "underscore":
+        parts[field_idx] = parts[field_idx] + "_0"
+    elif kind == "arabic":
+        parts[field_idx] = parts[field_idx].translate(ARABIC_INDIC)
+    elif kind == "missing":
+        del parts[field_idx]
+    elif kind == "cr":
+        parts[-1] += "\r"
+    return ",".join(parts)
+
+
+@settings(max_examples=100)
+@given(
+    records=st.lists(records_st, min_size=1, max_size=20),
+    injections=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=20),
+            st.sampled_from(["sign", "leading_zero", "space", "underscore", "arabic", "missing", "cr", "blank"]),
+            st.integers(min_value=0, max_value=6),
+        ),
+        max_size=10,
+    ),
+)
+def test_lenient_counts_every_injected_row(tmp_path_factory, records, injections):
+    lines = [rec.to_csv_row() for rec in records]
+    n_bad = 0
+    for pos, kind, field_idx in injections:
+        if kind == "blank":
+            row = ""
+        else:
+            row = _corrupt(records[pos % len(records)].to_csv_row(), kind, field_idx)
+            n_bad += 1
+        lines.insert(pos % (len(lines) + 1), row)
+    p = tmp_path_factory.mktemp("inj") / "bad.csv"
+    p.write_bytes((CSV_HEADER + "\n" + "\n".join(lines) + "\n").encode())
+    good, bad = read_csv_lenient(p)
+    assert good == records
+    assert len(bad) == n_bad
+
+
 # ---------------------------------------------------------------- partitioning
 
 def test_partition_small_example():
