@@ -35,15 +35,15 @@ from .ranking import (  # noqa: F401
     time_series_report,
 )
 from .records import (  # noqa: F401
+    TRAFFIC_DTYPE,
     CsvFormatError,
     LabeledDataset,
-    PacketRecord,
     PortDayPartition,
-    label_dataset,
     partition_by_day_port,
     partition_by_window,
     read_csv,
     read_csv_lenient,
+    traffic_table,
     write_csv,
 )
 from .sim import (  # noqa: F401

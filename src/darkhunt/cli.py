@@ -15,6 +15,8 @@ import os
 import sys
 from datetime import timedelta
 
+import numpy as np
+
 from . import __version__
 from .population import (
     always_on,
@@ -30,7 +32,7 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import PROTO_UDP, CsvFormatError, LabeledDataset, day_of_ts, read_csv
+from .records import PROTO_UDP, US_PER_DAY, CsvFormatError, LabeledDataset, day_of_ts, read_csv
 from .sim import (
     load_config,
     read_labels_csv,
@@ -99,7 +101,7 @@ def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> 
     )
 
 
-def _read_traffic(path) -> list:
+def _read_traffic(path) -> np.recarray:
     """read_csv with unreadable or malformed files mapped to DataError."""
     try:
         return read_csv(path)
@@ -148,18 +150,19 @@ def _cmd_simulate(args) -> int:
 
 def _load_labeled(csv_path, labels_path) -> LabeledDataset:
     records = _read_traffic(csv_path)
-    if not records:
+    if not len(records):
         raise DataError(f"{csv_path}: no records")
     try:
         labels = read_labels_csv(labels_path)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read labels {labels_path}: {exc}") from None
-    missing = sorted({day_of_ts(r.ts_us) for r in records} - set(labels))
+    days = np.unique(records["ts_us"] // US_PER_DAY)
+    missing = sorted({day_of_ts(d * US_PER_DAY) for d in days.tolist()} - set(labels))
     if missing:
         raise DataError(
             "unlabeled days: " + ", ".join(d.isoformat() for d in missing)
         )
-    return LabeledDataset(records=tuple(records), labels=labels)
+    return LabeledDataset(records=records, labels=labels)
 
 
 def _cmd_analyze(args) -> int:
@@ -257,18 +260,17 @@ def _cmd_model_tte(args) -> int:
 def _cmd_population(args) -> int:
     tel = _parse_telescope(args.telescope)
     # Days with no UDP packet inside the telescope have nothing to report.
-    by_day: dict = {}
-    for rec in _read_traffic(args.csv):
-        if rec.proto == PROTO_UDP and rec.dst_ip in tel:
-            by_day.setdefault(day_of_ts(rec.ts_us), []).append(rec)
-    if not by_day:
+    records = _read_traffic(args.csv)
+    inside = records[(records["proto"] == PROTO_UDP) & tel.contains_array(records["dst_ip"])]
+    if not len(inside):
         raise DataError(f"{args.csv}: no UDP traffic inside telescope {tel}")
+    days = inside["ts_us"] // US_PER_DAY
     os.makedirs(args.out, exist_ok=True)
     day_reports = {}
     samples = []
-    for day in sorted(by_day):
-        report = always_on(by_day[day])
-        day_reports[day.isoformat()] = {
+    for day in np.unique(days).tolist():
+        report = always_on(inside[days == day])
+        day_reports[report.day.isoformat()] = {
             "always_on_count": len(report.always_on_ips),
             "daily_packets": dict(
                 sorted(
@@ -369,10 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"darkhunt: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"darkhunt: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -21,11 +21,11 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, PacketRecord, day_of_ts
+from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, day_of_ts
 from .telescope import IPV4_SPACE, TelescopeSpec
 
 __all__ = [
@@ -82,39 +82,37 @@ class DensityProfile:
 
 
 def always_on(
-    records: Iterable[PacketRecord], telescope: Optional[TelescopeSpec] = None
+    records: np.ndarray, telescope: Optional[TelescopeSpec] = None
 ) -> AlwaysOnReport:
     """Find sources observed in every one of a day's 144 bins.
 
-    `records` must span a single UTC day.  Only UDP packets count, as in
-    partitions and metrics.  When a telescope is given, only packets
-    destined to it are considered (a no-op for data captured at the
-    telescope itself).
+    `records` is a traffic table spanning a single UTC day.  Only UDP
+    packets count, as in partitions and metrics.  When a telescope is
+    given, only packets destined to it are considered (a no-op for data
+    captured at the telescope itself).
     """
-    day = None
-    bins: dict[int, set[int]] = {}
-    counts: dict[int, int] = {}
-    for rec in records:
-        if rec.proto != PROTO_UDP:
-            continue
-        if telescope is not None and rec.dst_ip not in telescope:
-            continue
-        rec_day = day_of_ts(rec.ts_us)
-        if day is None:
-            day = rec_day
-        elif rec_day != day:
-            raise ValueError(
-                f"records span multiple days: {day.isoformat()} and {rec_day.isoformat()}"
-            )
-        bins.setdefault(rec.src_ip, set()).add((rec.ts_us % US_PER_DAY) // _BIN_US)
-        counts[rec.src_ip] = counts.get(rec.src_ip, 0) + 1
-    if day is None:
+    keep = records["proto"] == PROTO_UDP
+    if telescope is not None:
+        keep &= telescope.contains_array(records["dst_ip"])
+    ts = records["ts_us"][keep]
+    src = records["src_ip"][keep].astype(np.int64)
+    if not len(ts):
         raise ValueError("no records for the day")
-    qualified = frozenset(ip for ip, b in bins.items() if len(b) == BINS_PER_DAY)
+    days = ts // US_PER_DAY
+    other = days[days != days[0]]
+    if len(other):
+        raise ValueError(
+            f"records span multiple days: {day_of_ts(ts[0]).isoformat()} "
+            f"and {day_of_ts(other[0] * US_PER_DAY).isoformat()}"
+        )
+    ips, counts = np.unique(src, return_counts=True)
+    seen = np.unique(src * BINS_PER_DAY + (ts % US_PER_DAY) // _BIN_US) // BINS_PER_DAY
+    full = np.unique(seen, return_counts=True)[1] == BINS_PER_DAY
+    # Every source has at least one bin, so `full` lines up with `ips`.
     return AlwaysOnReport(
-        day=day,
-        always_on_ips=qualified,
-        per_ip_daily_packets={ip: counts[ip] for ip in sorted(qualified)},
+        day=day_of_ts(ts[0]),
+        always_on_ips=frozenset(ips[full].tolist()),
+        per_ip_daily_packets=dict(zip(ips[full].tolist(), counts[full].tolist())),
     )
 
 

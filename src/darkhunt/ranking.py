@@ -83,7 +83,7 @@ def rank_ports(
     """
     if metric_id not in METRIC_IDS:
         raise ValueError(f"unknown metric {metric_id!r}")
-    nonempty = {p: part for p, part in partitions.items() if part.records}
+    nonempty = {p: part for p, part in partitions.items() if len(part.records)}
     if not nonempty:
         raise ValueError("rank_ports needs at least one non-empty partition")
     day = next(iter(nonempty.values())).day
@@ -163,10 +163,6 @@ def time_series_report(
     return rows
 
 
-def _period_str(period: datetime | date) -> str:
-    return period.isoformat()
-
-
 def write_report_csv(rows: Sequence[ReportRow], path) -> None:
     """Emit the fixed `day,metric,score,rank` schema for plot tooling."""
     with open(path, "w", newline="") as fh:
@@ -175,7 +171,7 @@ def write_report_csv(rows: Sequence[ReportRow], path) -> None:
         for row in rows:
             writer.writerow(
                 [
-                    _period_str(row.period),
+                    row.period.isoformat(),
                     row.metric_id,
                     "" if row.score is None else f"{row.score:.6g}",
                     "" if row.rank is None else row.rank,

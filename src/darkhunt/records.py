@@ -1,8 +1,9 @@
-"""Packet records, canonical CSV serialization, and day/port partitioning.
+"""The traffic table, canonical CSV serialization, and window/port partitioning.
 
 Everything downstream (metrics, ranking, population analysis) consumes the
-types in this module.  Records are immutable; all operations are pure
-functions, so partitions can be built and consumed concurrently.
+types in this module.  Traffic is one read-only numpy record array over
+TRAFFIC_DTYPE, a row per packet and a column per CSV field; all operations
+are pure functions, so partitions can be built and consumed concurrently.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 __all__ = [
-    "PacketRecord",
+    "TRAFFIC_DTYPE",
     "PortDayPartition",
     "LabeledDataset",
     "CsvFormatError",
@@ -25,15 +28,23 @@ __all__ = [
     "ip_to_str",
     "ip_from_str",
     "day_of_ts",
+    "traffic_table",
     "read_csv",
     "read_csv_lenient",
     "write_csv",
     "partition_by_day_port",
     "partition_by_window",
-    "label_dataset",
 ]
 
 CSV_HEADER = "ts_us,src_ip,src_port,dst_ip,dst_port,proto,payload_len"
+
+# One observed packet header per row, one column per CSV field: ts_us
+# int64 (microseconds since the Unix epoch, UTC), src_ip/dst_ip uint32
+# (use ip_to_str / ip_from_str at the edges), ports uint16, proto uint8,
+# payload_len uint16.
+TRAFFIC_DTYPE = np.dtype(
+    list(zip(CSV_HEADER.split(","), ["<i8", "<u4", "<u2", "<u4", "<u2", "u1", "<u2"]))
+)
 
 PROTO_UDP = 17
 MAX_UDP_PAYLOAD = 65507  # 65535 - 8 (UDP header) - 20 (IP header)
@@ -77,7 +88,7 @@ def day_of_ts(ts_us: int) -> date:
     Days are half-open [0000Z, next 0000Z): a timestamp exactly at
     midnight belongs to the day that starts there.
     """
-    return _EPOCH + timedelta(days=ts_us // US_PER_DAY)
+    return _EPOCH + timedelta(days=int(ts_us) // US_PER_DAY)
 
 
 def day_start_us(day: date) -> int:
@@ -85,49 +96,15 @@ def day_start_us(day: date) -> int:
     return (day - _EPOCH).days * US_PER_DAY
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One observed UDP packet header.
+def traffic_table(rows) -> np.recarray:
+    """A read-only traffic table over rows in TRAFFIC_DTYPE column order.
 
-    Addresses are 32-bit integers (use ip_to_str / ip_from_str at the
-    edges); ts_us is microseconds since the Unix epoch, UTC.
+    `rows` is a TRAFFIC_DTYPE array (viewed, not copied) or a sequence of
+    (ts_us, src_ip, src_port, dst_ip, dst_port, proto, payload_len) tuples.
     """
-
-    ts_us: int
-    src_ip: int
-    src_port: int
-    dst_ip: int
-    dst_port: int
-    proto: int
-    payload_len: int
-
-    def __post_init__(self) -> None:
-        if self.ts_us < 0:
-            raise ValueError(f"ts_us must be >= 0, got {self.ts_us}")
-        for name in ("src_ip", "dst_ip"):
-            v = getattr(self, name)
-            if not 0 <= v < 2**32:
-                raise ValueError(f"{name} out of IPv4 range: {v}")
-        for name in ("src_port", "dst_port"):
-            v = getattr(self, name)
-            if not 0 <= v <= 65535:
-                raise ValueError(f"{name} out of range 0-65535: {v}")
-        if not 0 <= self.proto <= 255:
-            raise ValueError(f"proto out of range 0-255: {self.proto}")
-        if not 0 <= self.payload_len <= MAX_UDP_PAYLOAD:
-            raise ValueError(
-                f"payload_len out of range 0-{MAX_UDP_PAYLOAD}: {self.payload_len}"
-            )
-
-    @property
-    def day(self) -> date:
-        return day_of_ts(self.ts_us)
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.ts_us},{ip_to_str(self.src_ip)},{self.src_port},"
-            f"{ip_to_str(self.dst_ip)},{self.dst_port},{self.proto},{self.payload_len}"
-        )
+    table = np.asarray(rows, dtype=TRAFFIC_DTYPE).view(np.recarray)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,21 +113,15 @@ class PortDayPartition:
 
     day: date
     dst_port: int
-    records: tuple[PacketRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
+    records: np.recarray
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Packet records plus the ground-truth daily port for every day spanned."""
+    """A traffic table plus the ground-truth daily port for every day spanned."""
 
-    records: tuple[PacketRecord, ...]
+    records: np.recarray
     labels: Mapping[date, int]
-
-    def days(self) -> list[date]:
-        return sorted(self.labels)
 
 
 class CsvFormatError(ValueError):
@@ -166,6 +137,20 @@ class CsvFormatError(ValueError):
 
 
 _FIELDS = CSV_HEADER.split(",")
+# The range checks the row pattern leaves open: parsed-row column (of 13:
+# ts, 4 octets, src_port, 4 octets, dst_port, proto, payload_len) ->
+# field name and inclusive maximum.
+_LIMITS = {
+    0: ("ts_us", 2**63 - 1),
+    5: ("src_port", 65535),
+    10: ("dst_port", 65535),
+    11: ("proto", 255),
+    12: ("payload_len", MAX_UDP_PAYLOAD),
+}
+_HIGH = np.array([hi for _, hi in _LIMITS.values()], dtype=np.int64)
+_OCTETS = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
+_TO_COMMAS = str.maketrans(".\n", ",,")
+_CHUNK_ROWS = 1 << 16
 
 
 def _row_error(line: str, line_no: int) -> CsvFormatError:
@@ -184,9 +169,48 @@ def _row_error(line: str, line_no: int) -> CsvFormatError:
     raise AssertionError(f"line {line_no} matches every field pattern but not the row")
 
 
-def _read(path, bad: list[tuple[int, str]] | None) -> list[PacketRecord]:
-    """The row loop behind read_csv (bad is None) and read_csv_lenient."""
-    records = []
+def _range_error(line: str, line_no: int) -> CsvFormatError | None:
+    """The first value of a grammatical row beyond its field's range."""
+    values = line.removesuffix("\n").translate(_TO_COMMAS).split(",")
+    for col, (name, hi) in _LIMITS.items():
+        if int(values[col]) > hi:
+            return CsvFormatError(f"{name} out of range 0-{hi}: {values[col]}", line=line_no)
+    return None
+
+
+def _parse(lines: list[str], line_nos: list[int], bad) -> np.ndarray:
+    """Grammatical rows as a TRAFFIC_DTYPE array.
+
+    A row out of range raises (bad is None) or is reported to bad and dropped.
+    """
+    v = np.fromstring("".join(lines).translate(_TO_COMMAS), dtype=np.int64, sep=",").reshape(-1, 13)
+    # Values past int64 parse as its maximum, so rows that reach any
+    # maximum are checked again from their text.
+    keep = (v[:, list(_LIMITS)] < _HIGH).all(axis=1)
+    for i in np.flatnonzero(~keep).tolist():
+        err = _range_error(lines[i], line_nos[i])
+        if err is None:
+            keep[i] = True
+        elif bad is None:
+            raise err
+        else:
+            bad.append((line_nos[i], str(err)))
+    v = v[keep]
+    columns = [v[:, 0], v[:, 1:5] @ _OCTETS, v[:, 5], v[:, 6:10] @ _OCTETS, *v[:, 10:].T]
+    return np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
+
+
+def _read(path, bad: list[tuple[int, str]] | None) -> np.recarray:
+    """The row loop behind read_csv (bad is None) and read_csv_lenient.
+
+    Rows that match the grammar are parsed in chunks; a chunk is parsed
+    before a later grammar error is raised, so strict mode always reports
+    the first bad line.
+    """
+    chunks = [np.empty(0, dtype=TRAFFIC_DTYPE)]
+    lines: list[str] = []
+    line_nos: list[int] = []
+    match = _ROW_RE.fullmatch
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
         header = fh.readline().removesuffix("\n")
         if header != CSV_HEADER:
@@ -194,34 +218,29 @@ def _read(path, bad: list[tuple[int, str]] | None) -> list[PacketRecord]:
                 f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1
             )
         for line_no, line in enumerate(fh, start=2):
-            m = _ROW_RE.fullmatch(line)
-            if m is not None:
-                ts, s1, s2, s3, s4, sport, d1, d2, d3, d4, dport, proto, size = map(int, m.groups())
-                try:
-                    records.append(PacketRecord(
-                        ts,
-                        s1 << 24 | s2 << 16 | s3 << 8 | s4,
-                        sport,
-                        d1 << 24 | d2 << 16 | d3 << 8 | d4,
-                        dport,
-                        proto,
-                        size,
-                    ))
+            if match(line) is not None:
+                lines.append(line)
+                line_nos.append(line_no)
+                if len(lines) < _CHUNK_ROWS:
                     continue
-                except ValueError as exc:
-                    err = CsvFormatError(str(exc), line=line_no)
             elif line == "\n":
                 continue
+            elif bad is None:
+                _parse(lines, line_nos, bad)
+                raise _row_error(line, line_no)
             else:
-                err = _row_error(line, line_no)
-            if bad is None:
-                raise err
-            bad.append((line_no, str(err)))
-    return records
+                bad.append((line_no, str(_row_error(line, line_no))))
+                continue
+            chunks.append(_parse(lines, line_nos, bad))
+            lines, line_nos = [], []
+    chunks.append(_parse(lines, line_nos, bad))
+    if bad:
+        bad.sort()
+    return traffic_table(np.concatenate(chunks))
 
 
-def read_csv(path) -> list[PacketRecord]:
-    """Read a canonical traffic CSV, in file order.
+def read_csv(path) -> np.recarray:
+    """Read a canonical traffic CSV into a traffic table, in file order.
 
     Strict: any malformed row raises CsvFormatError naming the line and
     field.  Use read_csv_lenient to skip and report bad rows instead
@@ -231,80 +250,81 @@ def read_csv(path) -> list[PacketRecord]:
     return _read(path, None)
 
 
-def read_csv_lenient(path) -> tuple[list[PacketRecord], list[tuple[int, str]]]:
+def read_csv_lenient(path) -> tuple[np.recarray, list[tuple[int, str]]]:
     """Like read_csv but skips malformed rows, returning (records, bad_rows).
 
-    bad_rows holds (line_number, reason) for each skipped row.  A bad
-    header is still fatal.
+    bad_rows holds (line_number, reason) for each skipped row, in line
+    order.  A bad header is still fatal.
     """
     bad: list[tuple[int, str]] = []
     return _read(path, bad), bad
 
 
-def write_csv(records: Iterable[PacketRecord], path) -> None:
-    """Write records in the canonical CSV format (LF newlines, no quoting)."""
+def _dotted(ips: np.ndarray) -> list[str]:
+    """Dotted quads of an address column, rendering each address once."""
+    uniq, inverse = np.unique(ips, return_inverse=True)
+    return np.array([ip_to_str(ip) for ip in uniq.tolist()], dtype=object)[inverse].tolist()
+
+
+def write_csv(records: np.ndarray, path) -> None:
+    """Write a traffic table in the canonical CSV format (LF newlines, no quoting)."""
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.to_csv_row() + "\n")
+        for lo in range(0, len(records), _CHUNK_ROWS):
+            t = records[lo : lo + _CHUNK_ROWS]
+            fh.writelines(
+                f"{ts},{src},{sport},{dst},{dport},{proto},{size}\n"
+                for ts, src, sport, dst, dport, proto, size in zip(
+                    t["ts_us"].tolist(),
+                    _dotted(t["src_ip"]),
+                    t["src_port"].tolist(),
+                    _dotted(t["dst_ip"]),
+                    t["dst_port"].tolist(),
+                    t["proto"].tolist(),
+                    t["payload_len"].tolist(),
+                )
+            )
 
 
 def partition_by_window(
-    records: Iterable[PacketRecord], window: timedelta
+    records: np.ndarray, window: timedelta
 ) -> dict[tuple[datetime, int], PortDayPartition]:
-    """Group UDP records into (window start, destination port) partitions.
+    """Group UDP packets into (window start, destination port) partitions.
 
     Windows are aligned to 0000Z and must divide a day evenly (15 minutes,
     3 hours, 24 hours, ...).  Each partition's `day` is the UTC day
     containing the window, so daily-port labels still apply.  Only
-    proto-17 records participate; other protocols are carried by the data
-    model but never feed the metrics.  Within each partition records are
-    ordered by timestamp.
+    proto-17 packets participate; other protocols are carried by the data
+    model but never feed the metrics.  Partitions come in (window start,
+    port) order and hold table slices ordered by timestamp (ties keep
+    input order).
     """
     window_us = int(window.total_seconds() * 1_000_000)
     if window_us <= 0 or US_PER_DAY % window_us != 0:
         raise ValueError(f"window must evenly divide one day, got {window}")
-    buckets: dict[tuple[int, int], list[PacketRecord]] = {}
-    for rec in records:
-        if rec.proto != PROTO_UDP:
-            continue
-        start = (rec.ts_us // window_us) * window_us
-        buckets.setdefault((start, rec.dst_port), []).append(rec)
+    udp = records[records["proto"] == PROTO_UDP]
+    start = udp["ts_us"] // window_us * window_us
+    order = np.lexsort((udp["ts_us"], udp["dst_port"], start))
+    udp, start = traffic_table(udp[order]), start[order]
+    port = udp["dst_port"]
+    first = np.ones(len(udp), dtype=bool)
+    first[1:] = (start[1:] != start[:-1]) | (port[1:] != port[:-1])
+    los = np.flatnonzero(first)
+    his = np.append(los[1:], len(udp))
     out = {}
-    for (start_us, port), recs in buckets.items():
-        recs.sort(key=lambda r: r.ts_us)
-        start_dt = datetime.fromtimestamp(start_us / 1_000_000, tz=timezone.utc)
-        out[(start_dt, port)] = PortDayPartition(
-            day=day_of_ts(start_us), dst_port=port, records=tuple(recs)
-        )
+    for lo, hi, start_us, p in zip(
+        los.tolist(), his.tolist(), start[los].tolist(), port[los].tolist()
+    ):
+        period = datetime.fromtimestamp(start_us / 1_000_000, tz=timezone.utc)
+        out[(period, p)] = PortDayPartition(day=day_of_ts(start_us), dst_port=p, records=udp[lo:hi])
     return out
 
 
 def partition_by_day_port(
-    records: Iterable[PacketRecord],
+    records: np.ndarray,
 ) -> dict[tuple[date, int], PortDayPartition]:
     """partition_by_window over one-day windows, keyed by (UTC day, port)."""
     return {
         (part.day, port): part
         for (_, port), part in partition_by_window(records, timedelta(days=1)).items()
     }
-
-
-def label_dataset(records: Sequence[PacketRecord], oracle) -> LabeledDataset:
-    """Attach ground-truth daily ports to a record set.
-
-    Labels cover every calendar day from the first to the last record
-    inclusive, including gap days with no traffic.  `oracle` is any object
-    with a daily_port(day) method (see darkhunt.portgen).
-    """
-    if not records:
-        return LabeledDataset(records=(), labels={})
-    first = min(r.ts_us for r in records)
-    last = max(r.ts_us for r in records)
-    day = day_of_ts(first)
-    end = day_of_ts(last)
-    labels = {}
-    while day <= end:
-        labels[day] = oracle.daily_port(day)
-        day += timedelta(days=1)
-    return LabeledDataset(records=tuple(records), labels=labels)

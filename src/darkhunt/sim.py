@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from typing import Optional, Sequence
 
@@ -32,10 +32,13 @@ import numpy as np
 from . import __version__
 from .portgen import DailyPortOracle
 from .records import (
+    MAX_UDP_PAYLOAD,
+    PROTO_UDP,
     SECONDS_PER_DAY,
+    TRAFFIC_DTYPE,
     LabeledDataset,
-    PacketRecord,
     day_start_us,
+    traffic_table,
     write_csv,
 )
 from .telescope import IPV4_SPACE, TelescopeSpec
@@ -102,6 +105,8 @@ class BackgroundScanner:
             raise ValueError("modal size distribution needs 1-4 distinct sizes")
         if len(self.sizes) != len(set(self.sizes)):
             raise ValueError("modal sizes must be distinct")
+        if any(not 0 <= size <= MAX_UDP_PAYLOAD for size in self.sizes):
+            raise ValueError(f"modal sizes must be within 0-{MAX_UDP_PAYLOAD}: {self.sizes}")
         if len(self.size_probs) != len(self.sizes):
             raise ValueError("size_probs must match sizes")
         if abs(sum(self.size_probs) - 1.0) > 1e-9 or any(p <= 0 for p in self.size_probs):
@@ -145,7 +150,7 @@ class CrackonoshConfig:
             raise ValueError("rate_pps must be >= 0")
         if self.padding_sizes < 1:
             raise ValueError("padding_sizes must be >= 1")
-        if self.payload_base < 0 or self.payload_base + self.padding_sizes - 1 > 65507:
+        if self.payload_base < 0 or self.payload_base + self.padding_sizes - 1 > MAX_UDP_PAYLOAD:
             raise ValueError("payload sizes exceed the UDP payload bound")
         if not 0.0 <= self.always_on_fraction <= 1.0:
             raise ValueError("always_on_fraction must be in [0, 1]")
@@ -306,7 +311,13 @@ def _place_hosts(
     return out
 
 
-def _records_from_arrays(
+# Generated packets: one int64 row each for ts_us, src_ip, src_port,
+# dst_ip, dst_port and payload_len (the protocol is always UDP), and a
+# column per packet.  One array per batch keeps many tiny batches cheap.
+_NO_PACKETS = np.empty((6, 0), dtype=np.int64)
+
+
+def _columns(
     day_us: int,
     offsets_s: np.ndarray,
     src: np.ndarray,
@@ -314,22 +325,14 @@ def _records_from_arrays(
     dst: np.ndarray,
     dport: int,
     sizes: np.ndarray,
-) -> list[PacketRecord]:
-    ts = (day_us + np.floor(offsets_s * 1e6).astype(np.int64)).tolist()
-    return [
-        PacketRecord(
-            ts_us=t,
-            src_ip=s,
-            src_port=sp,
-            dst_ip=d,
-            dst_port=dport,
-            proto=17,
-            payload_len=pl,
-        )
-        for t, s, sp, d, pl in zip(
-            ts, src.tolist(), sport.tolist(), dst.tolist(), sizes.tolist()
-        )
-    ]
+) -> np.ndarray:
+    ts = day_us + np.floor(offsets_s * 1e6).astype(np.int64)
+    return np.array([ts, src, sport, dst, np.full(ts.size, dport, dtype=np.int64), sizes])
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """Join packet batches end to end; no batches gives no packets."""
+    return np.concatenate([_NO_PACKETS, *parts], axis=1)
 
 
 def _crackonosh_day(
@@ -338,13 +341,13 @@ def _crackonosh_day(
     port: int,
     host_ips: np.ndarray,
     host_always_on: np.ndarray,
-) -> list[PacketRecord]:
+) -> np.ndarray:
     ck = config.crackonosh
     tel = config.telescope
     pc = tel.k / IPV4_SPACE
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     n_hosts = ck.population[day_idx]
-    records: list[PacketRecord] = []
+    parts = []
     for host_id in range(n_hosts):
         rng = _stream(config.seed, _K_HOST, host_id, day_idx)
         if host_always_on[host_id]:
@@ -373,10 +376,8 @@ def _crackonosh_day(
         sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
         sizes = ck.payload_base + rng.integers(0, ck.padding_sizes, size=m)
         src = np.full(m, host_ips[host_id], dtype=np.int64)
-        records.extend(
-            _records_from_arrays(day_us, offsets, src, sport, dst, port, sizes)
-        )
-    return records
+        parts.append(_columns(day_us, offsets, src, sport, dst, port, sizes))
+    return _concat(parts)
 
 
 def _background_day(
@@ -385,13 +386,13 @@ def _background_day(
     scanner_idx: int,
     scanner: BackgroundScanner,
     sources: np.ndarray,
-) -> list[PacketRecord]:
+) -> np.ndarray:
     tel = config.telescope
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_BG_DAY, scanner_idx, day_idx)
     n_pkts = int(rng.poisson(scanner.rate_pps * SECONDS_PER_DAY))
     if n_pkts == 0:
-        return []
+        return _NO_PACKETS
     # Every source speaks before any repeats, so daily per-port source
     # counts stay at the configured level.
     perm = rng.permutation(sources.size)
@@ -406,12 +407,12 @@ def _background_day(
     sizes = np.array(scanner.sizes, dtype=np.int64)[
         rng.choice(len(scanner.sizes), size=n_pkts, p=scanner.size_probs)
     ]
-    return _records_from_arrays(
+    return _columns(
         day_us, offsets, sources[src_idx], sport, dst, scanner.service_port, sizes
     )
 
 
-def _noise_day(config: SimConfig, day_idx: int) -> list[PacketRecord]:
+def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     """One-off probes: a long tail of low ports with one source and 1-3 packets.
 
     Ports stay below the coordinated-scanner range (they mimic service
@@ -419,21 +420,21 @@ def _noise_day(config: SimConfig, day_idx: int) -> list[PacketRecord]:
     """
     n_ports = config.noise_ports_per_day
     if n_ports == 0:
-        return []
+        return _NO_PACKETS
     tel = config.telescope
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_NOISE, day_idx)
     ports = rng.choice(49107, size=n_ports, replace=False) + 1
     srcs = _draw_public_ips(rng, n_ports, tel)
-    records: list[PacketRecord] = []
+    parts = []
     for port, src in zip(ports.tolist(), srcs.tolist()):
         n = int(rng.integers(1, 4))
         offsets = rng.uniform(0.0, SECONDS_PER_DAY, size=n)
         dst = tel.addresses_at_array(rng.integers(0, tel.k, size=n))
         sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=n)
         size = int(rng.integers(40, 401))
-        records.extend(
-            _records_from_arrays(
+        parts.append(
+            _columns(
                 day_us,
                 offsets,
                 np.full(n, src, dtype=np.int64),
@@ -443,11 +444,11 @@ def _noise_day(config: SimConfig, day_idx: int) -> list[PacketRecord]:
                 np.full(n, size, dtype=np.int64),
             )
         )
-    return records
+    return _concat(parts)
 
 
 def simulate(config: SimConfig) -> LabeledDataset:
-    """Run the simulator, returning time-ordered records plus ground truth."""
+    """Run the simulator, returning a time-ordered traffic table plus ground truth."""
     ck = config.crackonosh
     max_pop = max(ck.population)
     place_rng = _stream(config.seed, _K_PLACE)
@@ -471,23 +472,24 @@ def simulate(config: SimConfig) -> LabeledDataset:
             sources = base + setup.choice(256, size=scanner.n_sources, replace=False)
         bg_sources.append(sources)
 
-    records: list[PacketRecord] = []
+    parts = []
     for day_idx, day in enumerate(sorted(labels)):
-        records.extend(
+        parts.append(
             _crackonosh_day(config, day_idx, labels[day], host_ips, host_always_on)
         )
         for scanner_idx, scanner in enumerate(config.background):
-            records.extend(
+            parts.append(
                 _background_day(
                     config, day_idx, scanner_idx, scanner, bg_sources[scanner_idx]
                 )
             )
-        records.extend(_noise_day(config, day_idx))
+        parts.append(_noise_day(config, day_idx))
 
-    records.sort(
-        key=lambda r: (r.ts_us, r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.payload_len)
-    )
-    return LabeledDataset(records=tuple(records), labels=labels)
+    ts, src, sport, dst, dport, size = _concat(parts)
+    columns = [ts, src, sport, dst, dport, np.full(ts.size, PROTO_UDP), size]
+    table = np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
+    order = np.lexsort((size, dport, sport, dst, src, ts))
+    return LabeledDataset(records=traffic_table(table[order]), labels=labels)
 
 
 def write_labels_csv(labels, path) -> None:
@@ -623,25 +625,8 @@ def config_digest(config: SimConfig) -> str:
         "telescope": [str(c) for c in config.telescope.cidrs],
         "secret_sha256": hashlib.sha256(config.oracle.secret).hexdigest(),
         "port_range": [config.oracle.port_lo, config.oracle.port_hi],
-        "crackonosh": {
-            "population": list(config.crackonosh.population),
-            "rate_pps": config.crackonosh.rate_pps,
-            "padding_sizes": config.crackonosh.padding_sizes,
-            "payload_base": config.crackonosh.payload_base,
-            "always_on_fraction": config.crackonosh.always_on_fraction,
-            "per24_cap": config.crackonosh.per24_cap,
-        },
-        "background": [
-            {
-                "service_port": s.service_port,
-                "source_mode": s.source_mode,
-                "rate_pps": s.rate_pps,
-                "sizes": list(s.sizes),
-                "size_probs": list(s.size_probs),
-                "n_sources": s.n_sources,
-            }
-            for s in config.background
-        ],
+        "crackonosh": asdict(config.crackonosh),
+        "background": [asdict(s) for s in config.background],
         "noise_ports_per_day": config.noise_ports_per_day,
         "mode": config.mode,
     }

@@ -1,6 +1,6 @@
 import pytest
 
-from darkhunt.records import PacketRecord, ip_from_str
+from darkhunt.records import ip_from_str
 
 
 def make_record(
@@ -12,15 +12,15 @@ def make_record(
     proto=17,
     payload_len=100,
 ):
-    """Build a PacketRecord from friendly dotted-quad strings."""
-    return PacketRecord(
-        ts_us=ts_us,
-        src_ip=src if isinstance(src, int) else ip_from_str(src),
-        src_port=src_port,
-        dst_ip=dst if isinstance(dst, int) else ip_from_str(dst),
-        dst_port=dst_port,
-        proto=proto,
-        payload_len=payload_len,
+    """One traffic-table row tuple, with addresses as friendly dotted quads."""
+    return (
+        ts_us,
+        src if isinstance(src, int) else ip_from_str(src),
+        src_port,
+        dst if isinstance(dst, int) else ip_from_str(dst),
+        dst_port,
+        proto,
+        payload_len,
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from darkhunt import ranking
 from darkhunt.cli import main
-from darkhunt.records import CSV_HEADER, PacketRecord, write_csv
+from darkhunt.records import CSV_HEADER, traffic_table, write_csv
 
 CONFIG = {
     "seed": 21,
@@ -74,6 +74,16 @@ def test_simulate_secret_never_printed(tmp_path, capsys):
     assert "cli-tests" not in captured.out + captured.err
     manifest = (tmp_path / "o" / "manifest.json").read_text()
     assert "cli-tests" not in manifest
+
+
+def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
+    scanner = {"service_port": 53, "source_mode": "single", "rate_pps": 0.01,
+               "sizes": [70000], "size_probs": [1.0]}
+    cfg_path = write_config(tmp_path, background=[scanner])
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "modal sizes must be within 0-65507" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_1():
@@ -180,6 +190,33 @@ def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "unlabeled days" in err and "2024-01-02" in err
+
+
+def test_analyze_15m_denominator_counts_only_windows_with_traffic(tmp_path, capsys):
+    # A window without traffic writes no row and leaves D_n's denominator;
+    # a window with traffic but a silent labeled port counts as a miss.
+    quarter = 15 * 60 * 1_000_000
+    def packets(window, port):
+        return [(window * quarter + i, 0x01020300 + i, 50000, 0x0A000001, port, 17, 100 + i)
+                for i in range(3)]
+    records = packets(0, 51234) + packets(1, 5060) + packets(40, 51234)
+    csv_path = tmp_path / "t.csv"
+    write_csv(traffic_table(records), csv_path)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("day,port\n1970-01-01,51234\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--csv", str(csv_path), "--labels", str(labels),
+                 "--out", str(out), "--window", "15m"]) == 0
+    assert "size_entropy: D_100 = 0.667 over 3 periods" in capsys.readouterr().out
+    for metric, report in json.loads((out / "discoverability.json").read_text()).items():
+        assert report["score"] == 2 / 3, metric
+        assert report["per_day_rank"] == {
+            "1970-01-01T00:00:00+00:00": 1,
+            "1970-01-01T00:15:00+00:00": None,
+            "1970-01-01T10:00:00+00:00": 1,
+        }
+        rows = (out / f"report_{metric}.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3 and rows[2].endswith(",,")
 
 
 def test_analyze_unknown_metric(sim_dir, tmp_path):
@@ -299,10 +336,7 @@ def test_population_malformed_cidr(sim_dir, tmp_path):
 
 
 def _packet(ts_us, dst_ip, proto=17, src_ip=0x01020304):
-    return PacketRecord(
-        ts_us=ts_us, src_ip=src_ip, src_port=50000, dst_ip=dst_ip,
-        dst_port=51234, proto=proto, payload_len=100,
-    )
+    return (ts_us, src_ip, 50000, dst_ip, 51234, proto, 100)
 
 
 DAY_US = 86_400_000_000
@@ -317,7 +351,7 @@ def test_population_skips_days_without_telescope_traffic(tmp_path, capsys):
     records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
     records += [_packet(DAY_US + i * BIN_US, INSIDE) for i in range(144)]
     csv_path = tmp_path / "t.csv"
-    write_csv(records, csv_path)
+    write_csv(traffic_table(records), csv_path)
     out = tmp_path / "pop"
     assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
     always = json.loads((out / "always_on.json").read_text())
@@ -330,7 +364,7 @@ def test_population_without_udp_inside_telescope_names_it(tmp_path, capsys):
     records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
     records += [_packet(DAY_US + i * BIN_US, INSIDE, proto=6) for i in range(144)]
     csv_path = tmp_path / "t.csv"
-    write_csv(records, csv_path)
+    write_csv(traffic_table(records), csv_path)
     code = main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(tmp_path / "pop")])
     assert code == 2
     assert "no UDP traffic inside telescope 10.0.0.0/24" in capsys.readouterr().err
@@ -340,7 +374,7 @@ def test_population_ignores_tcp_only_sources(tmp_path, capsys):
     udp = [_packet(i * BIN_US, INSIDE) for i in range(144)]
     tcp = [_packet(i * BIN_US + 1, INSIDE, proto=6, src_ip=0x05060708) for i in range(144)]
     csv_path = tmp_path / "t.csv"
-    write_csv(udp + tcp, csv_path)
+    write_csv(traffic_table(udp + tcp), csv_path)
     out = tmp_path / "pop"
     assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
     day = json.loads((out / "always_on.json").read_text())["1970-01-01"]

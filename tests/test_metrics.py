@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -13,18 +14,18 @@ from darkhunt.metrics import (
     size_entropy,
     src_spread,
 )
-from darkhunt.records import PortDayPartition, partition_by_day_port
+from darkhunt.records import PortDayPartition, partition_by_day_port, traffic_table
 from conftest import make_record
 
 
 def part_of(records):
-    parts = partition_by_day_port(records)
+    parts = partition_by_day_port(traffic_table(records))
     assert len(parts) == 1
     return next(iter(parts.values()))
 
 
 def empty_part():
-    return PortDayPartition(day=date(1970, 1, 1), dst_port=50000, records=())
+    return PortDayPartition(day=date(1970, 1, 1), dst_port=50000, records=traffic_table([]))
 
 
 # ---------------------------------------------------------------- examples
@@ -147,9 +148,9 @@ def test_order_invariance(items, rnd):
     rnd.shuffle(shuffled)
     a = part_of(recs)
     # Bypass partitioning for the shuffled copy to keep raw order.
-    b = PortDayPartition(day=a.day, dst_port=a.dst_port, records=tuple(shuffled))
+    b = PortDayPartition(day=a.day, dst_port=a.dst_port, records=traffic_table(shuffled))
     for f in (address_count, block_count, src_spread, size_entropy):
-        assert f(a) == pytest.approx(f(b))
+        assert f(a) == f(b)
 
 
 @settings(max_examples=60)
@@ -160,9 +161,26 @@ def test_duplication_invariance(items):
         for i, (src, dst, plen) in enumerate(items)
     ]
     doubled = recs + [
-        make_record(ts_us=len(recs) + i, src=r.src_ip, dst=r.dst_ip, payload_len=r.payload_len)
-        for i, r in enumerate(recs)
+        make_record(ts_us=len(recs) + i, src=src, dst=dst, payload_len=plen)
+        for i, (src, dst, plen) in enumerate(items)
     ]
     a, b = part_of(recs), part_of(doubled)
     for f in (address_count, block_count, src_spread, size_entropy):
-        assert f(a) == pytest.approx(f(b))
+        assert f(a) == f(b)
+
+
+@settings(max_examples=120)
+@given(records_strategy)
+def test_metrics_match_python_reference(items):
+    # Per-packet Python loops, as the metrics were first written, are the
+    # reference; entropy terms are summed over sizes in ascending order.
+    p = build_part(items)
+    rows = p.records.tolist()
+    sources = {r[1] for r in rows}
+    counts = Counter(r[6] for r in rows)
+    n = len(rows)
+    entropy = max(0.0, -sum((counts[s] / n) * math.log2(counts[s] / n) for s in sorted(counts)))
+    assert address_count(p) == len(sources)
+    assert block_count(p) == len({ip >> 8 for ip in sources})
+    assert src_spread(p) == len(sources) / len({r[3] for r in rows})
+    assert size_entropy(p) == entropy

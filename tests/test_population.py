@@ -19,6 +19,7 @@ from darkhunt.population import (
     write_peaks_json,
 )
 from darkhunt.portgen import DailyPortOracle
+from darkhunt.records import traffic_table
 from darkhunt.sim import CrackonoshConfig, SimConfig, simulate
 from darkhunt.telescope import TelescopeSpec, p_collision
 from conftest import make_record
@@ -39,14 +40,14 @@ def one_per_bin(src, n_bins, ts_offset=0):
 def test_always_on_requires_all_bins():
     full = one_per_bin(111, BINS_PER_DAY)
     partial = one_per_bin(222, BINS_PER_DAY - 1)
-    report = always_on(full + partial)
+    report = always_on(traffic_table(full + partial))
     assert report.always_on_ips == frozenset({111})
     assert report.per_ip_daily_packets == {111: BINS_PER_DAY}
 
 
 def test_always_on_counts_all_packets_of_qualified_ips():
     extra = [make_record(ts_us=7, src=111, dst_port=50000)]
-    report = always_on(one_per_bin(111, BINS_PER_DAY) + extra)
+    report = always_on(traffic_table(one_per_bin(111, BINS_PER_DAY) + extra))
     assert report.per_ip_daily_packets[111] == BINS_PER_DAY + 1
 
 
@@ -54,19 +55,19 @@ def test_always_on_bins_align_to_midnight():
     # A packet at the very last microsecond of the day still lands in bin 143.
     recs = one_per_bin(111, BINS_PER_DAY - 1)
     recs.append(make_record(ts_us=US_PER_DAY - 1, src=111, dst_port=50000))
-    report = always_on(recs)
+    report = always_on(traffic_table(recs))
     assert report.always_on_ips == frozenset({111})
 
 
 def test_always_on_rejects_multi_day_input():
     recs = [make_record(ts_us=0), make_record(ts_us=US_PER_DAY)]
     with pytest.raises(ValueError):
-        always_on(recs)
+        always_on(traffic_table(recs))
 
 
 def test_always_on_empty_errors():
     with pytest.raises(ValueError):
-        always_on([])
+        always_on(traffic_table([]))
 
 
 def test_always_on_telescope_filter():
@@ -76,7 +77,7 @@ def test_always_on_telescope_filter():
         make_record(ts_us=i * BIN_US + 9, src=222, dst="192.0.2.1", dst_port=50000)
         for i in range(BINS_PER_DAY)
     ]
-    report = always_on(inside + outside, telescope=tel)
+    report = always_on(traffic_table(inside + outside), telescope=tel)
     assert report.always_on_ips == frozenset({111})
 
 
@@ -88,9 +89,42 @@ def test_always_on_counts_udp_only():
         for i in range(BINS_PER_DAY)
     ]
     mixed_tcp = [make_record(ts_us=11, src=111, dst_port=50000, proto=6)]
-    report = always_on(one_per_bin(111, BINS_PER_DAY) + tcp_only + mixed_tcp)
+    report = always_on(traffic_table(one_per_bin(111, BINS_PER_DAY) + tcp_only + mixed_tcp))
     assert report.always_on_ips == frozenset({111})
     assert report.per_ip_daily_packets == {111: BINS_PER_DAY}
+
+
+@settings(max_examples=60)
+@given(
+    full=st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=4, unique=True),
+    extra=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=US_PER_DAY - 1),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from([6, 17]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_always_on_matches_loop_reference(full, extra):
+    # A per-packet loop over sets of bins is the reference.
+    recs = [r for src in full for r in one_per_bin(src, BINS_PER_DAY)]
+    recs += [make_record(ts_us=ts, src=src, proto=proto) for ts, src, proto in extra]
+    bins, counts = {}, {}
+    for ts, src, _, _, _, proto, _ in recs:
+        if proto == 17:
+            bins.setdefault(src, set()).add(ts // BIN_US)
+            counts[src] = counts.get(src, 0) + 1
+    qualified = sorted(ip for ip, b in bins.items() if len(b) == BINS_PER_DAY)
+    if not bins:
+        with pytest.raises(ValueError):
+            always_on(traffic_table(recs))
+        return
+    report = always_on(traffic_table(recs))
+    assert report.day == date(1970, 1, 1)
+    assert report.always_on_ips == frozenset(qualified)
+    assert report.per_ip_daily_packets == {ip: counts[ip] for ip in qualified}
 
 
 def test_almost_no_always_on_hosts_on_slash16():

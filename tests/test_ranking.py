@@ -14,7 +14,7 @@ from darkhunt.ranking import (
     write_report_csv,
     write_report_json,
 )
-from darkhunt.records import LabeledDataset, partition_by_day_port
+from darkhunt.records import LabeledDataset, partition_by_day_port, traffic_table
 from conftest import make_record
 
 US_PER_DAY = 86_400_000_000
@@ -24,7 +24,7 @@ DAY0 = date(1970, 1, 1)
 def day_parts(records):
     """Partitions of a single day keyed by port."""
     parts = {}
-    for (day, port), p in partition_by_day_port(records).items():
+    for (day, port), p in partition_by_day_port(traffic_table(records)).items():
         assert day == DAY0
         parts[port] = p
     return parts
@@ -174,7 +174,7 @@ class FixedOracle:
 
 def test_time_series_single_day():
     records = burst(50000, 5) + burst(5060, 3)
-    ds = LabeledDataset(records=tuple(records), labels={DAY0: 50000})
+    ds = LabeledDataset(records=traffic_table(records), labels={DAY0: 50000})
     rows = time_series_report(ds, ["address_count"])["address_count"]
     assert len(rows) == 1
     assert rows[0].period == DAY0
@@ -183,7 +183,7 @@ def test_time_series_single_day():
 
 def test_time_series_absent_label_port():
     records = burst(5060, 3)
-    ds = LabeledDataset(records=tuple(records), labels={DAY0: 50000})
+    ds = LabeledDataset(records=traffic_table(records), labels={DAY0: 50000})
     [row] = time_series_report(ds, ["address_count"])["address_count"]
     assert row.rank is None and row.score is None
 
@@ -194,7 +194,7 @@ def test_time_series_multi_day_and_windows():
         recs += burst(50000, 5 - day_idx, ts0=day_idx * US_PER_DAY)
         recs += burst(5060, 3, ts0=day_idx * US_PER_DAY)
     labels = {d(i): 50000 for i in range(3)}
-    ds = LabeledDataset(records=tuple(recs), labels=labels)
+    ds = LabeledDataset(records=traffic_table(recs), labels=labels)
     rows = time_series_report(ds, ["address_count"])["address_count"]
     assert [r.period for r in rows] == [d(0), d(1), d(2)]
     assert [r.rank for r in rows] == [1, 1, 2]  # day 2: 3 sources vs 3, tie -> 5060 first
@@ -205,7 +205,7 @@ def test_time_series_multi_day_and_windows():
 
 
 def test_time_series_unlabeled_day_errors():
-    ds = LabeledDataset(records=tuple(burst(50000, 2)), labels={d(1): 50000})
+    ds = LabeledDataset(records=traffic_table(burst(50000, 2)), labels={d(1): 50000})
     with pytest.raises(ValueError):
         time_series_report(ds, ["address_count"])
 
@@ -215,7 +215,7 @@ def test_time_series_all_metrics_match_single_metric_runs():
     for day_idx in range(3):
         recs += burst(50000, 5 - day_idx, ts0=day_idx * US_PER_DAY)
         recs += burst(5060, 3, ts0=day_idx * US_PER_DAY)
-    ds = LabeledDataset(records=tuple(recs), labels={d(i): 50000 for i in range(3)})
+    ds = LabeledDataset(records=traffic_table(recs), labels={d(i): 50000 for i in range(3)})
     together = time_series_report(ds, METRIC_IDS, window=timedelta(hours=3))
     assert list(together) == list(METRIC_IDS)
     for metric_id in METRIC_IDS:
@@ -231,7 +231,7 @@ def test_write_report_csv_golden(tmp_path):
     records = burst(50000, 2) + burst(5060, 3) + burst(50000, 4, ts0=US_PER_DAY)
     labels = {d(0): 50000, d(1): 50000}
     rows = time_series_report(
-        LabeledDataset(records=tuple(records), labels=labels), ["address_count"]
+        LabeledDataset(records=traffic_table(records), labels=labels), ["address_count"]
     )["address_count"]
     out = tmp_path / "report.csv"
     write_report_csv(rows, out)

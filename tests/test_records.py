@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkhunt.portgen import DailyPortOracle
+from darkhunt import records as records_module
 from darkhunt.records import (
     CSV_HEADER,
+    TRAFFIC_DTYPE,
     CsvFormatError,
-    PacketRecord,
     day_of_ts,
     day_start_us,
     ip_from_str,
     ip_to_str,
-    label_dataset,
     partition_by_day_port,
     partition_by_window,
     read_csv,
     read_csv_lenient,
+    traffic_table,
     write_csv,
 )
 from conftest import make_record
@@ -28,17 +28,40 @@ US_PER_DAY = 86_400_000_000
 
 # ---------------------------------------------------------------- records
 
-def test_record_field_validation():
-    with pytest.raises(ValueError):
-        make_record(src_port=70000)
-    with pytest.raises(ValueError):
-        make_record(dst_port=-1)
-    with pytest.raises(ValueError):
-        make_record(proto=300)
-    with pytest.raises(ValueError):
-        make_record(payload_len=65508)
-    with pytest.raises(ValueError):
-        make_record(ts_us=-1)
+def csv_row(rec):
+    ts, src, sport, dst, dport, proto, size = rec
+    return f"{ts},{ip_to_str(src)},{sport},{ip_to_str(dst)},{dport},{proto},{size}"
+
+
+def test_record_field_validation(tmp_path):
+    # The row grammar bounds addresses and signs; the reader range-checks
+    # the other fields line by line, up to the table's column types.
+    top = (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255, 65507)
+    p = tmp_path / "top.csv"
+    p.write_text(CSV_HEADER + "\n" + csv_row(top) + "\n")
+    assert read_csv(p).tolist() == [top]
+    for name, value in (
+        ("ts_us", 2**63),
+        ("src_port", 70000),
+        ("dst_port", 65536),
+        ("proto", 300),
+        ("payload_len", 65508),
+    ):
+        row = list(top)
+        row[TRAFFIC_DTYPE.names.index(name)] = value
+        p.write_text(CSV_HEADER + "\n" + csv_row(top) + "\n" + csv_row(row) + "\n")
+        with pytest.raises(CsvFormatError, match=f"line 3: {name} out of range") as exc_info:
+            read_csv(p)
+        assert exc_info.value.line == 3
+
+
+def test_tables_are_read_only(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + csv_row(make_record()) + "\n")
+    for table in (read_csv(p), traffic_table([make_record()])):
+        assert table.dtype == TRAFFIC_DTYPE
+        with pytest.raises(ValueError):
+            table.ts_us[0] = 1
 
 
 def test_ip_round_trip():
@@ -63,22 +86,15 @@ def test_day_boundary_is_half_open():
 def test_read_csv_direct_mapping(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n1663372800000000,1.2.3.4,50000,10.0.0.1,51234,17,212\n")
-    [r] = read_csv(p)
-    assert r == PacketRecord(
-        ts_us=1663372800000000,
-        src_ip=ip_from_str("1.2.3.4"),
-        src_port=50000,
-        dst_ip=ip_from_str("10.0.0.1"),
-        dst_port=51234,
-        proto=17,
-        payload_len=212,
-    )
+    assert read_csv(p).tolist() == [
+        (1663372800000000, ip_from_str("1.2.3.4"), 50000, ip_from_str("10.0.0.1"), 51234, 17, 212)
+    ]
 
 
 def test_read_csv_header_only(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n")
-    assert read_csv(p) == []
+    assert len(read_csv(p)) == 0
 
 
 def test_read_csv_rejects_bad_header(tmp_path):
@@ -122,8 +138,8 @@ def test_write_read_round_trip(tmp_path):
         for i in range(500)
     ]
     p = tmp_path / "rt.csv"
-    write_csv(records, p)
-    assert read_csv(p) == records
+    write_csv(traffic_table(records), p)
+    assert read_csv(p).tolist() == records
 
 
 @settings(max_examples=200)
@@ -137,10 +153,10 @@ def test_write_read_round_trip(tmp_path):
     payload_len=st.integers(min_value=0, max_value=65507),
 )
 def test_round_trip_any_valid_record(tmp_path_factory, **fields):
-    rec = PacketRecord(**fields)
+    rec = tuple(fields[name] for name in TRAFFIC_DTYPE.names)
     p = tmp_path_factory.mktemp("rt") / "one.csv"
-    write_csv([rec], p)
-    assert read_csv(p) == [rec]
+    write_csv(traffic_table([rec]), p)
+    assert read_csv(p).tolist() == [rec]
 
 
 # ------------------------------------------------------------ CSV grammar
@@ -201,7 +217,7 @@ def test_grammar_field_count_and_range_errors_name_the_line(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n" + GOOD_ROW + ",7\n" + with_field("proto", "256") + "\n")
     records, bad = read_csv_lenient(p)
-    assert records == []
+    assert len(records) == 0
     assert [line for line, _ in bad] == [2, 3]
     assert "expected 7 fields, got 8" in bad[0][1]
     assert "proto out of range" in bad[1][1]
@@ -211,7 +227,8 @@ def test_blank_lines_are_skipped(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW)
     assert len(read_csv(p)) == 2
-    assert read_csv_lenient(p) == (read_csv(p), [])
+    good, bad = read_csv_lenient(p)
+    assert good.tolist() == read_csv(p).tolist() and bad == []
 
 
 def test_undecodable_bytes_are_a_row_error(tmp_path):
@@ -222,15 +239,14 @@ def test_undecodable_bytes_are_a_row_error(tmp_path):
     assert exc_info.value.line == 2 and exc_info.value.field == "ts_us"
 
 
-records_st = st.builds(
-    PacketRecord,
-    ts_us=st.integers(min_value=0, max_value=2**62),
-    src_ip=st.integers(min_value=0, max_value=2**32 - 1),
-    src_port=st.integers(min_value=0, max_value=65535),
-    dst_ip=st.integers(min_value=0, max_value=2**32 - 1),
-    dst_port=st.integers(min_value=0, max_value=65535),
-    proto=st.integers(min_value=0, max_value=255),
-    payload_len=st.integers(min_value=0, max_value=65507),
+records_st = st.tuples(
+    st.integers(min_value=0, max_value=2**62),  # ts_us
+    st.integers(min_value=0, max_value=2**32 - 1),  # src_ip
+    st.integers(min_value=0, max_value=65535),  # src_port
+    st.integers(min_value=0, max_value=2**32 - 1),  # dst_ip
+    st.integers(min_value=0, max_value=65535),  # dst_port
+    st.integers(min_value=0, max_value=255),  # proto
+    st.integers(min_value=0, max_value=65507),  # payload_len
 )
 
 
@@ -238,8 +254,8 @@ records_st = st.builds(
 @given(st.lists(records_st, max_size=30))
 def test_read_inverts_write(tmp_path_factory, records):
     p = tmp_path_factory.mktemp("rt") / "many.csv"
-    write_csv(records, p)
-    assert read_csv(p) == records
+    write_csv(traffic_table(records), p)
+    assert read_csv(p).tolist() == records
 
 
 def _corrupt(row, kind, field_idx):
@@ -275,20 +291,35 @@ def _corrupt(row, kind, field_idx):
     ),
 )
 def test_lenient_counts_every_injected_row(tmp_path_factory, records, injections):
-    lines = [rec.to_csv_row() for rec in records]
+    lines = [csv_row(rec) for rec in records]
     n_bad = 0
     for pos, kind, field_idx in injections:
         if kind == "blank":
             row = ""
         else:
-            row = _corrupt(records[pos % len(records)].to_csv_row(), kind, field_idx)
+            row = _corrupt(csv_row(records[pos % len(records)]), kind, field_idx)
             n_bad += 1
         lines.insert(pos % (len(lines) + 1), row)
     p = tmp_path_factory.mktemp("inj") / "bad.csv"
     p.write_bytes((CSV_HEADER + "\n" + "\n".join(lines) + "\n").encode())
     good, bad = read_csv_lenient(p)
-    assert good == records
+    assert good.tolist() == records
     assert len(bad) == n_bad
+
+
+def test_strict_reports_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
+    # Rows are parsed in chunks; a range error buffered in an unparsed
+    # chunk still wins over a later grammar error.
+    monkeypatch.setattr(records_module, "_CHUNK_ROWS", 3)
+    rows = [GOOD_ROW] * 4 + [with_field("proto", "256"), "junk"] + [GOOD_ROW] * 5
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(CsvFormatError) as exc_info:
+        read_csv(p)
+    assert exc_info.value.line == 6
+    good, bad = read_csv_lenient(p)
+    assert len(good) == 9
+    assert [line for line, _ in bad] == [6, 7]
 
 
 # ---------------------------------------------------------------- partitioning
@@ -299,20 +330,20 @@ def test_partition_small_example():
         make_record(ts_us=20, dst_port=50000, src="1.2.3.5"),
         make_record(ts_us=30, dst_port=5060),
     ]
-    parts = partition_by_day_port(recs)
+    parts = partition_by_day_port(traffic_table(recs))
     assert {len(p.records) for p in parts.values()} == {2, 1}
     assert set(parts) == {(date(1970, 1, 1), 50000), (date(1970, 1, 1), 5060)}
 
 
 def test_partition_midnight_goes_to_new_day():
     midnight = day_start_us(date(2022, 9, 18))
-    parts = partition_by_day_port([make_record(ts_us=midnight, dst_port=50000)])
+    parts = partition_by_day_port(traffic_table([make_record(ts_us=midnight, dst_port=50000)]))
     assert set(parts) == {(date(2022, 9, 18), 50000)}
 
 
 def test_partition_filters_non_udp():
     recs = [make_record(proto=17), make_record(proto=6), make_record(proto=1)]
-    parts = partition_by_day_port(recs)
+    parts = partition_by_day_port(traffic_table(recs))
     assert sum(len(p.records) for p in parts.values()) == 1
 
 
@@ -330,7 +361,7 @@ def test_partition_counting_oracle():
         recs.append(make_record(ts_us=ts, dst_port=port, src=rng.randrange(2**32)))
         key = (date(1970, 1, 1) + timedelta(days=day_idx), port)
         tally[key] = tally.get(key, 0) + 1
-    parts = partition_by_day_port(recs)
+    parts = partition_by_day_port(traffic_table(recs))
     assert sum(len(p.records) for p in parts.values()) == 10_000
     assert {k: len(p.records) for k, p in parts.items()} == tally
 
@@ -348,13 +379,15 @@ def test_partition_counting_oracle():
 )
 def test_partition_complete_and_pure(items):
     recs = [make_record(ts_us=ts, dst_port=port, src=src) for ts, port, src in items]
-    parts = partition_by_day_port(recs)
+    parts = partition_by_day_port(traffic_table(recs))
     assert sum(len(p.records) for p in parts.values()) == len(recs)
     for (day, port), part in parts.items():
         assert part.day == day and part.dst_port == port
         for r in part.records:
             assert day_of_ts(r.ts_us) == day and r.dst_port == port
-        assert list(part.records) == sorted(part.records, key=lambda r: r.ts_us)
+        # Ordered by timestamp; equal timestamps keep input order.
+        mine = [r for r in recs if (day_of_ts(r[0]), r[4]) == (day, port)]
+        assert part.records.tolist() == sorted(mine, key=lambda r: r[0])
 
 
 def test_partition_by_window_quarter_hour():
@@ -363,39 +396,10 @@ def test_partition_by_window_quarter_hour():
         make_record(ts_us=15 * 60 * 1_000_000, dst_port=50000),
         make_record(ts_us=16 * 60 * 1_000_000, dst_port=50000),
     ]
-    parts = partition_by_window(recs, timedelta(minutes=15))
+    parts = partition_by_window(traffic_table(recs), timedelta(minutes=15))
     assert sorted(len(p.records) for p in parts.values()) == [1, 2]
 
 
 def test_partition_by_window_rejects_uneven():
     with pytest.raises(ValueError):
-        partition_by_window([], timedelta(minutes=7))
-
-
-# ---------------------------------------------------------------- labeling
-
-def test_label_single_day():
-    oracle = DailyPortOracle(secret=b"x")
-
-    class Fixed:
-        def daily_port(self, day):
-            return 50000
-
-    ds = label_dataset([make_record(ts_us=10)], Fixed())
-    assert ds.labels == {date(1970, 1, 1): 50000}
-    assert oracle.daily_port(date(1970, 1, 1)) != 0  # oracle usable too
-
-
-def test_label_spans_all_days_inclusive():
-    oracle = DailyPortOracle(secret=b"span")
-    recs = [make_record(ts_us=0), make_record(ts_us=2 * US_PER_DAY + 5)]
-    ds = label_dataset(recs, oracle)
-    days = [date(1970, 1, 1) + timedelta(days=i) for i in range(3)]
-    assert sorted(ds.labels) == days
-    for d in days:
-        assert ds.labels[d] == oracle.daily_port(d)
-
-
-def test_label_empty_dataset():
-    ds = label_dataset([], DailyPortOracle(secret=b"x"))
-    assert ds.labels == {} and ds.records == ()
+        partition_by_window(traffic_table([]), timedelta(minutes=7))

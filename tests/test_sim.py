@@ -4,10 +4,10 @@ from datetime import date
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, ks_2samp
 
 from darkhunt.portgen import DailyPortOracle
-from darkhunt.records import read_csv
+from darkhunt.records import day_of_ts, day_start_us, read_csv
 from darkhunt.sim import (
     BackgroundScanner,
     CrackonoshConfig,
@@ -42,7 +42,7 @@ def small_config(**overrides):
 
 def test_identical_config_identical_records():
     cfg = small_config()
-    assert simulate(cfg).records == simulate(cfg).records
+    assert simulate(cfg).records.tolist() == simulate(cfg).records.tolist()
 
 
 def test_byte_identical_csv(tmp_path):
@@ -58,7 +58,7 @@ def test_byte_identical_csv(tmp_path):
 def test_different_seed_different_traffic():
     a = simulate(small_config(seed=1))
     b = simulate(small_config(seed=2))
-    assert a.records != b.records
+    assert a.records.tolist() != b.records.tolist()
 
 
 def test_host_substreams_independent_of_population_size():
@@ -70,7 +70,7 @@ def test_host_substreams_independent_of_population_size():
     assert len(host0) <= 1
     if host0:
         ip = host0.pop()
-        assert [r for r in duo.records if r.src_ip == ip] == list(solo.records)
+        assert duo.records[duo.records.src_ip == ip].tolist() == solo.records.tolist()
 
 
 # ------------------------------------------------------------ ground truth
@@ -85,7 +85,7 @@ def test_crackonosh_packets_hit_telescope_on_daily_port():
     for rec in ds.records:
         assert rec.proto == 17
         assert rec.dst_ip in cfg.telescope
-        assert rec.dst_port == ds.labels[rec.day]
+        assert rec.dst_port == ds.labels[day_of_ts(rec.ts_us)]
         assert 49152 <= rec.src_port <= 65535
 
 
@@ -123,7 +123,7 @@ def test_windowed_hosts_stay_inside_a_short_window():
     )
     ds = simulate(cfg)
     for day in ds.labels:
-        ts = [r.ts_us for r in ds.records if r.day == day]
+        ts = [r.ts_us for r in ds.records if day_of_ts(r.ts_us) == day]
         assert ts, "a /8 sees a 1pps host hundreds of times a day"
         span_s = (max(ts) - min(ts)) / 1e6
         assert span_s <= 16 * 3600
@@ -143,14 +143,16 @@ def test_sources_avoid_reserved_and_telescope_space():
 # ----------------------------------------------------- cross-module examples
 
 def test_relabeling_with_same_oracle_matches_ground_truth():
-    from darkhunt.records import label_dataset
-
+    # Whoever holds the oracle recovers every day's label from the traffic
+    # alone, and every coordinated packet is on its day's port.
     cfg = small_config()
     ds = simulate(cfg)
-    relabeled = label_dataset(ds.records, ORACLE)
-    assert relabeled.labels == dict(ds.labels)
+    relabeled = {
+        day_of_ts(ts): ORACLE.daily_port(day_of_ts(ts)) for ts in ds.records.ts_us.tolist()
+    }
+    assert relabeled == dict(ds.labels)
     for rec in ds.records:
-        assert rec.dst_port == relabeled.labels[rec.day]
+        assert rec.dst_port == relabeled[day_of_ts(rec.ts_us)]
 
 
 def test_two_thousand_sources_outrank_default_background():
@@ -235,6 +237,29 @@ def test_direct_hit_sampling_matches_naive_oracle():
         assert abs(np.mean(counts[mode]) - n_sent * pc) <= 3 * sigma_mean
 
 
+def test_direct_and_naive_agree_on_time_to_128_packets():
+    # One always-on 2 pps host on a /8 reaches 128 telescope packets after
+    # ~4.5 h.  The two modes must agree on the whole distribution of that
+    # time, not only on mean counts; disjoint seeds keep the samples
+    # independent.
+    tel = TelescopeSpec.from_prefix(8)
+    times = {}
+    for mode, seeds in (("direct", range(60)), ("naive", range(1000, 1060))):
+        times[mode] = []
+        for seed in seeds:
+            cfg = SimConfig(
+                seed=seed,
+                start_day=START,
+                telescope=tel,
+                oracle=ORACLE,
+                crackonosh=CrackonoshConfig(population=(1,), rate_pps=2.0, always_on_fraction=1.0),
+                mode=mode,
+            )
+            ts = np.sort(simulate(cfg).records.ts_us)
+            times[mode].append(int(ts[127]) - day_start_us(START))
+    assert ks_2samp(times["direct"], times["naive"]).pvalue > 0.01
+
+
 # ---------------------------------------------------------------- background
 
 def test_background_only_never_touches_oracle_port():
@@ -299,6 +324,8 @@ def test_background_scanner_validation():
         )
     with pytest.raises(ValueError):
         BackgroundScanner(**ok, sizes=(1, 1), size_probs=(0.5, 0.5))
+    with pytest.raises(ValueError, match="modal sizes must be within 0-65507"):
+        BackgroundScanner(**ok, sizes=(100, 65508), size_probs=(0.5, 0.5))
     # Uniform over 4 sizes sits exactly at the 2-bit construction bound.
     BackgroundScanner(**ok, sizes=(1, 2, 3, 4), size_probs=(0.25,) * 4)
 
@@ -340,7 +367,7 @@ def test_write_dataset_round_trip(tmp_path):
     cfg = small_config()
     ds = simulate(cfg)
     write_dataset(ds, tmp_path / "out", cfg)
-    assert read_csv(tmp_path / "out" / "traffic.csv") == list(ds.records)
+    assert read_csv(tmp_path / "out" / "traffic.csv").tolist() == ds.records.tolist()
     assert read_labels_csv(tmp_path / "out" / "labels.csv") == dict(ds.labels)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seed"] == cfg.seed
