@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import timedelta
@@ -166,12 +167,14 @@ def _load_labeled(csv_path, labels_path) -> LabeledDataset:
 
 
 def _cmd_analyze(args) -> int:
-    dataset = _load_labeled(args.csv, args.labels)
-    window = WINDOWS[args.window]
+    if args.top_n < 1:
+        raise DataError(f"--top-n must be >= 1, got {args.top_n}")
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_IDS)
     for m in metrics:
         if m not in METRIC_IDS:
             raise DataError(f"unknown metric {m!r}; choose from {','.join(METRIC_IDS)}")
+    dataset = _load_labeled(args.csv, args.labels)
+    window = WINDOWS[args.window]
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     reports = []
@@ -258,6 +261,8 @@ def _cmd_model_tte(args) -> int:
 
 
 def _cmd_population(args) -> int:
+    if args.bandwidth is not None and not 0 < args.bandwidth < math.inf:
+        raise DataError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     tel = _parse_telescope(args.telescope)
     # Days with no UDP packet inside the telescope have nothing to report.
     records = _read_traffic(args.csv)

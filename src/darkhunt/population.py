@@ -178,8 +178,8 @@ def density_profile(
     if x.size < 2:
         raise ValueError(f"need at least 2 samples, got {x.size}")
     bw = float(bandwidth) if bandwidth is not None else _silverman_bandwidth(x)
-    if bw <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bw}")
+    if not 0 < bw < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bw}")
     lo = x.min() - _GRID_MARGIN_BW * bw
     hi = x.max() + _GRID_MARGIN_BW * bw
     grid = np.linspace(lo, hi, _GRID_POINTS)

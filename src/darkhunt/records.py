@@ -49,6 +49,10 @@ TRAFFIC_DTYPE = np.dtype(
 PROTO_UDP = 17
 MAX_UDP_PAYLOAD = 65507  # 65535 - 8 (UDP header) - 20 (IP header)
 
+_FIELDS = CSV_HEADER.split(",")
+# Every field is unsigned; its inclusive maximum, for the table and the reader.
+_MAXIMA = dict(zip(_FIELDS, (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255, MAX_UDP_PAYLOAD)))
+
 US_PER_DAY = 86_400_000_000
 SECONDS_PER_DAY = 86400.0
 _EPOCH = date(1970, 1, 1)
@@ -101,7 +105,17 @@ def traffic_table(rows) -> np.recarray:
 
     `rows` is a TRAFFIC_DTYPE array (viewed, not copied) or a sequence of
     (ts_us, src_ip, src_port, dst_ip, dst_port, proto, payload_len) tuples.
+    A value outside its field's range raises ValueError naming the field.
     """
+    if isinstance(rows, np.ndarray):
+        columns = [rows[name] for name in _FIELDS]
+    else:
+        rows = list(rows)
+        columns = np.array(rows, dtype=object).reshape(-1, len(_FIELDS)).T
+    for (name, hi), col in zip(_MAXIMA.items(), columns):
+        bad = (col < 0) | (col > hi)
+        if bad.any():
+            raise ValueError(f"{name} out of range 0-{hi}: {col[bad][0]}")
     table = np.asarray(rows, dtype=TRAFFIC_DTYPE).view(np.recarray)
     table.flags.writeable = False
     return table
@@ -136,16 +150,12 @@ class CsvFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-_FIELDS = CSV_HEADER.split(",")
 # The range checks the row pattern leaves open: parsed-row column (of 13:
 # ts, 4 octets, src_port, 4 octets, dst_port, proto, payload_len) ->
 # field name and inclusive maximum.
 _LIMITS = {
-    0: ("ts_us", 2**63 - 1),
-    5: ("src_port", 65535),
-    10: ("dst_port", 65535),
-    11: ("proto", 255),
-    12: ("payload_len", MAX_UDP_PAYLOAD),
+    col: (name, _MAXIMA[name])
+    for col, name in zip((0, 5, 10, 11, 12), ("ts_us", "src_port", "dst_port", "proto", "payload_len"))
 }
 _HIGH = np.array([hi for _, hi in _LIMITS.values()], dtype=np.int64)
 _OCTETS = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)

@@ -12,9 +12,11 @@ and across telescope addresses, which is statistically identical to
 drawing every target but runs at desk scale; the "naive" mode draws every
 target and is kept for cross-validating the shortcut on tiny runs.
 
-Output is deterministic for a fixed config: every (host, day) pair gets
-an independent RNG substream keyed by (seed, host, day), so results are
-byte-identical no matter how generation is parallelized or reordered.
+Output is deterministic for a fixed config: each simulated day draws all
+its coordinated hosts from one RNG substream keyed by (seed, kind, day),
+its noise from another, and each background campaign's packets from one
+keyed by (seed, kind, campaign, day), so results are byte-identical no
+matter how days are parallelized or reordered.
 """
 
 from __future__ import annotations
@@ -313,26 +315,18 @@ def _place_hosts(
 
 # Generated packets: one int64 row each for ts_us, src_ip, src_port,
 # dst_ip, dst_port and payload_len (the protocol is always UDP), and a
-# column per packet.  One array per batch keeps many tiny batches cheap.
-_NO_PACKETS = np.empty((6, 0), dtype=np.int64)
-
-
+# column per packet.
 def _columns(
     day_us: int,
     offsets_s: np.ndarray,
     src: np.ndarray,
     sport: np.ndarray,
     dst: np.ndarray,
-    dport: int,
+    dport: np.ndarray,
     sizes: np.ndarray,
 ) -> np.ndarray:
     ts = day_us + np.floor(offsets_s * 1e6).astype(np.int64)
-    return np.array([ts, src, sport, dst, np.full(ts.size, dport, dtype=np.int64), sizes])
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    """Join packet batches end to end; no batches gives no packets."""
-    return np.concatenate([_NO_PACKETS, *parts], axis=1)
+    return np.array([ts, src, sport, dst, dport, sizes], dtype=np.int64)
 
 
 def _crackonosh_day(
@@ -342,42 +336,35 @@ def _crackonosh_day(
     host_ips: np.ndarray,
     host_always_on: np.ndarray,
 ) -> np.ndarray:
+    """Telescope hits of the day's live hosts 0..population[day]-1."""
     ck = config.crackonosh
     tel = config.telescope
-    pc = tel.k / IPV4_SPACE
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     n_hosts = ck.population[day_idx]
-    parts = []
-    for host_id in range(n_hosts):
-        rng = _stream(config.seed, _K_HOST, host_id, day_idx)
-        if host_always_on[host_id]:
-            t0, dur = 0.0, SECONDS_PER_DAY
-        else:
-            dur = rng.uniform(8 * 3600.0, 16 * 3600.0)
-            t0 = rng.uniform(0.0, SECONDS_PER_DAY - dur)
-        n_sent = int(round(ck.rate_pps * dur))
-        if n_sent == 0:
-            continue
-        if config.mode == "direct":
-            m = int(rng.binomial(n_sent, pc))
-            if m == 0:
-                continue
-            offsets = rng.uniform(t0, t0 + dur, size=m)
-            dst = tel.addresses_at_array(rng.integers(0, tel.k, size=m))
-        else:
-            targets = rng.integers(0, IPV4_SPACE, size=n_sent, dtype=np.int64)
-            times = rng.uniform(t0, t0 + dur, size=n_sent)
-            hit = tel.contains_array(targets)
-            m = int(hit.sum())
-            if m == 0:
-                continue
-            offsets = times[hit]
-            dst = targets[hit]
-        sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
-        sizes = ck.payload_base + rng.integers(0, ck.padding_sizes, size=m)
-        src = np.full(m, host_ips[host_id], dtype=np.int64)
-        parts.append(_columns(day_us, offsets, src, sport, dst, port, sizes))
-    return _concat(parts)
+    rng = _stream(config.seed, _K_HOST, day_idx)
+    # Part-time hosts are up for one 8-16 h window; always-on hosts get
+    # the whole day, and their start draw is uniform(0, 0) = 0.
+    dur = rng.uniform(8 * 3600.0, 16 * 3600.0, size=n_hosts)
+    dur[host_always_on[:n_hosts]] = SECONDS_PER_DAY
+    t0 = rng.uniform(0.0, SECONDS_PER_DAY - dur)
+    n_sent = np.rint(ck.rate_pps * dur).astype(np.int64)
+    if config.mode == "direct":
+        host = np.repeat(np.arange(n_hosts), rng.binomial(n_sent, tel.k / IPV4_SPACE))
+        dst = tel.addresses_at_array(rng.integers(0, tel.k, size=host.size))
+    else:
+        # Every probe of one host at a time, so memory stays at one
+        # host-day's probes.
+        hits = []
+        for sent in n_sent.tolist():
+            targets = rng.integers(0, IPV4_SPACE, size=sent, dtype=np.int64)
+            hits.append(targets[tel.contains_array(targets)])
+        host = np.repeat(np.arange(n_hosts), [h.size for h in hits])
+        dst = np.concatenate([np.empty(0, dtype=np.int64), *hits])
+    m = host.size
+    offsets = t0[host] + dur[host] * rng.random(m)
+    sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
+    sizes = ck.payload_base + rng.integers(0, ck.padding_sizes, size=m)
+    return _columns(day_us, offsets, host_ips[host], sport, dst, np.full(m, port), sizes)
 
 
 def _background_day(
@@ -391,8 +378,6 @@ def _background_day(
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_BG_DAY, scanner_idx, day_idx)
     n_pkts = int(rng.poisson(scanner.rate_pps * SECONDS_PER_DAY))
-    if n_pkts == 0:
-        return _NO_PACKETS
     # Every source speaks before any repeats, so daily per-port source
     # counts stay at the configured level.
     perm = rng.permutation(sources.size)
@@ -407,44 +392,30 @@ def _background_day(
     sizes = np.array(scanner.sizes, dtype=np.int64)[
         rng.choice(len(scanner.sizes), size=n_pkts, p=scanner.size_probs)
     ]
-    return _columns(
-        day_us, offsets, sources[src_idx], sport, dst, scanner.service_port, sizes
-    )
+    dport = np.full(n_pkts, scanner.service_port)
+    return _columns(day_us, offsets, sources[src_idx], sport, dst, dport, sizes)
 
 
 def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     """One-off probes: a long tail of low ports with one source and 1-3 packets.
 
     Ports stay below the coordinated-scanner range (they mimic service
-    scanning), so the daily port is never polluted by noise.
+    scanning), so the daily port is never polluted by noise.  Each port's
+    probes share one source and one payload size.
     """
     n_ports = config.noise_ports_per_day
-    if n_ports == 0:
-        return _NO_PACKETS
     tel = config.telescope
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_NOISE, day_idx)
     ports = rng.choice(49107, size=n_ports, replace=False) + 1
     srcs = _draw_public_ips(rng, n_ports, tel)
-    parts = []
-    for port, src in zip(ports.tolist(), srcs.tolist()):
-        n = int(rng.integers(1, 4))
-        offsets = rng.uniform(0.0, SECONDS_PER_DAY, size=n)
-        dst = tel.addresses_at_array(rng.integers(0, tel.k, size=n))
-        sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=n)
-        size = int(rng.integers(40, 401))
-        parts.append(
-            _columns(
-                day_us,
-                offsets,
-                np.full(n, src, dtype=np.int64),
-                sport,
-                dst,
-                int(port),
-                np.full(n, size, dtype=np.int64),
-            )
-        )
-    return _concat(parts)
+    sizes = rng.integers(40, 401, size=n_ports)
+    probe = np.repeat(np.arange(n_ports), rng.integers(1, 4, size=n_ports))
+    m = probe.size
+    offsets = rng.uniform(0.0, SECONDS_PER_DAY, size=m)
+    dst = tel.addresses_at_array(rng.integers(0, tel.k, size=m))
+    sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
+    return _columns(day_us, offsets, srcs[probe], sport, dst, ports[probe], sizes[probe])
 
 
 def simulate(config: SimConfig) -> LabeledDataset:
@@ -485,7 +456,7 @@ def simulate(config: SimConfig) -> LabeledDataset:
             )
         parts.append(_noise_day(config, day_idx))
 
-    ts, src, sport, dst, dport, size = _concat(parts)
+    ts, src, sport, dst, dport, size = np.concatenate(parts, axis=1)
     columns = [ts, src, sport, dst, dport, np.full(ts.size, PROTO_UDP), size]
     table = np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
     order = np.lexsort((size, dport, sport, dst, src, ts))

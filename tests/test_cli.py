@@ -176,6 +176,27 @@ def test_analyze_empty_csv_no_partial_reports(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--top-n", "0"),
+        ("population", "--bandwidth", "0"),
+        ("population", "--bandwidth", "-1"),
+        ("population", "--bandwidth", "nan"),
+        ("population", "--bandwidth", "inf"),
+    ],
+)
+def test_bad_arguments_write_no_output(sim_dir, tmp_path, command, flag, value):
+    out = tmp_path / "out"
+    inputs = {
+        "analyze": ["--labels", str(sim_dir / "labels.csv")],
+        "population": ["--telescope", CONFIG["telescope"][0]],
+    }[command]
+    argv = [command, "--csv", str(sim_dir / "traffic.csv"), *inputs, "--out", str(out), flag, value]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
     labels = tmp_path / "short_labels.csv"
     lines = (sim_dir / "labels.csv").read_text().splitlines()

@@ -47,12 +47,12 @@ WIDE = {
 
 GOLDEN = {
     "desk": {
-        "analyze/discoverability.json": "2fbe8a6c3238123b5941609da0441f587d463c80e7182b1e9edb0273c9215d35",
+        "analyze/discoverability.json": "a0dee737c37bfccf81cf058a39d0c98665aea5d79c8be3d76bfa7a15c5706c40",
         "analyze/manifest.json": "77e7892250926ced29e8e24e56820a953cb42edb98e5220e7d9993ab319dd940",
-        "analyze/report_address_count.csv": "4cb2b3a30f99f6c54d2c40c1970c2979cbf6be8a16e682206d994df177a02d80",
-        "analyze/report_block_count.csv": "9bd9e57f4ef5950f712bc1b78daf8424fec92bbb6b6ddb19717bed7c6ef60404",
-        "analyze/report_size_entropy.csv": "7efcbb2756ddceb8275fa26c0d2676888c77d5a44e0dfbb25156f7f344c26646",
-        "analyze/report_src_spread.csv": "0ba029b5cd446f27710a9cf556b56823f27201ca35cc36ca3faaec00706ec4f6",
+        "analyze/report_address_count.csv": "412ef59f3d3eaa60cc31adf045623ac07f1d5d9ae0d5b6e4e0738bad9c079319",
+        "analyze/report_block_count.csv": "086aaf591577a9f692fb68642dba3d14d278aa0afc538c071d05a87d54b7c644",
+        "analyze/report_size_entropy.csv": "6dbca46cd0e336fe955f5e3e7cf8b1bd184bbc6745a1ee095bcdb036e5b38cf8",
+        "analyze/report_src_spread.csv": "92f24e5c0494c1243d0ef2444b86db5441c939d7c8e60156a467ccc05706d27d",
         "analyze:stdout": "20a369c483bf86a03440e3b986982cdceacc8d72c1f92ade7eb18239f1cbbe32",
         "model-table/manifest.json": "f87a4988771217bf365565b811ce331b0c344a5262b6547da13d6afa3ffa1ee2",
         "model-table/table.csv": "d4e29b83cc091ffda7292158cc922b277dd34827a3623d48fce53c4a66bd9709",
@@ -61,27 +61,27 @@ GOLDEN = {
         "population/manifest.json": "4fb263d054f898e60c487403d8f9d860d0423ebfd7f743b5fc6cc0e112740618",
         "population:stdout": "01ad04305c20737b88fee71f99dc2655f4499296f7987f1971a02168c17d6da2",
         "simulate/labels.csv": "0c16f5d68d174778395e43c7d4eeee3c610dbba5919774870d68eca2c421ed82",
-        "simulate/manifest.json": "d52c021d2eb2d9227ab64287783513370a008611f8fd6e8e2b8e53a50ae9c018",
-        "simulate/traffic.csv": "d007810fcd78eb97408c68f71615214237e9b649042a12a897541c08b5d61d9e",
-        "simulate:stdout": "08582acfd27b53d40b6b0fc8fc626dadabdb6883cc7c34d872686002726fa4c3",
+        "simulate/manifest.json": "1129851e1fa8850ecdcade9d61858122e5720bb31be50db054911ee7ef63ad63",
+        "simulate/traffic.csv": "74c1e74668801e8202a649e9f76472430920618eb1271770368761c2d6c437cc",
+        "simulate:stdout": "ab46ee8adab2371ddbbba77a13febb6e7741628f53cb5088aad45fc0a9a2e0c3",
     },
     "wide": {
-        "analyze/discoverability.json": "d2483e34e471e59c0a0a984fb09f24de526c2ae9a7dc8778d35526b6f9fd48c8",
+        "analyze/discoverability.json": "eb9157b21639ec086ea18df45c03cfc3a4e808fe4aa7d81ba045a0f5218226ac",
         "analyze/manifest.json": "3ffd3bc7ef53e97ec6e0c05b0a2933313292a2fefc810ece121441bbb0ec6cb7",
-        "analyze/report_address_count.csv": "c5793949a4d3f716c3362cad45d1426f0d651e7ccb806dba0a776e0a6e70169b",
-        "analyze/report_block_count.csv": "a16a4c05bd4ee4d6f04110fc915157a745fea906a11f0bff30281b14ccab778f",
-        "analyze/report_size_entropy.csv": "9a9e96ab66980f21b0c42c7c3146875609d0ca36be81cd86bf86ca2ce3003ef3",
-        "analyze/report_src_spread.csv": "4549e02a646f612497c9b97d4a38ec7a492177178c3b2178c15e5c43c45149f8",
+        "analyze/report_address_count.csv": "ca641efecdb205933c23f35d3335f948b05d78c80616bed2626ccb4897ee4196",
+        "analyze/report_block_count.csv": "7c4a154e4a3ee47fce6fbd0091c3127935698a9133c227953438730b6abcdc77",
+        "analyze/report_size_entropy.csv": "201072866b4968b2301042ffbc85770db564568e597d9ad9617b8217eac9457b",
+        "analyze/report_src_spread.csv": "01a8b3c0f268d9c124c84c828b765c1fd056dfe4350a86d2ca971fc429ae58d9",
         "analyze:stdout": "3552ec5cd084dc74d508146cb8b323de94c4364742a4a1020a7e527be0cfbdd1",
-        "population/always_on.json": "8bc6f02e58e06712deaa2ba73db53801d550e06e2dddf51787c88c2e7c9508ba",
-        "population/density.csv": "a7e75add1e8dad2112995370a71b88348b4dda4e3b723b81d697a62f4832b0eb",
+        "population/always_on.json": "c436c63851fe96012090344e876b6c48a79a9009265e1de7f0f4184f22e581ca",
+        "population/density.csv": "9f15010ddb2230759d55c35c846bd137c86690da2913637a780bafecf215a1fa",
         "population/manifest.json": "0a5862adeb3194e95d0991096bd1e72fbbf032669f2bf4b24481d09e1b68fb7d",
-        "population/peaks.json": "cd9d3bf4ea3010e61654d0daef4847104084fe0fa58f23a63485c221e77be445",
-        "population:stdout": "d3adfc7e1094ada8c27ff9851fa85646aec965814d8957cca8977667c1bba5b0",
+        "population/peaks.json": "1e83e599b2101822d6eb7052ba6a653bce8f73080044bac980921eb3e6f423d6",
+        "population:stdout": "3dec4dfa9a0b61fa66ecc1eaf62ede630f95953ef29c602b91a3cdeb756c6ca2",
         "simulate/labels.csv": "4b5d4220000a6ca18b7c0ab83392717beb2760df2faa87794e802215b32d4491",
-        "simulate/manifest.json": "0c7bc98be8b7a4d85b70ff4ca4cc67364dd37bb8c5c6b70ce6c8960bd29d3d29",
-        "simulate/traffic.csv": "7f4625a8b57d54466920c3bbf7f58a60713280651b75eb9242e83b238775b484",
-        "simulate:stdout": "6c7166883c4ce4f14c62c4ded302e2fe0efe4e3f5d420af76dc5db2fd43fae10",
+        "simulate/manifest.json": "28571bf855938c923278f716a49198c24609ca4007d214c51db6e1ead0dfc108",
+        "simulate/traffic.csv": "5cee34baca50d6816eb3753c5b045d07340ff19d68e7022befc01de642b26dc0",
+        "simulate:stdout": "9f6a10257da3fab7ec1155e1a616e03c8bf4c7af833fb02e5e342b596a6b89b0",
     },
 }
 

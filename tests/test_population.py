@@ -247,6 +247,9 @@ def test_density_bandwidth_override():
     samples = rng.normal(500, 20, 200)
     profile = density_profile(samples, bandwidth=35.0)
     assert profile.bandwidth == 35.0
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
+            density_profile(samples, bandwidth=bad)
 
 
 def test_density_needs_two_samples():

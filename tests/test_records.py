@@ -1,6 +1,7 @@
 import random
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +40,7 @@ def test_record_field_validation(tmp_path):
     top = (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255, 65507)
     p = tmp_path / "top.csv"
     p.write_text(CSV_HEADER + "\n" + csv_row(top) + "\n")
-    assert read_csv(p).tolist() == [top]
+    assert read_csv(p).tolist() == [top] == traffic_table([top]).tolist()
     for name, value in (
         ("ts_us", 2**63),
         ("src_port", 70000),
@@ -53,6 +54,35 @@ def test_record_field_validation(tmp_path):
         with pytest.raises(CsvFormatError, match=f"line 3: {name} out of range") as exc_info:
             read_csv(p)
         assert exc_info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("ts_us", -5),
+        ("ts_us", 2**63),
+        ("src_ip", 2**32),
+        ("src_port", 70000),
+        ("dst_ip", -1),
+        ("dst_port", 65536),
+        ("proto", 256),
+        ("payload_len", 65508),
+    ],
+)
+def test_traffic_table_range_checks_each_field(name, value):
+    row = list(make_record())
+    row[TRAFFIC_DTYPE.names.index(name)] = value
+    with pytest.raises(ValueError, match=f"^{name} out of range 0-[0-9]+: {value}$"):
+        traffic_table([make_record(), tuple(row)])
+
+
+def test_traffic_table_range_checks_arrays():
+    # Values the column types can hold but the format forbids.
+    for name, value in (("ts_us", -5), ("payload_len", 65508)):
+        rows = np.array([make_record()], dtype=TRAFFIC_DTYPE)
+        rows[name] = value
+        with pytest.raises(ValueError, match=f"^{name} out of range"):
+            traffic_table(rows)
 
 
 def test_tables_are_read_only(tmp_path):

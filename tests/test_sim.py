@@ -61,16 +61,22 @@ def test_different_seed_different_traffic():
     assert a.records.tolist() != b.records.tolist()
 
 
-def test_host_substreams_independent_of_population_size():
-    # Host 0's traffic is keyed by (seed, host, day): adding host 1 to the
-    # run must not perturb it.
-    solo = simulate(small_config(crackonosh=CrackonoshConfig(population=(1,), always_on_fraction=1.0)))
-    duo = simulate(small_config(crackonosh=CrackonoshConfig(population=(2,), always_on_fraction=1.0)))
-    host0 = {r.src_ip for r in solo.records}
-    assert len(host0) <= 1
-    if host0:
-        ip = host0.pop()
-        assert duo.records[duo.records.src_ip == ip].tolist() == solo.records.tolist()
+@pytest.mark.parametrize("mode", ["direct", "naive"])
+def test_days_are_independent_substreams(mode):
+    # Each day draws from its own (seed, kind, day) streams: appending a
+    # day to the schedule leaves every earlier day's packets as they were.
+    def run(population):
+        return simulate(small_config(
+            crackonosh=CrackonoshConfig(population=population, rate_pps=1.0, always_on_fraction=0.5),
+            background=default_background(),
+            noise_ports_per_day=20,
+            mode=mode,
+        )).records
+
+    one_day, two_days = run((30,)), run((30, 20))
+    assert len(one_day) > 0
+    day0 = two_days[two_days.ts_us < day_start_us(date(2024, 1, 2))]
+    assert day0.tolist() == one_day.tolist()
 
 
 # ------------------------------------------------------------ ground truth
@@ -116,17 +122,25 @@ def test_per24_source_cap():
 
 
 def test_windowed_hosts_stay_inside_a_short_window():
-    cfg = small_config(
-        seed=31,
-        telescope=TelescopeSpec.from_prefix(8),
-        crackonosh=CrackonoshConfig(population=(1,), rate_pps=1.0, always_on_fraction=0.0),
-    )
-    ds = simulate(cfg)
-    for day in ds.labels:
-        ts = [r.ts_us for r in ds.records if day_of_ts(r.ts_us) == day]
-        assert ts, "a /8 sees a 1pps host hundreds of times a day"
-        span_s = (max(ts) - min(ts)) / 1e6
-        assert span_s <= 16 * 3600
+    # 200 part-time 1 pps hosts on a /8: each host's packets fall inside
+    # its own 8-16 h window, and the mean hits per host match
+    # rate * 12 h * k/2^32 (N = rint(dur) sent, each hitting w.p. 1/256).
+    n_hosts, pc = 200, 1 / 256
+    var_dur = (8 * 3600) ** 2 / 12
+    var_hits = 12 * 3600 * pc * (1 - pc) + pc**2 * var_dur
+    for seed in (31, 32, 33):
+        cfg = small_config(
+            seed=seed,
+            telescope=TelescopeSpec.from_prefix(8),
+            crackonosh=CrackonoshConfig(population=(n_hosts,), rate_pps=1.0, always_on_fraction=0.0),
+        )
+        records = simulate(cfg).records
+        ips, counts = np.unique(records.src_ip, return_counts=True)
+        assert ips.size == n_hosts, "a /8 sees a 1 pps host ~170 times a day"
+        for ip in ips.tolist():
+            ts = records.ts_us[records.src_ip == ip]
+            assert ts.max() - ts.min() <= 16 * 3600 * 10**6
+        assert abs(counts.mean() - 12 * 3600 * pc) <= 4 * (var_hits / n_hosts) ** 0.5
 
 
 def test_sources_avoid_reserved_and_telescope_space():
