@@ -151,8 +151,9 @@ def _cmd_simulate(args) -> int:
 
 def _load_labeled(csv_path, labels_path) -> LabeledDataset:
     records = _read_traffic(csv_path)
-    if not len(records):
-        raise DataError(f"{csv_path}: no records")
+    # Only UDP packets are ranked; without any there is no period to score.
+    if not (records["proto"] == PROTO_UDP).any():
+        raise DataError(f"{csv_path}: no UDP traffic")
     try:
         labels = read_labels_csv(labels_path)
     except (OSError, ValueError) as exc:

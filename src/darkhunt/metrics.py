@@ -1,4 +1,4 @@
-"""Per-port detection metrics over (day, port) traffic partitions.
+"""Per-port detection metrics over (period, port) traffic segments.
 
 Four lightweight metrics a hunter can rank ports by:
 
@@ -19,10 +19,11 @@ invariant under packet reordering and under duplicating every packet.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from .records import PortDayPartition
+from .records import PortDayPartition, run_starts
 
 __all__ = [
     "METRIC_IDS",
@@ -31,19 +32,69 @@ __all__ = [
     "src_spread",
     "size_entropy",
     "compute_metric",
+    "score_segments",
 ]
 
 METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
 
 
+def score_segments(
+    records: np.ndarray, bounds: np.ndarray, metric_ids: Sequence[str] = METRIC_IDS
+) -> dict[str, np.ndarray]:
+    """Metric values of every segment of a table, as float arrays by metric id.
+
+    Segment i is records[bounds[i]:bounds[i + 1]].  Distinct counts are
+    runs in one sort of (segment << 32 | value).  size_entropy sums the
+    terms (c/n) * log2(c/n) of a segment's distinct sizes in ascending size
+    order, one after another from 0.0, with math.log2, so every value is
+    bit-identical to that sum written as a Python loop.
+    """
+    n = np.diff(bounds)
+    for metric_id in metric_ids:
+        if metric_id not in METRIC_IDS:
+            raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
+        if metric_id in ("src_spread", "size_entropy") and not n.all():
+            raise ValueError(f"{metric_id} is undefined on an empty partition")
+    seg = np.repeat(np.arange(len(n), dtype=np.int64), n)
+
+    def distinct(keys, shift):
+        # keys are sorted with the segment in the bits from `shift` up.
+        return np.bincount(keys[run_starts(keys)] >> shift, minlength=len(n))
+
+    out = {}
+    if {"address_count", "block_count", "src_spread"} & set(metric_ids):
+        src = np.sort(seg << 32 | records["src_ip"])
+        out["address_count"] = distinct(src, 32).astype(float)
+        out["block_count"] = distinct(src >> 8, 24).astype(float)
+    if "src_spread" in metric_ids:
+        dst = np.sort(seg << 32 | records["dst_ip"])
+        out["src_spread"] = out["address_count"] / distinct(dst, 32)
+    if "size_entropy" in metric_ids:
+        sizes = np.sort(seg << 16 | records["payload_len"])
+        starts = run_starts(sizes)
+        run_seg = sizes[starts] >> 16
+        p = np.diff(np.append(starts, len(sizes))) / n[run_seg]
+        terms = p * np.fromiter(map(math.log2, p.tolist()), dtype=float, count=len(p))
+        # bincount adds each segment's weights in input order, one at a time.
+        total = np.bincount(run_seg, weights=terms, minlength=len(n))
+        out["size_entropy"] = np.where(total < 0, -total, 0.0)  # max(0.0, -total): never -0.0
+    return {metric_id: out[metric_id] for metric_id in metric_ids}
+
+
+def compute_metric(metric_id: str, part: PortDayPartition) -> float:
+    """Evaluate one metric by id on one partition; ids are listed in METRIC_IDS."""
+    [value] = score_segments(part.records, np.array([0, len(part.records)]), [metric_id])[metric_id]
+    return float(value)
+
+
 def address_count(part: PortDayPartition) -> int:
     """Count of distinct source addresses."""
-    return len(np.unique(part.records["src_ip"]))
+    return int(compute_metric("address_count", part))
 
 
 def block_count(part: PortDayPartition) -> int:
     """Count of distinct /24 CIDR blocks among source addresses."""
-    return len(np.unique(part.records["src_ip"] >> 8))
+    return int(compute_metric("block_count", part))
 
 
 def src_spread(part: PortDayPartition) -> float:
@@ -51,9 +102,7 @@ def src_spread(part: PortDayPartition) -> float:
 
     Defined over addresses on both sides, not packet counts.
     """
-    if not len(part.records):
-        raise ValueError("src_spread is undefined on an empty partition")
-    return len(np.unique(part.records["src_ip"])) / len(np.unique(part.records["dst_ip"]))
+    return compute_metric("src_spread", part)
 
 
 def size_entropy(part: PortDayPartition) -> float:
@@ -67,27 +116,4 @@ def size_entropy(part: PortDayPartition) -> float:
     are summed over distinct sizes in ascending order, so the value is
     exactly independent of packet order.
     """
-    n = len(part.records)
-    if not n:
-        raise ValueError("size_entropy is undefined on an empty partition")
-    counts = np.unique(part.records["payload_len"], return_counts=True)[1].tolist()
-    return max(0.0, -sum((c / n) * math.log2(c / n) for c in counts))
-
-
-_METRIC_FUNCS = {
-    "address_count": address_count,
-    "block_count": block_count,
-    "src_spread": src_spread,
-    "size_entropy": size_entropy,
-}
-
-
-def compute_metric(metric_id: str, part: PortDayPartition) -> float:
-    """Evaluate one metric by id; ids are listed in METRIC_IDS."""
-    try:
-        func = _METRIC_FUNCS[metric_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}"
-        ) from None
-    return float(func(part))
+    return compute_metric("size_entropy", part)

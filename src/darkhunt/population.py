@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, day_of_ts
+from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, day_of_ts, run_starts
 from .telescope import IPV4_SPACE, TelescopeSpec
 
 __all__ = [
@@ -105,14 +105,19 @@ def always_on(
             f"records span multiple days: {day_of_ts(ts[0]).isoformat()} "
             f"and {day_of_ts(other[0] * US_PER_DAY).isoformat()}"
         )
-    ips, counts = np.unique(src, return_counts=True)
-    seen = np.unique(src * BINS_PER_DAY + (ts % US_PER_DAY) // _BIN_US) // BINS_PER_DAY
-    full = np.unique(seen, return_counts=True)[1] == BINS_PER_DAY
-    # Every source has at least one bin, so `full` lines up with `ips`.
+    # One sort of (source, bin) keys: its runs are the bins each source
+    # was seen in, and runs of their sources are the sources.
+    keys = np.sort(src * BINS_PER_DAY + (ts % US_PER_DAY) // _BIN_US)
+    bin_starts = run_starts(keys)
+    seen = keys[bin_starts] // BINS_PER_DAY
+    src_starts = run_starts(seen)
+    full = np.diff(np.append(src_starts, len(seen))) == BINS_PER_DAY
+    ips = seen[src_starts][full].tolist()
+    counts = np.diff(np.append(bin_starts[src_starts], len(keys)))[full].tolist()
     return AlwaysOnReport(
         day=day_of_ts(ts[0]),
-        always_on_ips=frozenset(ips[full].tolist()),
-        per_ip_daily_packets=dict(zip(ips[full].tolist(), counts[full].tolist())),
+        always_on_ips=frozenset(ips),
+        per_ip_daily_packets=dict(zip(ips, counts)),
     )
 
 

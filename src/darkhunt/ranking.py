@@ -14,8 +14,17 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Mapping, Optional, Sequence
 
-from .metrics import METRIC_IDS, compute_metric
-from .records import LabeledDataset, PortDayPartition, partition_by_window
+import numpy as np
+
+from .metrics import score_segments
+from .records import (
+    LabeledDataset,
+    PortDayPartition,
+    day_of_ts,
+    run_starts,
+    segment_by_window,
+    window_start,
+)
 
 __all__ = [
     "DEFAULT_TOP_N",
@@ -81,20 +90,18 @@ def rank_ports(
 
     `partitions` maps dst_port -> partition for a single day or window.
     """
-    if metric_id not in METRIC_IDS:
-        raise ValueError(f"unknown metric {metric_id!r}")
     nonempty = {p: part for p, part in partitions.items() if len(part.records)}
     if not nonempty:
         raise ValueError("rank_ports needs at least one non-empty partition")
     day = next(iter(nonempty.values())).day
-    scored = [
-        (compute_metric(metric_id, part), port)
-        for port, part in nonempty.items()
-    ]
-    scored.sort(key=lambda sv: (-sv[0], sv[1]))
+    ports = np.array(list(nonempty))
+    tables = [part.records for part in nonempty.values()]
+    bounds = np.cumsum([0] + [len(t) for t in tables])
+    values = score_segments(np.concatenate(tables), bounds, [metric_id])[metric_id]
+    order = np.lexsort((ports, -values))
     entries = tuple(
         RankEntry(rank=i + 1, port=port, value=value)
-        for i, (value, port) in enumerate(scored)
+        for i, (port, value) in enumerate(zip(ports[order].tolist(), values[order].tolist()))
     )
     return RankedPortList(day=day, metric_id=metric_id, entries=entries)
 
@@ -137,29 +144,46 @@ def time_series_report(
 ) -> dict[str, list[ReportRow]]:
     """Score and rank of the labeled port per period, for each metric.
 
-    The records are partitioned once, whatever the number of metrics.
-    The window must divide a day evenly; each window is ranked
-    independently and compared against its UTC day's label.  Periods with
-    no traffic at all produce no row; periods with traffic but no packet
-    on the labeled port produce a row with score/rank None.
+    The records are segmented by (window start, port) once and every
+    metric scores all segments at once; each metric then ranks every
+    period's ports with one sort by (period, -value, port).  The window
+    must divide a day evenly; each window is ranked independently and
+    compared against its UTC day's label.  Periods with no traffic at all
+    produce no row; periods with traffic but no packet on the labeled
+    port produce a row with score/rank None.
     """
-    grouped: dict[datetime, dict[int, PortDayPartition]] = {}
-    for (start, port), part in partition_by_window(dataset.records, window).items():
-        grouped.setdefault(start, {})[port] = part
-    rows: dict[str, list[ReportRow]] = {metric_id: [] for metric_id in metric_ids}
-    for start in sorted(grouped):
-        parts = grouped[start]
-        day = next(iter(parts.values())).day
+    seg = segment_by_window(dataset.records, window)
+    values = score_segments(seg.records, seg.bounds, metric_ids)
+    firsts = run_starts(seg.start_us)  # each period's first segment
+    period = np.repeat(np.arange(len(firsts)), np.diff(np.append(firsts, len(seg.port))))
+    starts = seg.start_us[firsts].tolist()
+    labels = []
+    for start_us in starts:
+        day = day_of_ts(start_us)
         if day not in dataset.labels:
             raise ValueError(f"no label for day {day.isoformat()}")
-        period = start.date() if window == timedelta(days=1) else start
-        for metric_id, metric_rows in rows.items():
-            ranked = rank_ports(parts, metric_id)
-            rank = rank_of_labeled_port(ranked, dataset.labels[day])
-            score = None if rank is None else ranked.entries[rank - 1].value
-            metric_rows.append(
-                ReportRow(period=period, metric_id=metric_id, score=score, rank=rank)
+        labels.append(dataset.labels[day])
+    # Each period's labeled-port segment, or -1 when that port had no packet.
+    labeled = np.full(len(firsts), -1)
+    hits = np.flatnonzero(seg.port == np.array(labels, dtype=np.int64)[period])
+    labeled[period[hits]] = hits
+    found = (labeled >= 0).tolist()
+    periods = [window_start(s) for s in starts]
+    if window == timedelta(days=1):
+        periods = [p.date() for p in periods]
+    rows: dict[str, list[ReportRow]] = {}
+    for metric_id, value in values.items():
+        # Periods stay in place (they are sorted), so a segment's rank is
+        # its sorted position less its period's first position, plus one.
+        order = np.lexsort((seg.port, -value, period))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order)) - firsts[period] + 1
+        rows[metric_id] = [
+            ReportRow(period=p, metric_id=metric_id, score=v if f else None, rank=r if f else None)
+            for p, v, r, f in zip(
+                periods, value[labeled].tolist(), rank[labeled].tolist(), found
             )
+        ]
     return rows
 
 

@@ -8,6 +8,7 @@ are pure functions, so partitions can be built and consumed concurrently.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -32,6 +33,9 @@ __all__ = [
     "read_csv",
     "read_csv_lenient",
     "write_csv",
+    "run_starts",
+    "Segments",
+    "segment_by_window",
     "partition_by_day_port",
     "partition_by_window",
 ]
@@ -270,64 +274,152 @@ def read_csv_lenient(path) -> tuple[np.recarray, list[tuple[int, str]]]:
     return _read(path, bad), bad
 
 
-def _dotted(ips: np.ndarray) -> list[str]:
-    """Dotted quads of an address column, rendering each address once."""
-    uniq, inverse = np.unique(ips, return_inverse=True)
-    return np.array([ip_to_str(ip) for ip in uniq.tolist()], dtype=object)[inverse].tolist()
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """write_csv's lookup tables, built on first use rather than at import.
+
+    Every entry is a fixed-width ASCII field padded with NUL bytes, which
+    no CSV row contains, so one mask drops all the padding:
+
+    - half (uint64): a 16-bit address half as two octets, "ddd.ddd.";
+    - num (uint64): 0-65535 as two NULs, five right-aligned digits, ",";
+    - ts (uint32): three blocks of 10000 four-digit timestamp groups:
+      zero-filled (for groups after the leading one), NUL-padded (the
+      leading group) and all NUL (groups before the leading one).
+    """
+    scale = 10 ** np.arange(4, -1, -1)
+    v = np.arange(65536)[:, None]
+    filled = (v // scale % 10 + ord("0")).astype(np.uint8)
+    short = np.where((v < scale) & (scale > 1), np.uint8(0), filled)
+    octet = short[:256, 2:]
+    dot = np.full((65536, 1), ord("."), dtype=np.uint8)
+    comma = np.full((65536, 1), ord(","), dtype=np.uint8)
+    half = np.hstack([octet[v[:, 0] >> 8], dot, octet[v[:, 0] & 255], dot]).view(np.uint64)
+    num = np.hstack([np.zeros((65536, 2), dtype=np.uint8), short, comma]).view(np.uint64)
+    ts = np.vstack([filled[:10000, 1:], short[:10000, 1:], np.zeros((10000, 4), dtype=np.uint8)])
+    tables = half.ravel(), num.ravel(), ts.view(np.uint32).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# Timestamp group scales: 20 digits in five groups of four hold 2**63 - 1.
+_TS_GROUPS = 10 ** np.arange(16, -1, -4, dtype=np.int64)
+
+
+def _render(t: np.ndarray) -> np.ndarray:
+    """CSV bytes of a table chunk, gathered from the digit tables.
+
+    Each row is eleven 8-byte words of a padded byte matrix: ts_us and its
+    separator (3 words), src_ip (2), src_port, dst_ip (2), dst_port,
+    proto, payload_len (1 each).
+    """
+    half, num, ts = _digit_tables()
+    rows = np.empty((len(t), 11), dtype=np.uint64)
+    # In-place steps and early dels keep the chunk's temporaries small.
+    groups = t["ts_us"][:, None] // _TS_GROUPS
+    groups %= 10000
+    nonzero = groups != 0
+    nonzero[:, -1] = True  # 0 prints as its last group, "0"
+    # Table block per group: 0 after the leading group, 1 at it, 2 before.
+    block = np.sign(nonzero.argmax(axis=1)[:, None] - np.arange(5)) + 1
+    block *= 10000
+    groups += block
+    del nonzero, block
+    rows.view(np.uint32)[:, :5] = ts[groups]
+    del groups
+    for word, name in ((3, "src_ip"), (6, "dst_ip")):
+        rows[:, word] = half[t[name] >> 16]
+        rows[:, word + 1] = half[t[name] & 0xFFFF]
+    for word, name in zip((5, 8, 9, 10), ("src_port", "dst_port", "proto", "payload_len")):
+        rows[:, word] = num[t[name]]
+    out = rows.view(np.uint8)
+    out[:, 20:24] = np.frombuffer(b",\0\0\0", dtype=np.uint8)
+    out[:, [39, 63, 87]] = np.frombuffer(b",,\n", dtype=np.uint8)
+    return out[out != 0]
 
 
 def write_csv(records: np.ndarray, path) -> None:
     """Write a traffic table in the canonical CSV format (LF newlines, no quoting)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
         for lo in range(0, len(records), _CHUNK_ROWS):
-            t = records[lo : lo + _CHUNK_ROWS]
-            fh.writelines(
-                f"{ts},{src},{sport},{dst},{dport},{proto},{size}\n"
-                for ts, src, sport, dst, dport, proto, size in zip(
-                    t["ts_us"].tolist(),
-                    _dotted(t["src_ip"]),
-                    t["src_port"].tolist(),
-                    _dotted(t["dst_ip"]),
-                    t["dst_port"].tolist(),
-                    t["proto"].tolist(),
-                    t["payload_len"].tolist(),
-                )
-            )
+            fh.write(_render(records[lo : lo + _CHUNK_ROWS]))
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted array.
+
+    Distinct values and their counts come from np.sort and this, not from
+    np.unique: numpy 2.x's np.unique without return_* flags hashes, which
+    is tens of times slower than a sort on large int64 arrays.
+    """
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(first)
+
+
+@dataclass(frozen=True)
+class Segments:
+    """UDP packets sorted into (window start, destination port) segments.
+
+    Segment i is records[bounds[i]:bounds[i + 1]], every packet to port[i]
+    in the window starting at start_us[i].  Segments come in (start, port)
+    order and hold packets ordered by timestamp (ties keep input order).
+    """
+
+    records: np.recarray
+    bounds: np.ndarray
+    start_us: np.ndarray
+    port: np.ndarray
+
+
+def segment_by_window(records: np.ndarray, window: timedelta) -> Segments:
+    """Sort the UDP packets of a table into (window start, port) segments.
+
+    Windows are aligned to 0000Z and must divide a day evenly (15 minutes,
+    3 hours, 24 hours, ...).  Only proto-17 packets participate; other
+    protocols are carried by the data model but never feed the metrics.
+    """
+    window_us = int(window.total_seconds() * 1_000_000)
+    if window_us <= 0 or US_PER_DAY % window_us != 0:
+        raise ValueError(f"window must evenly divide one day, got {window}")
+    udp = np.flatnonzero(records["proto"] == PROTO_UDP)
+    ts, port = records["ts_us"][udp], records["dst_port"][udp]
+    start = ts // window_us * window_us
+    order = np.lexsort((ts, port, start))
+    start, port = start[order], port[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (start[1:] != start[:-1]) | (port[1:] != port[:-1])
+    los = np.flatnonzero(first)
+    # np.take gathers structured rows many times faster than fancy indexing.
+    table = traffic_table(np.take(records, udp[order]))
+    return Segments(table, np.append(los, len(order)), start[los], port[los])
+
+
+def window_start(start_us: int) -> datetime:
+    """The UTC datetime of a window start in microseconds."""
+    return datetime.fromtimestamp(start_us / 1_000_000, tz=timezone.utc)
 
 
 def partition_by_window(
     records: np.ndarray, window: timedelta
 ) -> dict[tuple[datetime, int], PortDayPartition]:
-    """Group UDP packets into (window start, destination port) partitions.
+    """segment_by_window's segments as (window start, port) partitions.
 
-    Windows are aligned to 0000Z and must divide a day evenly (15 minutes,
-    3 hours, 24 hours, ...).  Each partition's `day` is the UTC day
-    containing the window, so daily-port labels still apply.  Only
-    proto-17 packets participate; other protocols are carried by the data
-    model but never feed the metrics.  Partitions come in (window start,
-    port) order and hold table slices ordered by timestamp (ties keep
-    input order).
+    Each partition's `day` is the UTC day containing the window, so
+    daily-port labels still apply, and its records are a table slice.
     """
-    window_us = int(window.total_seconds() * 1_000_000)
-    if window_us <= 0 or US_PER_DAY % window_us != 0:
-        raise ValueError(f"window must evenly divide one day, got {window}")
-    udp = records[records["proto"] == PROTO_UDP]
-    start = udp["ts_us"] // window_us * window_us
-    order = np.lexsort((udp["ts_us"], udp["dst_port"], start))
-    udp, start = traffic_table(udp[order]), start[order]
-    port = udp["dst_port"]
-    first = np.ones(len(udp), dtype=bool)
-    first[1:] = (start[1:] != start[:-1]) | (port[1:] != port[:-1])
-    los = np.flatnonzero(first)
-    his = np.append(los[1:], len(udp))
-    out = {}
-    for lo, hi, start_us, p in zip(
-        los.tolist(), his.tolist(), start[los].tolist(), port[los].tolist()
-    ):
-        period = datetime.fromtimestamp(start_us / 1_000_000, tz=timezone.utc)
-        out[(period, p)] = PortDayPartition(day=day_of_ts(start_us), dst_port=p, records=udp[lo:hi])
-    return out
+    seg = segment_by_window(records, window)
+    bounds = seg.bounds.tolist()
+    return {
+        (window_start(start_us), p): PortDayPartition(
+            day=day_of_ts(start_us), dst_port=p, records=seg.records[lo:hi]
+        )
+        for lo, hi, start_us, p in zip(
+            bounds[:-1], bounds[1:], seg.start_us.tolist(), seg.port.tolist()
+        )
+    }
 
 
 def partition_by_day_port(

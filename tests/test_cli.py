@@ -147,13 +147,13 @@ def test_analyze_window_15m(sim_dir, tmp_path):
 
 def test_analyze_partitions_once_for_all_metrics(sim_dir, tmp_path, monkeypatch):
     calls = []
-    partition = ranking.partition_by_window
+    segment = ranking.segment_by_window
 
     def counting(*args, **kwargs):
         calls.append(args[1:])
-        return partition(*args, **kwargs)
+        return segment(*args, **kwargs)
 
-    monkeypatch.setattr(ranking, "partition_by_window", counting)
+    monkeypatch.setattr(ranking, "segment_by_window", counting)
     assert main([
         "analyze",
         "--csv", str(sim_dir / "traffic.csv"),
@@ -174,6 +174,18 @@ def test_analyze_empty_csv_no_partial_reports(tmp_path, capsys):
     out = tmp_path / "rep"
     assert main(["analyze", "--csv", str(empty), "--labels", str(labels), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_analyze_without_udp_no_partial_reports(tmp_path, capsys):
+    # Records, but none of them UDP: there is no period to rank.
+    traffic = tmp_path / "tcp.csv"
+    traffic.write_text(CSV_HEADER + "\n1704067200000000,1.2.3.4,50000,10.0.0.1,50000,6,0\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("day,port\n2024-01-01,50000\n")
+    out = tmp_path / "rep"
+    assert main(["analyze", "--csv", str(traffic), "--labels", str(labels), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{traffic}: no UDP traffic" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

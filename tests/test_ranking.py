@@ -1,11 +1,13 @@
 import json
-from datetime import date, timedelta
+import math
+from collections import Counter, defaultdict
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkhunt.metrics import METRIC_IDS
+from darkhunt.metrics import METRIC_IDS, score_segments
 from darkhunt.ranking import (
     discoverability,
     rank_of_labeled_port,
@@ -14,7 +16,12 @@ from darkhunt.ranking import (
     write_report_csv,
     write_report_json,
 )
-from darkhunt.records import LabeledDataset, partition_by_day_port, traffic_table
+from darkhunt.records import (
+    LabeledDataset,
+    partition_by_day_port,
+    segment_by_window,
+    traffic_table,
+)
 from conftest import make_record
 
 US_PER_DAY = 86_400_000_000
@@ -222,6 +229,102 @@ def test_time_series_all_metrics_match_single_metric_runs():
         alone = time_series_report(ds, [metric_id], window=timedelta(hours=3))
         assert together[metric_id] == alone[metric_id]
         assert all(row.metric_id == metric_id for row in alone[metric_id])
+
+
+# ------------------------------------------- segment report vs reference
+
+def reference_scores(packets):
+    """The four metrics of one partition's rows, with sets and math.log2.
+
+    Entropy terms are added one at a time in ascending size order.
+    """
+    sources = {r[1] for r in packets}
+    sizes = Counter(r[6] for r in packets)
+    n = len(packets)
+    total = 0.0
+    for size in sorted(sizes):
+        total += (sizes[size] / n) * math.log2(sizes[size] / n)
+    return {
+        "address_count": float(len(sources)),
+        "block_count": float(len({ip >> 8 for ip in sources})),
+        "src_spread": len(sources) / len({r[3] for r in packets}),
+        "size_entropy": max(0.0, -total),
+    }
+
+
+def reference_report(rows, labels, window):
+    """time_series_report as one metric call per partition and a sort per period."""
+    window_us = int(window.total_seconds() * 1_000_000)
+    parts = defaultdict(list)
+    for row in rows:
+        if row[5] == 17:
+            parts[row[0] // window_us * window_us, row[4]].append(row)
+    scores = {key: reference_scores(packets) for key, packets in parts.items()}
+    report = {metric_id: [] for metric_id in METRIC_IDS}
+    for start in sorted({start for start, _ in parts}):
+        period = datetime.fromtimestamp(start / 1_000_000, tz=timezone.utc)
+        label = labels[period.date()]
+        ports = [port for s, port in parts if s == start]
+        for metric_id, metric_rows in report.items():
+            ranked = sorted(ports, key=lambda port: (-scores[start, port][metric_id], port))
+            found = label in ranked
+            metric_rows.append((
+                period.date() if window == timedelta(days=1) else period,
+                scores[start, label][metric_id] if found else None,
+                ranked.index(label) + 1 if found else None,
+            ))
+    return scores, report
+
+
+QUARTER_US = 15 * 60 * 1_000_000
+report_rows_st = st.lists(
+    st.tuples(
+        # Two days, a few 15-minute windows, up to a minute of jitter.
+        st.builds(
+            lambda day, quarter, jitter: day * US_PER_DAY + quarter * QUARTER_US + jitter,
+            st.integers(0, 1),
+            st.sampled_from([0, 1, 12, 95]),
+            st.integers(0, 60_000_000),
+        ),
+        st.sampled_from([0, 1, 256, 0x01020304, 0x01020399, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+        st.just(50000),
+        st.sampled_from([1, 2, 2**32 - 1]) | st.integers(0, 2**32 - 1),
+        # Port 0 is busy, so some segments sum many entropy terms.
+        st.sampled_from([0, 0, 0, 0, 1, 2, 3, 4, 5]),
+        st.sampled_from([17, 17, 17, 6]),
+        st.sampled_from([0, 100, 65507]) | st.integers(0, 65507),
+    ),
+    max_size=100,
+)
+
+
+def bits(value):
+    return None if value is None else value.hex()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [timedelta(minutes=15), timedelta(hours=3), timedelta(days=1)],
+    ids=["15m", "3h", "1d"],
+)
+@settings(max_examples=40)
+@given(rows=report_rows_st, label_ports=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_segment_report_matches_per_partition_reference(window, rows, label_ports):
+    labels = {d(0): label_ports[0], d(1): label_ports[1]}
+    ref_scores, ref_report = reference_report(rows, labels, window)
+    report = time_series_report(LabeledDataset(traffic_table(rows), labels), METRIC_IDS, window)
+    assert list(report) == list(METRIC_IDS)
+    for metric_id in METRIC_IDS:
+        got = [(r.period, bits(r.score), r.rank) for r in report[metric_id]]
+        assert got == [(p, bits(v), rank) for p, v, rank in ref_report[metric_id]]
+    # Every segment, not only the labeled ports', scores bit for bit.
+    seg = segment_by_window(traffic_table(rows), window)
+    values = score_segments(seg.records, seg.bounds)
+    for i, key in enumerate(zip(seg.start_us.tolist(), seg.port.tolist())):
+        for metric_id in METRIC_IDS:
+            assert bits(float(values[metric_id][i])) == bits(ref_scores[key][metric_id])
+    zero = [float(v) for v in values["size_entropy"] if v == 0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in zero)
 
 
 # ---------------------------------------------------------------- emitters

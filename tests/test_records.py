@@ -288,6 +288,68 @@ def test_read_inverts_write(tmp_path_factory, records):
     assert read_csv(p).tolist() == records
 
 
+# ------------------------------------------------------------ CSV writer
+
+def reference_csv(rows) -> bytes:
+    """The canonical CSV of row tuples, rendered one f-string per row."""
+
+    def dotted(ip):
+        return ".".join(str(octet) for octet in ip.to_bytes(4, "big"))
+
+    lines = [CSV_HEADER] + [
+        f"{ts},{dotted(src)},{sport},{dotted(dst)},{dport},{proto},{size}"
+        for ts, src, sport, dst, dport, proto, size in rows
+    ]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def digit_edges(hi):
+    """0, hi, and every 10**k - 1 and 10**k up to hi."""
+    return sorted({0, hi, *(v for k in range(1, 20) for v in (10**k - 1, 10**k) if v <= hi)})
+
+
+def ip_of(octets):
+    return int.from_bytes(bytes(octets), "big")
+
+
+OCTET_EDGES = digit_edges(255)
+# Every octet edge in all four octets, and in each one with the rest at 255.
+IP_EDGES = [ip_of([e] * 4) for e in OCTET_EDGES] + [
+    ip_of([e if i == pos else 255 for i in range(4)]) for e in OCTET_EDGES for pos in range(4)
+]
+TOP = (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255, 65507)
+FIELD_EDGES = [
+    IP_EDGES if name.endswith("_ip") else digit_edges(hi) for name, hi in zip(TRAFFIC_DTYPE.names, TOP)
+]
+# The all-zero and all-maximum rows, then each field at each of its edges
+# with the other fields at their maxima.
+EDGE_ROWS = [tuple(0 for _ in TOP), TOP] + [
+    TOP[:col] + (v,) + TOP[col + 1 :] for col, edges in enumerate(FIELD_EDGES) for v in edges
+]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(*(st.sampled_from(e) | st.integers(0, hi) for e, hi in zip(FIELD_EDGES, TOP))),
+        max_size=40,
+    )
+)
+def test_write_csv_matches_row_reference(tmp_path_factory, rows):
+    p = tmp_path_factory.getbasetemp() / "write_csv_reference.csv"
+    write_csv(traffic_table(rows), p)
+    assert p.read_bytes() == reference_csv(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 65536, 65537])
+def test_write_csv_across_chunk_boundaries(tmp_path, n):
+    # Rows are rendered in 65536-row chunks; every edge row recurs in each.
+    rows = [EDGE_ROWS[i % len(EDGE_ROWS)] for i in range(n)]
+    p = tmp_path / "t.csv"
+    write_csv(traffic_table(rows), p)
+    assert p.read_bytes() == reference_csv(rows)
+
+
 def _corrupt(row, kind, field_idx):
     """One grammar violation applied to a valid row."""
     parts = row.split(",")
