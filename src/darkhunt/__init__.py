@@ -42,7 +42,6 @@ from .records import (  # noqa: F401
     partition_by_day_port,
     partition_by_window,
     read_csv,
-    read_csv_lenient,
     traffic_table,
     write_csv,
 )

@@ -33,7 +33,7 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import PROTO_UDP, US_PER_DAY, CsvFormatError, LabeledDataset, day_of_ts, read_csv
+from .records import PROTO_UDP, US_PER_DAY, CsvFormatError, LabeledDataset, day_of_ts, read_csv, run_starts
 from .sim import (
     load_config,
     read_labels_csv,
@@ -158,7 +158,8 @@ def _load_labeled(csv_path, labels_path) -> LabeledDataset:
         labels = read_labels_csv(labels_path)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read labels {labels_path}: {exc}") from None
-    days = np.unique(records["ts_us"] // US_PER_DAY)
+    days = np.sort(records["ts_us"] // US_PER_DAY)
+    days = days[run_starts(days)]
     missing = sorted({day_of_ts(d * US_PER_DAY) for d in days.tolist()} - set(labels))
     if missing:
         raise DataError(
@@ -270,12 +271,16 @@ def _cmd_population(args) -> int:
     inside = records[(records["proto"] == PROTO_UDP) & tel.contains_array(records["dst_ip"])]
     if not len(inside):
         raise DataError(f"{args.csv}: no UDP traffic inside telescope {tel}")
+    # One stable sort splits the rows by day, each day in file order.
     days = inside["ts_us"] // US_PER_DAY
+    order = np.argsort(days, kind="stable")
+    inside = np.take(inside, order)
+    bounds = np.append(run_starts(days[order]), len(inside)).tolist()
     os.makedirs(args.out, exist_ok=True)
     day_reports = {}
     samples = []
-    for day in np.unique(days).tolist():
-        report = always_on(inside[days == day])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        report = always_on(inside[lo:hi])
         day_reports[report.day.isoformat()] = {
             "always_on_count": len(report.always_on_ips),
             "daily_packets": dict(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
+import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Mapping
@@ -31,7 +32,6 @@ __all__ = [
     "day_of_ts",
     "traffic_table",
     "read_csv",
-    "read_csv_lenient",
     "write_csv",
     "run_starts",
     "Segments",
@@ -61,15 +61,13 @@ US_PER_DAY = 86_400_000_000
 SECONDS_PER_DAY = 86400.0
 _EPOCH = date(1970, 1, 1)
 
-# The CSV grammar: unsigned decimal integers in ASCII digits with no sign,
-# separator or leading zero, and dotted quads whose octets follow the same
-# rule and stay within 0-255.
-_UINT = "(0|[1-9][0-9]*)"
+# The CSV field patterns, used to name the field of a bad row: unsigned
+# decimal integers in ASCII digits with no sign, separator or leading
+# zero, and dotted quads whose octets follow the same rule and stay within
+# 0-255.
+_UINT_RE = re.compile("0|[1-9][0-9]*")
 _OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
-_IPV4 = r"\.".join([_OCTET] * 4)
-_UINT_RE = re.compile(_UINT)
-_IPV4_RE = re.compile(_IPV4)
-_ROW_RE = re.compile(",".join([_UINT, _IPV4, _UINT, _IPV4, _UINT, _UINT, _UINT]) + "\n?")
+_IPV4_RE = re.compile(r"\.".join([_OCTET] * 4))
 
 
 def ip_to_str(ip: int) -> str:
@@ -154,22 +152,24 @@ class CsvFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-# The range checks the row pattern leaves open: parsed-row column (of 13:
-# ts, 4 octets, src_port, 4 octets, dst_port, proto, payload_len) ->
-# field name and inclusive maximum.
+# A parsed row has 13 columns: ts, 4 octets, src_port, 4 octets, dst_port,
+# proto, payload_len.  The range checks the field patterns leave open:
+# column -> field name and inclusive maximum.
 _LIMITS = {
     col: (name, _MAXIMA[name])
     for col, name in zip((0, 5, 10, 11, 12), ("ts_us", "src_port", "dst_port", "proto", "payload_len"))
 }
-_HIGH = np.array([hi for _, hi in _LIMITS.values()], dtype=np.int64)
+_COLUMN_MAXIMA = np.full(13, 255, dtype=np.uint64)
+_COLUMN_MAXIMA[list(_LIMITS)] = [hi for _, hi in _LIMITS.values()]
 _OCTETS = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
-_TO_COMMAS = str.maketrans(".\n", ",,")
-_CHUNK_ROWS = 1 << 16
+_TO_COMMAS = bytes.maketrans(b".\n", b",,")
+_CHUNK_ROWS = 1 << 16  # rows per write_csv chunk
+_BLOCK_BYTES = 1 << 22  # bytes read per read_csv block, rounded up to a whole line
 
 
-def _row_error(line: str, line_no: int) -> CsvFormatError:
-    """Name the first field of a row that breaks the grammar."""
-    parts = line.removesuffix("\n").split(",")
+def _line_error(line: str, line_no: int) -> CsvFormatError | None:
+    """Name the first field of a line that breaks the grammar, else the first out of range."""
+    parts = line.split(",")
     if len(parts) != 7:
         return CsvFormatError(f"expected 7 fields, got {len(parts)}", line=line_no)
     for name, raw in zip(_FIELDS, parts):
@@ -180,98 +180,91 @@ def _row_error(line: str, line_no: int) -> CsvFormatError:
         elif _UINT_RE.fullmatch(raw) is None:
             message = f"not an unsigned decimal integer: {raw!r}"
             return CsvFormatError(message, line=line_no, field=name)
-    raise AssertionError(f"line {line_no} matches every field pattern but not the row")
-
-
-def _range_error(line: str, line_no: int) -> CsvFormatError | None:
-    """The first value of a grammatical row beyond its field's range."""
-    values = line.removesuffix("\n").translate(_TO_COMMAS).split(",")
+    values = line.replace(".", ",").split(",")
     for col, (name, hi) in _LIMITS.items():
         if int(values[col]) > hi:
             return CsvFormatError(f"{name} out of range 0-{hi}: {values[col]}", line=line_no)
     return None
 
 
-def _parse(lines: list[str], line_nos: list[int], bad) -> np.ndarray:
-    """Grammatical rows as a TRAFFIC_DTYPE array.
+def _parse_block(block: bytes, n: int) -> np.ndarray | None:
+    """The rows of a block of n LF-ended lines, or None if any is not canonical.
 
-    A row out of range raises (bad is None) or is reported to bad and dropped.
+    A line is canonical exactly when its parsed values are in range and
+    render back to it, so the writer is the one definition of the grammar.
+    np.fromstring alone accepts signs, spaces, leading zeros and values
+    past int64 (they saturate); the re-render rejects them all.
     """
-    v = np.fromstring("".join(lines).translate(_TO_COMMAS), dtype=np.int64, sep=",").reshape(-1, 13)
-    # Values past int64 parse as its maximum, so rows that reach any
-    # maximum are checked again from their text.
-    keep = (v[:, list(_LIMITS)] < _HIGH).all(axis=1)
-    for i in np.flatnonzero(~keep).tolist():
-        err = _range_error(lines[i], line_nos[i])
-        if err is None:
-            keep[i] = True
-        elif bad is None:
-            raise err
-        else:
-            bad.append((line_nos[i], str(err)))
-    v = v[keep]
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 warns and returns what it parsed before unmatched data.
+            warnings.simplefilter("error", DeprecationWarning)
+            v = np.fromstring(block.translate(_TO_COMMAS), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if v.size != 13 * n:
+        return None
+    v = v.reshape(n, 13)
+    # Negative values view as huge unsigned ones, so this checks both ends.
+    if (v.view(np.uint64) > _COLUMN_MAXIMA).any():
+        return None
     columns = [v[:, 0], v[:, 1:5] @ _OCTETS, v[:, 5], v[:, 6:10] @ _OCTETS, *v[:, 10:].T]
-    return np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
+    rows = np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
+    del v, columns
+    return rows if _render(rows) == block else None
 
 
-def _read(path, bad: list[tuple[int, str]] | None) -> np.recarray:
-    """The row loop behind read_csv (bad is None) and read_csv_lenient.
+def _scan(block: bytes, line_no: int) -> np.ndarray:
+    """The rows of a block _parse_block refused, line by line.
 
-    Rows that match the grammar are parsed in chunks; a chunk is parsed
-    before a later grammar error is raised, so strict mode always reports
-    the first bad line.
+    Blank lines, the one legal non-canonical form, are skipped; the first
+    other line that breaks the grammar or a field's range raises.
     """
-    chunks = [np.empty(0, dtype=TRAFFIC_DTYPE)]
-    lines: list[str] = []
-    line_nos: list[int] = []
-    match = _ROW_RE.fullmatch
-    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
-        header = fh.readline().removesuffix("\n")
-        if header != CSV_HEADER:
-            raise CsvFormatError(
-                f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1
-            )
-        for line_no, line in enumerate(fh, start=2):
-            if match(line) is not None:
-                lines.append(line)
-                line_nos.append(line_no)
-                if len(lines) < _CHUNK_ROWS:
-                    continue
-            elif line == "\n":
-                continue
-            elif bad is None:
-                _parse(lines, line_nos, bad)
-                raise _row_error(line, line_no)
-            else:
-                bad.append((line_no, str(_row_error(line, line_no))))
-                continue
-            chunks.append(_parse(lines, line_nos, bad))
-            lines, line_nos = [], []
-    chunks.append(_parse(lines, line_nos, bad))
-    if bad:
-        bad.sort()
-    return traffic_table(np.concatenate(chunks))
+    lines = block.split(b"\n")[:-1]
+    for i, raw in enumerate(lines):
+        if raw:
+            error = _line_error(raw.decode("utf-8", errors="replace"), line_no + i)
+            if error is not None:
+                raise error
+    lines = [raw + b"\n" for raw in lines if raw]
+    rows = _parse_block(b"".join(lines), len(lines))
+    assert rows is not None, f"the block from line {line_no} passes the scan only"
+    return rows
+
+
+def _line_blocks(fh):
+    """About _BLOCK_BYTES of whole lines at a time, each block ending in LF."""
+    tail = b""
+    while data := fh.read(_BLOCK_BYTES):
+        tail += data
+        cut = tail.rfind(b"\n") + 1
+        if cut:
+            yield tail[:cut]
+            tail = tail[cut:]
+    if tail:
+        yield tail + b"\n"
 
 
 def read_csv(path) -> np.recarray:
     """Read a canonical traffic CSV into a traffic table, in file order.
 
-    Strict: any malformed row raises CsvFormatError naming the line and
-    field.  Use read_csv_lenient to skip and report bad rows instead
-    (silent data loss corrupts population metrics, so skipping is always
-    opt-in).  The grammar is in the README; empty lines are skipped.
+    Strict: the first malformed row raises CsvFormatError naming the line
+    and field (silent data loss corrupts population metrics).  The grammar
+    is in the README; empty lines are skipped.  The file is read in blocks
+    of whole lines, so only one block's temporaries are held at a time.
     """
-    return _read(path, None)
-
-
-def read_csv_lenient(path) -> tuple[np.recarray, list[tuple[int, str]]]:
-    """Like read_csv but skips malformed rows, returning (records, bad_rows).
-
-    bad_rows holds (line_number, reason) for each skipped row, in line
-    order.  A bad header is still fatal.
-    """
-    bad: list[tuple[int, str]] = []
-    return _read(path, bad), bad
+    chunks = [np.empty(0, dtype=TRAFFIC_DTYPE)]
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
+        if header != CSV_HEADER:
+            raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
+        line_no = 2
+        for block in _line_blocks(fh):
+            n = block.count(b"\n")
+            rows = _parse_block(block, n)
+            chunks.append(_scan(block, line_no) if rows is None else rows)
+            line_no += n
+    return traffic_table(np.concatenate(chunks))
 
 
 @functools.cache
@@ -279,7 +272,7 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """write_csv's lookup tables, built on first use rather than at import.
 
     Every entry is a fixed-width ASCII field padded with NUL bytes, which
-    no CSV row contains, so one mask drops all the padding:
+    no CSV row contains, so one bytes.translate drops all the padding:
 
     - half (uint64): a 16-bit address half as two octets, "ddd.ddd.";
     - num (uint64): 0-65535 as two NULs, five right-aligned digits, ",";
@@ -307,7 +300,7 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _TS_GROUPS = 10 ** np.arange(16, -1, -4, dtype=np.int64)
 
 
-def _render(t: np.ndarray) -> np.ndarray:
+def _render(t: np.ndarray) -> bytes:
     """CSV bytes of a table chunk, gathered from the digit tables.
 
     Each row is eleven 8-byte words of a padded byte matrix: ts_us and its
@@ -336,7 +329,7 @@ def _render(t: np.ndarray) -> np.ndarray:
     out = rows.view(np.uint8)
     out[:, 20:24] = np.frombuffer(b",\0\0\0", dtype=np.uint8)
     out[:, [39, 63, 87]] = np.frombuffer(b",,\n", dtype=np.uint8)
-    return out[out != 0]
+    return out.tobytes().translate(None, b"\0")
 
 
 def write_csv(records: np.ndarray, path) -> None:

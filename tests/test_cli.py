@@ -188,6 +188,31 @@ def test_analyze_without_udp_no_partial_reports(tmp_path, capsys):
     assert f"{traffic}: no UDP traffic" in capsys.readouterr().err
 
 
+UDP_ROW = "1704067200000000,1.2.3.4,50000,10.0.0.1,50000,17,0"
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["junk", UDP_ROW.replace(",50000,", ",+50000,", 1), UDP_ROW.replace(",50000,", ",,", 1)],
+)
+def test_analyze_malformed_csv_prints_one_error_line(tmp_path, row):
+    # A fresh interpreter showing every warning: the reader's rejection
+    # reaches stderr as the one error line and nothing else.
+    traffic = tmp_path / "bad.csv"
+    traffic.write_text(CSV_HEADER + "\n" + UDP_ROW + "\n" + row + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("day,port\n2024-01-01,50000\n")
+    out = tmp_path / "rep"
+    argv = ["analyze", "--csv", str(traffic), "--labels", str(labels), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "darkhunt.cli", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"darkhunt: error: {traffic}: line 3: ")
+    assert run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -1,5 +1,8 @@
 import random
+import re
+import warnings
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from darkhunt.records import (
     partition_by_day_port,
     partition_by_window,
     read_csv,
-    read_csv_lenient,
     traffic_table,
     write_csv,
 )
@@ -123,8 +125,9 @@ def test_read_csv_direct_mapping(tmp_path):
 
 def test_read_csv_header_only(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text(CSV_HEADER + "\n")
-    assert len(read_csv(p)) == 0
+    for data in (CSV_HEADER + "\n", CSV_HEADER, CSV_HEADER + "\n\n\n"):
+        p.write_text(data)
+        assert len(read_csv(p)) == 0
 
 
 def test_read_csv_rejects_bad_header(tmp_path):
@@ -146,20 +149,6 @@ def test_read_csv_names_line_and_field_on_range_violation(tmp_path):
     msg = str(exc_info.value)
     assert "line 3" in msg and "src_port" in msg
     assert exc_info.value.line == 3
-
-
-def test_read_csv_lenient_skips_and_counts(tmp_path):
-    p = tmp_path / "t.csv"
-    p.write_text(
-        CSV_HEADER + "\n"
-        "1000,1.2.3.4,50000,10.0.0.1,51234,17,212\n"
-        "2000,1.2.3.4,70000,10.0.0.1,51234,17,212\n"
-        "garbage\n"
-        "3000,1.2.3.5,50000,10.0.0.1,51234,17,212\n"
-    )
-    records, bad = read_csv_lenient(p)
-    assert [r.ts_us for r in records] == [1000, 3000]
-    assert [line for line, _ in bad] == [3, 4]
 
 
 def test_write_read_round_trip(tmp_path):
@@ -203,23 +192,23 @@ def with_field(name, raw):
 
 # Rows that break the grammar in one field; int() and str.isdigit() accept
 # most of these values.
-@pytest.mark.parametrize(
-    "row, field",
-    [
-        (with_field("ts_us", "1_663_372_800_000_000"), "ts_us"),
-        (with_field("dst_port", "+51812"), "dst_port"),
-        (with_field("src_ip", "198.051.7.9"), "src_ip"),
-        (with_field("dst_port", "051812"), "dst_port"),
-        (with_field("dst_port", " 51812"), "dst_port"),
-        (with_field("payload_len", "212 "), "payload_len"),
-        (" " + GOOD_ROW, "ts_us"),
-        (GOOD_ROW + "\r", "payload_len"),
-        (with_field("src_ip", "١٩٨.51.7.9"), "src_ip"),
-        (with_field("ts_us", "1663372800000000".translate(ARABIC_INDIC)), "ts_us"),
-        (with_field("proto", "-0"), "proto"),
-        (with_field("dst_ip", "10.0.0.1\t"), "dst_ip"),
-    ],
-)
+BAD_ROWS = [
+    (with_field("ts_us", "1_663_372_800_000_000"), "ts_us"),
+    (with_field("dst_port", "+51812"), "dst_port"),
+    (with_field("src_ip", "198.051.7.9"), "src_ip"),
+    (with_field("dst_port", "051812"), "dst_port"),
+    (with_field("dst_port", " 51812"), "dst_port"),
+    (with_field("payload_len", "212 "), "payload_len"),
+    (" " + GOOD_ROW, "ts_us"),
+    (GOOD_ROW + "\r", "payload_len"),
+    (with_field("src_ip", "١٩٨.51.7.9"), "src_ip"),
+    (with_field("ts_us", "1663372800000000".translate(ARABIC_INDIC)), "ts_us"),
+    (with_field("proto", "-0"), "proto"),
+    (with_field("dst_ip", "10.0.0.1\t"), "dst_ip"),
+]
+
+
+@pytest.mark.parametrize("row, field", BAD_ROWS)
 def test_grammar_rejects_row(tmp_path, row, field):
     p = tmp_path / "t.csv"
     p.write_bytes(
@@ -229,36 +218,44 @@ def test_grammar_rejects_row(tmp_path, row, field):
         read_csv(p)
     assert exc_info.value.line == 3
     assert exc_info.value.field == field
-    records, bad = read_csv_lenient(p)
-    assert len(records) == 2
-    assert bad == [(3, str(exc_info.value))]
+
+
+@pytest.mark.parametrize("row, field", BAD_ROWS)
+def test_rejecting_a_row_leaks_no_warning(tmp_path, row, field):
+    # numpy < 2 warns where numpy 2 raises on text it cannot parse.
+    p = tmp_path / "t.csv"
+    p.write_bytes((CSV_HEADER + "\n" + GOOD_ROW + "\n" + row + "\n").encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CsvFormatError):
+            read_csv(p)
+    assert caught == []
 
 
 def test_grammar_rejects_crlf_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_bytes((CSV_HEADER + "\r\n" + GOOD_ROW + "\n").encode())
-    for reader in (read_csv, read_csv_lenient):
-        with pytest.raises(CsvFormatError) as exc_info:
-            reader(p)
-        assert exc_info.value.line == 1 and exc_info.value.field is None
+    with pytest.raises(CsvFormatError) as exc_info:
+        read_csv(p)
+    assert exc_info.value.line == 1 and exc_info.value.field is None
 
 
 def test_grammar_field_count_and_range_errors_name_the_line(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text(CSV_HEADER + "\n" + GOOD_ROW + ",7\n" + with_field("proto", "256") + "\n")
-    records, bad = read_csv_lenient(p)
-    assert len(records) == 0
-    assert [line for line, _ in bad] == [2, 3]
-    assert "expected 7 fields, got 8" in bad[0][1]
-    assert "proto out of range" in bad[1][1]
+    for bad, message in (
+        (GOOD_ROW + ",7", "expected 7 fields, got 8"),
+        (with_field("proto", "256"), "proto out of range"),
+    ):
+        p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + bad + "\n")
+        with pytest.raises(CsvFormatError, match=f"^line 3: {message}") as exc_info:
+            read_csv(p)
+        assert exc_info.value.field is None
 
 
 def test_blank_lines_are_skipped(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW)
     assert len(read_csv(p)) == 2
-    good, bad = read_csv_lenient(p)
-    assert good.tolist() == read_csv(p).tolist() and bad == []
 
 
 def test_undecodable_bytes_are_a_row_error(tmp_path):
@@ -350,68 +347,181 @@ def test_write_csv_across_chunk_boundaries(tmp_path, n):
     assert p.read_bytes() == reference_csv(rows)
 
 
-def _corrupt(row, kind, field_idx):
-    """One grammar violation applied to a valid row."""
-    parts = row.split(",")
-    if kind == "sign":
-        parts[field_idx] = "+" + parts[field_idx]
-    elif kind == "leading_zero":
-        parts[field_idx] = "0" + parts[field_idx]
-    elif kind == "space":
-        parts[field_idx] = " " + parts[field_idx]
-    elif kind == "underscore":
-        parts[field_idx] = parts[field_idx] + "_0"
-    elif kind == "arabic":
-        parts[field_idx] = parts[field_idx].translate(ARABIC_INDIC)
-    elif kind == "missing":
-        del parts[field_idx]
-    elif kind == "cr":
-        parts[-1] += "\r"
-    return ",".join(parts)
+# ------------------------------------------------------- reader blocks
 
-
-@settings(max_examples=100)
-@given(
-    records=st.lists(records_st, min_size=1, max_size=20),
-    injections=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=20),
-            st.sampled_from(["sign", "leading_zero", "space", "underscore", "arabic", "missing", "cr", "blank"]),
-            st.integers(min_value=0, max_value=6),
-        ),
-        max_size=10,
-    ),
+# The per-line regex grammar read_csv used before it parsed whole blocks,
+# kept as the reference the block reader must agree with.
+_REF_UINT = "(0|[1-9][0-9]*)"
+_REF_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
+_REF_IPV4 = r"\.".join([_REF_OCTET] * 4)
+_REF_UINT_RE = re.compile(_REF_UINT)
+_REF_IPV4_RE = re.compile(_REF_IPV4)
+_REF_ROW_RE = re.compile(
+    ",".join([_REF_UINT, _REF_IPV4, _REF_UINT, _REF_IPV4, _REF_UINT, _REF_UINT, _REF_UINT]) + "\n?"
 )
-def test_lenient_counts_every_injected_row(tmp_path_factory, records, injections):
-    lines = [csv_row(rec) for rec in records]
-    n_bad = 0
-    for pos, kind, field_idx in injections:
-        if kind == "blank":
-            row = ""
-        else:
-            row = _corrupt(csv_row(records[pos % len(records)]), kind, field_idx)
-            n_bad += 1
-        lines.insert(pos % (len(lines) + 1), row)
-    p = tmp_path_factory.mktemp("inj") / "bad.csv"
-    p.write_bytes((CSV_HEADER + "\n" + "\n".join(lines) + "\n").encode())
-    good, bad = read_csv_lenient(p)
-    assert good.tolist() == records
-    assert len(bad) == n_bad
+# Parsed-row column (of 13, octets included) -> field name and maximum.
+_REF_LIMITS = {
+    0: ("ts_us", 2**63 - 1),
+    5: ("src_port", 65535),
+    10: ("dst_port", 65535),
+    11: ("proto", 255),
+    12: ("payload_len", 65507),
+}
+
+
+def _ref_row_error(line, line_no):
+    parts = line.removesuffix("\n").split(",")
+    if len(parts) != 7:
+        return CsvFormatError(f"expected 7 fields, got {len(parts)}", line=line_no)
+    for name, raw in zip(TRAFFIC_DTYPE.names, parts):
+        if name.endswith("_ip"):
+            if _REF_IPV4_RE.fullmatch(raw) is None:
+                message = f"not a dotted-quad IPv4 address: {raw!r}"
+                return CsvFormatError(message, line=line_no, field=name)
+        elif _REF_UINT_RE.fullmatch(raw) is None:
+            message = f"not an unsigned decimal integer: {raw!r}"
+            return CsvFormatError(message, line=line_no, field=name)
+    raise AssertionError(f"line {line_no} matches every field pattern but not the row")
+
+
+def _ref_range_error(line, line_no):
+    values = line.removesuffix("\n").replace(".", ",").split(",")
+    for col, (name, hi) in _REF_LIMITS.items():
+        if int(values[col]) > hi:
+            return CsvFormatError(f"{name} out of range 0-{hi}: {values[col]}", line=line_no)
+    return None
+
+
+def reference_read_csv(path):
+    """Row tuples of a traffic CSV, one regex match per line; raises like read_csv."""
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
+        header = fh.readline().removesuffix("\n")
+        if header != CSV_HEADER:
+            raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
+        for line_no, line in enumerate(fh, start=2):
+            if line == "\n":
+                continue
+            if _REF_ROW_RE.fullmatch(line) is None:
+                raise _ref_row_error(line, line_no)
+            error = _ref_range_error(line, line_no)
+            if error is not None:
+                raise error
+            v = [int(x) for x in line.replace(".", ",").split(",")]
+            rows.append((v[0], ip_of(v[1:5]), v[5], ip_of(v[6:10]), *v[10:]))
+    return rows
+
+
+def outcome(reader, path):
+    """A reader's rows, or the line, field and text of the error it raised."""
+    try:
+        return reader(path)
+    except CsvFormatError as exc:
+        return ("error", exc.line, exc.field, str(exc))
+
+
+# One edit's byte: digits, separators, CR, the sign, space and underscore
+# forms int() or np.fromstring accept, an undecodable byte and a two-byte
+# Arabic-Indic digit.
+EDIT_BYTES = [bytes([c]) for c in b"0123456789,.\n\r +-_\xff"] + ["٣".encode()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.sampled_from(EDGE_ROWS) | records_st, max_size=8),
+    edit=st.sampled_from(["replace", "insert", "delete"]),
+    at=st.integers(min_value=0, max_value=10_000),
+    new=st.sampled_from(EDIT_BYTES),
+    block_bytes=st.integers(min_value=1, max_value=200),
+)
+def test_block_reader_matches_line_reference_after_one_byte_edit(
+    tmp_path_factory, rows, edit, at, new, block_bytes
+):
+    # Blocks as small as one byte put the edit on or next to a block edge.
+    data = reference_csv(rows)
+    if edit == "insert":
+        at %= len(data) + 1
+        data = data[:at] + new + data[at:]
+    else:
+        at %= len(data)
+        data = data[:at] + (new if edit == "replace" else b"") + data[at + 1 :]
+    p = tmp_path_factory.getbasetemp() / "edited.csv"
+    p.write_bytes(data)
+    expected = outcome(reference_read_csv, p)
+    with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+        assert outcome(lambda q: read_csv(q).tolist(), p) == expected
+
+
+GOOD_TUPLE = (1663372800000000, ip_of([198, 51, 7, 9]), 50000, ip_of([10, 0, 0, 1]), 51812, 17, 212)
+ROW_BYTES = len(GOOD_ROW) + 1
+
+
+def read_with_blocks(monkeypatch, path, block_bytes):
+    monkeypatch.setattr(records_module, "_BLOCK_BYTES", block_bytes)
+    return read_csv(path).tolist()
+
+
+@pytest.mark.parametrize(
+    "block_bytes", [1, 20, ROW_BYTES - 1, ROW_BYTES, ROW_BYTES + 1, 3 * ROW_BYTES + 7]
+)
+def test_rows_straddle_blocks(tmp_path, monkeypatch, block_bytes):
+    rows = EDGE_ROWS[:25]
+    p = tmp_path / "t.csv"
+    write_csv(traffic_table(rows), p)
+    assert read_with_blocks(monkeypatch, p, block_bytes) == rows
+
+
+@pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, 1 << 22])
+def test_last_row_without_lf(tmp_path, monkeypatch, block_bytes):
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + GOOD_ROW)
+    assert read_with_blocks(monkeypatch, p, block_bytes) == [GOOD_TUPLE] * 2
+    p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + with_field("proto", "256"))
+    with pytest.raises(CsvFormatError, match="^line 3: proto out of range"):
+        read_with_blocks(monkeypatch, p, block_bytes)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3, ROW_BYTES, ROW_BYTES + 2, 1 << 22])
+def test_blank_lines_at_block_edges(tmp_path, monkeypatch, block_bytes):
+    # With ROW_BYTES-sized reads, the six blank lines after the first row
+    # make a block of their own.
+    p = tmp_path / "t.csv"
+    lines = [GOOD_ROW, "", "", "", "", "", "", GOOD_ROW, "", GOOD_ROW, ""]
+    p.write_text(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
+    assert read_with_blocks(monkeypatch, p, block_bytes) == [GOOD_TUPLE] * 3
+    p.write_text(CSV_HEADER + "\n" + "\n".join(lines + ["junk", GOOD_ROW]) + "\n")
+    with pytest.raises(CsvFormatError, match="^line 13: expected 7 fields, got 1$"):
+        read_with_blocks(monkeypatch, p, block_bytes)
+
+
+@pytest.mark.parametrize("block_bytes", [ROW_BYTES, 2 * ROW_BYTES, 3 * ROW_BYTES + 5])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("junk", "line 12: expected 7 fields, got 1"),
+        # Past int64, np.fromstring saturates at 2**63 - 1.
+        (with_field("ts_us", "9" * 20), f"line 12: ts_us out of range 0-{2**63 - 1}: {'9' * 20}"),
+        (with_field("src_port", "+1"), "line 12: src_port: not an unsigned decimal integer: '+1'"),
+    ],
+)
+def test_first_bad_line_in_a_later_block(tmp_path, monkeypatch, block_bytes, bad, message):
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + "\n".join([GOOD_ROW] * 10 + [bad] + [GOOD_ROW] * 5) + "\n")
+    with pytest.raises(CsvFormatError, match=re.escape(message)) as exc_info:
+        read_with_blocks(monkeypatch, p, block_bytes)
+    assert exc_info.value.line == 12
 
 
 def test_strict_reports_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
-    # Rows are parsed in chunks; a range error buffered in an unparsed
-    # chunk still wins over a later grammar error.
-    monkeypatch.setattr(records_module, "_CHUNK_ROWS", 3)
+    # A range error wins over a grammar error on the next line, whether the
+    # two share a block or the grammar error starts the next one.
     rows = [GOOD_ROW] * 4 + [with_field("proto", "256"), "junk"] + [GOOD_ROW] * 5
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    with pytest.raises(CsvFormatError) as exc_info:
-        read_csv(p)
-    assert exc_info.value.line == 6
-    good, bad = read_csv_lenient(p)
-    assert len(good) == 9
-    assert [line for line, _ in bad] == [6, 7]
+    for block_bytes in (3 * ROW_BYTES, 5 * ROW_BYTES + 1, 1 << 22):
+        with pytest.raises(CsvFormatError) as exc_info:
+            read_with_blocks(monkeypatch, p, block_bytes)
+        assert exc_info.value.line == 6
 
 
 # ---------------------------------------------------------------- partitioning
