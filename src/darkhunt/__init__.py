@@ -51,6 +51,7 @@ from .sim import (  # noqa: F401
     SimConfig,
     default_background,
     simulate,
+    simulate_days,
     three_epoch_schedule,
 )
 from .telescope import (  # noqa: F401

@@ -34,13 +34,7 @@ from .ranking import (
     write_report_json,
 )
 from .records import PROTO_UDP, US_PER_DAY, CsvFormatError, LabeledDataset, day_of_ts, read_csv, run_starts
-from .sim import (
-    load_config,
-    read_labels_csv,
-    simulate,
-    write_dataset,
-    write_manifest,
-)
+from .sim import load_config, read_labels_csv, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
     ScanPopulation,
@@ -138,10 +132,7 @@ def _cmd_simulate(args) -> int:
         )
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise DataError(f"bad config {args.config}: {exc}") from None
-    dataset = simulate(config)
-    manifest = write_dataset(
-        dataset, args.out, config, inputs={"config": os.path.abspath(args.config)}
-    )
+    manifest = write_dataset(config, args.out, inputs={"config": os.path.abspath(args.config)})
     print(
         f"wrote {manifest['records']} records over {manifest['days']} days to {args.out} "
         f"(config {manifest['config_sha256'][:12]})"

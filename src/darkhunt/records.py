@@ -9,6 +9,7 @@ are pure functions, so partitions can be built and consumed concurrently.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ __all__ = [
     "traffic_table",
     "read_csv",
     "write_csv",
+    "write_csv_tables",
     "run_starts",
     "Segments",
     "segment_by_window",
@@ -164,7 +166,8 @@ _COLUMN_MAXIMA[list(_LIMITS)] = [hi for _, hi in _LIMITS.values()]
 _OCTETS = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
 _TO_COMMAS = bytes.maketrans(b".\n", b",,")
 _CHUNK_ROWS = 1 << 16  # rows per write_csv chunk
-_BLOCK_BYTES = 1 << 22  # bytes read per read_csv block, rounded up to a whole line
+_BLOCK_BYTES = 1 << 19  # bytes read per read_csv block, rounded up to a whole line
+_MIN_ROW_BYTES = len("0,0.0.0.0,0,0.0.0.0,0,0,0\n")
 
 
 def _line_error(line: str, line_no: int) -> CsvFormatError | None:
@@ -187,8 +190,8 @@ def _line_error(line: str, line_no: int) -> CsvFormatError | None:
     return None
 
 
-def _parse_block(block: bytes, n: int) -> np.ndarray | None:
-    """The rows of a block of n LF-ended lines, or None if any is not canonical.
+def _parse_block(block: bytes) -> np.ndarray | None:
+    """The rows of a block of LF-ended lines, or None if any is not canonical.
 
     A line is canonical exactly when its parsed values are in range and
     render back to it, so the writer is the one definition of the grammar.
@@ -202,9 +205,9 @@ def _parse_block(block: bytes, n: int) -> np.ndarray | None:
             v = np.fromstring(block.translate(_TO_COMMAS), dtype=np.int64, sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    if v.size != 13 * n:
+    if v.size % 13:  # the re-render below proves the line count
         return None
-    v = v.reshape(n, 13)
+    v = v.reshape(-1, 13)
     # Negative values view as huge unsigned ones, so this checks both ends.
     if (v.view(np.uint64) > _COLUMN_MAXIMA).any():
         return None
@@ -227,22 +230,15 @@ def _scan(block: bytes, line_no: int) -> np.ndarray:
             if error is not None:
                 raise error
     lines = [raw + b"\n" for raw in lines if raw]
-    rows = _parse_block(b"".join(lines), len(lines))
+    rows = _parse_block(b"".join(lines))
     assert rows is not None, f"the block from line {line_no} passes the scan only"
     return rows
 
 
 def _line_blocks(fh):
     """About _BLOCK_BYTES of whole lines at a time, each block ending in LF."""
-    tail = b""
-    while data := fh.read(_BLOCK_BYTES):
-        tail += data
-        cut = tail.rfind(b"\n") + 1
-        if cut:
-            yield tail[:cut]
-            tail = tail[cut:]
-    if tail:
-        yield tail + b"\n"
+    while block := fh.read(_BLOCK_BYTES) + fh.readline():
+        yield block if block.endswith(b"\n") else block + b"\n"
 
 
 def read_csv(path) -> np.recarray:
@@ -252,19 +248,27 @@ def read_csv(path) -> np.recarray:
     and field (silent data loss corrupts population metrics).  The grammar
     is in the README; empty lines are skipped.  The file is read in blocks
     of whole lines, so only one block's temporaries are held at a time.
+    Rows go into one table sized for the shortest row (26 bytes); its pages
+    past the last row are never touched, so they never become resident.
     """
-    chunks = [np.empty(0, dtype=TRAFFIC_DTYPE)]
     with open(path, "rb") as fh:
+        table = np.empty(os.fstat(fh.fileno()).st_size // _MIN_ROW_BYTES, dtype=TRAFFIC_DTYPE)
         header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
         if header != CSV_HEADER:
             raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
-        line_no = 2
+        n, line_no = 0, 2
         for block in _line_blocks(fh):
-            n = block.count(b"\n")
-            rows = _parse_block(block, n)
-            chunks.append(_scan(block, line_no) if rows is None else rows)
-            line_no += n
-    return traffic_table(np.concatenate(chunks))
+            rows = _parse_block(block)
+            if rows is None:
+                rows = _scan(block, line_no)
+                line_no += block.count(b"\n")
+            else:
+                line_no += len(rows)
+            if n + len(rows) > len(table):
+                raise CsvFormatError("the file grew while it was read, or is not a regular file")
+            table[n : n + len(rows)] = rows
+            n += len(rows)
+    return traffic_table(table[:n])
 
 
 @functools.cache
@@ -334,10 +338,19 @@ def _render(t: np.ndarray) -> bytes:
 
 def write_csv(records: np.ndarray, path) -> None:
     """Write a traffic table in the canonical CSV format (LF newlines, no quoting)."""
+    write_csv_tables([records], path)
+
+
+def write_csv_tables(tables, path) -> int:
+    """Write traffic tables one after another as one canonical CSV; returns the row count."""
+    n = 0
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
-        for lo in range(0, len(records), _CHUNK_ROWS):
-            fh.write(_render(records[lo : lo + _CHUNK_ROWS]))
+        for records in tables:
+            for lo in range(0, len(records), _CHUNK_ROWS):
+                fh.write(_render(records[lo : lo + _CHUNK_ROWS]))
+            n += len(records)
+    return n
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from .records import (
     LabeledDataset,
     day_start_us,
     traffic_table,
-    write_csv,
+    write_csv_tables,
 )
 from .telescope import IPV4_SPACE, TelescopeSpec
 
@@ -52,6 +52,7 @@ __all__ = [
     "default_background",
     "three_epoch_schedule",
     "simulate",
+    "simulate_days",
     "write_dataset",
     "write_manifest",
     "write_labels_csv",
@@ -69,6 +70,9 @@ _K_HOST = 1
 _K_BG_SETUP = 2
 _K_BG_DAY = 3
 _K_NOISE = 4
+
+# The order of simulated rows, as np.lexsort keys: least significant first.
+_SORT_KEYS = ("payload_len", "dst_port", "src_port", "dst_ip", "src_ip", "ts_us")
 
 
 def _stream(seed: int, kind: int, a: int = 0, b: int = 0) -> np.random.Generator:
@@ -313,10 +317,8 @@ def _place_hosts(
     return out
 
 
-# Generated packets: one int64 row each for ts_us, src_ip, src_port,
-# dst_ip, dst_port and payload_len (the protocol is always UDP), and a
-# column per packet.
-def _columns(
+# Generated packets as TRAFFIC_DTYPE rows (the protocol is always UDP).
+def _packets(
     day_us: int,
     offsets_s: np.ndarray,
     src: np.ndarray,
@@ -326,7 +328,8 @@ def _columns(
     sizes: np.ndarray,
 ) -> np.ndarray:
     ts = day_us + np.floor(offsets_s * 1e6).astype(np.int64)
-    return np.array([ts, src, sport, dst, dport, sizes], dtype=np.int64)
+    columns = [ts, src, sport, dst, dport, np.full(ts.size, PROTO_UDP), sizes]
+    return np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
 
 
 def _crackonosh_day(
@@ -364,7 +367,7 @@ def _crackonosh_day(
     offsets = t0[host] + dur[host] * rng.random(m)
     sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
     sizes = ck.payload_base + rng.integers(0, ck.padding_sizes, size=m)
-    return _columns(day_us, offsets, host_ips[host], sport, dst, np.full(m, port), sizes)
+    return _packets(day_us, offsets, host_ips[host], sport, dst, np.full(m, port), sizes)
 
 
 def _background_day(
@@ -393,7 +396,7 @@ def _background_day(
         rng.choice(len(scanner.sizes), size=n_pkts, p=scanner.size_probs)
     ]
     dport = np.full(n_pkts, scanner.service_port)
-    return _columns(day_us, offsets, sources[src_idx], sport, dst, dport, sizes)
+    return _packets(day_us, offsets, sources[src_idx], sport, dst, dport, sizes)
 
 
 def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
@@ -415,21 +418,35 @@ def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     offsets = rng.uniform(0.0, SECONDS_PER_DAY, size=m)
     dst = tel.addresses_at_array(rng.integers(0, tel.k, size=m))
     sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
-    return _columns(day_us, offsets, srcs[probe], sport, dst, ports[probe], sizes[probe])
+    return _packets(day_us, offsets, srcs[probe], sport, dst, ports[probe], sizes[probe])
 
 
-def simulate(config: SimConfig) -> LabeledDataset:
-    """Run the simulator, returning a time-ordered traffic table plus ground truth."""
+def _time_order(keys) -> np.ndarray:
+    """np.lexsort(keys), whose last key is the timestamp, by one argsort of it and
+    a lexsort (row index last, for stability) of only the rows with tied timestamps."""
+    ts = keys[-1]
+    order = np.argsort(ts)
+    tied = np.zeros(ts.size + 1, dtype=bool)
+    tied[1:-1] = ts[order[1:]] == ts[order[:-1]]
+    tied = tied[1:] | tied[:-1]
+    sub = order[tied]
+    order[tied] = sub[np.lexsort((sub, *(key[sub] for key in keys)))]
+    return order
+
+
+def simulate_days(config: SimConfig):
+    """Yield (day, daily port, time-ordered traffic table) for each simulated day.
+
+    Hosts are placed and campaigns set up once, then each day is drawn and
+    sorted on its own, in the order one lexsort of the whole run on (ts,
+    src, dst, sport, dport, size) gives: a row that rounding put at the
+    next day's start goes into that day's sort, ahead of its own rows.
+    """
     ck = config.crackonosh
     max_pop = max(ck.population)
     place_rng = _stream(config.seed, _K_PLACE)
     host_ips = _place_hosts(place_rng, max_pop, config.telescope, ck.per24_cap)
     host_always_on = place_rng.random(max_pop) < ck.always_on_fraction
-
-    labels = {}
-    for day_idx in range(config.days):
-        day = config.start_day + timedelta(days=day_idx)
-        labels[day] = config.oracle.daily_port(day)
 
     # Background infrastructure is fixed for the whole run: each campaign
     # keeps the same source block across days.
@@ -443,24 +460,28 @@ def simulate(config: SimConfig) -> LabeledDataset:
             sources = base + setup.choice(256, size=scanner.n_sources, replace=False)
         bg_sources.append(sources)
 
-    parts = []
-    for day_idx, day in enumerate(sorted(labels)):
-        parts.append(
-            _crackonosh_day(config, day_idx, labels[day], host_ips, host_always_on)
-        )
-        for scanner_idx, scanner in enumerate(config.background):
-            parts.append(
-                _background_day(
-                    config, day_idx, scanner_idx, scanner, bg_sources[scanner_idx]
-                )
-            )
-        parts.append(_noise_day(config, day_idx))
+    carry = np.empty(0, dtype=TRAFFIC_DTYPE)
+    for day_idx in range(config.days):
+        day = config.start_day + timedelta(days=day_idx)
+        port = config.oracle.daily_port(day)
+        rows = [carry, _crackonosh_day(config, day_idx, port, host_ips, host_always_on)]
+        for idx, scanner in enumerate(config.background):
+            rows.append(_background_day(config, day_idx, idx, scanner, bg_sources[idx]))
+        rows.append(_noise_day(config, day_idx))
+        rows = np.concatenate(rows)
+        order = _time_order([rows[name] for name in _SORT_KEYS])
+        end_us = day_start_us(day + timedelta(days=1))
+        keep = len(rows) if day_idx + 1 == config.days else np.count_nonzero(rows["ts_us"] < end_us)
+        table, carry = traffic_table(np.take(rows, order[:keep])), np.take(rows, order[keep:])
+        del rows, order  # hold only the table while the caller consumes it
+        yield day, port, table
 
-    ts, src, sport, dst, dport, size = np.concatenate(parts, axis=1)
-    columns = [ts, src, sport, dst, dport, np.full(ts.size, PROTO_UDP), size]
-    table = np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
-    order = np.lexsort((size, dport, sport, dst, src, ts))
-    return LabeledDataset(records=traffic_table(table[order]), labels=labels)
+
+def simulate(config: SimConfig) -> LabeledDataset:
+    """Run the simulator, returning a time-ordered traffic table plus ground truth."""
+    days = list(simulate_days(config))
+    records = traffic_table(np.concatenate([table for _, _, table in days]))
+    return LabeledDataset(records=records, labels={day: port for day, port, _ in days})
 
 
 def write_labels_csv(labels, path) -> None:
@@ -618,16 +639,19 @@ def write_manifest(out_dir, command: str, **fields) -> dict:
     return manifest
 
 
-def write_dataset(
-    dataset: LabeledDataset,
-    out_dir,
-    config: SimConfig,
-    inputs: Optional[dict] = None,
-) -> dict:
-    """Write traffic.csv, labels.csv, and the run manifest; returns the manifest."""
+def write_dataset(config: SimConfig, out_dir, inputs: Optional[dict] = None) -> dict:
+    """Simulate into traffic.csv, labels.csv and the run manifest, writing
+    each day as soon as it is drawn; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(dataset.records, os.path.join(out_dir, "traffic.csv"))
-    write_labels_csv(dataset.labels, os.path.join(out_dir, "labels.csv"))
+    labels = {}
+
+    def tables():
+        for day, port, table in simulate_days(config):
+            labels[day] = port
+            yield table
+
+    records = write_csv_tables(tables(), os.path.join(out_dir, "traffic.csv"))
+    write_labels_csv(labels, os.path.join(out_dir, "labels.csv"))
     return write_manifest(
         out_dir,
         "simulate",
@@ -635,6 +659,6 @@ def write_dataset(
         config_sha256=config_digest(config),
         inputs=inputs or {},
         outputs={"traffic": "traffic.csv", "labels": "labels.csv"},
-        records=len(dataset.records),
+        records=records,
         days=config.days,
     )

@@ -471,7 +471,7 @@ def test_rows_straddle_blocks(tmp_path, monkeypatch, block_bytes):
     assert read_with_blocks(monkeypatch, p, block_bytes) == rows
 
 
-@pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, 1 << 22])
+@pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, 2 * ROW_BYTES - 1, 1 << 22])
 def test_last_row_without_lf(tmp_path, monkeypatch, block_bytes):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + GOOD_ROW)
@@ -479,6 +479,52 @@ def test_last_row_without_lf(tmp_path, monkeypatch, block_bytes):
     p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + with_field("proto", "256"))
     with pytest.raises(CsvFormatError, match="^line 3: proto out of range"):
         read_with_blocks(monkeypatch, p, block_bytes)
+
+
+MIN_ROW = "0,0.0.0.0,0,0.0.0.0,0,0,0"  # the shortest canonical row
+
+
+@pytest.mark.parametrize("lf", ["\n", ""])
+def test_minimum_length_rows(tmp_path, lf):
+    # The reader sizes its table for rows this short.
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + "\n".join([MIN_ROW] * 1000) + lf)
+    table = read_csv(p)
+    assert table.shape == (1000,) and not table.flags.writeable
+    assert table.tolist() == [(0,) * 7] * 1000
+
+
+@pytest.mark.parametrize("past", [-1, 0, 1, 13])
+def test_last_row_without_lf_at_the_default_block_size(tmp_path, past):
+    # Rows of 26 and 27 bytes whose last one, without LF, ends `past`
+    # bytes after the first default-size block.
+    size = records_module._BLOCK_BYTES + past + 1  # counting the missing LF
+    longer = size % 26
+    ts = [10] * longer + [0] * ((size - 27 * longer) // 26)
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + "\n".join(f"{t}{MIN_ROW[1:]}" for t in ts))
+    assert p.stat().st_size == len(CSV_HEADER) + size
+    table = read_csv(p)
+    assert table.shape == (len(ts),) and not table.flags.writeable
+    assert table["ts_us"].tolist() == ts
+
+
+def test_a_file_that_grows_while_read_fails(tmp_path, monkeypatch):
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n")
+    line_blocks = records_module._line_blocks
+
+    def growing(fh):
+        blocks = line_blocks(fh)
+        yield next(blocks)
+        with open(p, "a") as out:
+            out.write((GOOD_ROW + "\n") * 10)
+        yield from blocks
+
+    monkeypatch.setattr(records_module, "_line_blocks", growing)
+    monkeypatch.setattr(records_module, "_BLOCK_BYTES", ROW_BYTES)
+    with pytest.raises(CsvFormatError, match="the file grew while it was read"):
+        read_csv(p)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 3, ROW_BYTES, ROW_BYTES + 2, 1 << 22])

@@ -4,10 +4,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
+from darkhunt import sim as sim_module
 from darkhunt.portgen import DailyPortOracle
-from darkhunt.records import day_of_ts, day_start_us, read_csv
+from darkhunt.records import US_PER_DAY, day_of_ts, day_start_us, read_csv
 from darkhunt.sim import (
     BackgroundScanner,
     CrackonoshConfig,
@@ -17,6 +20,7 @@ from darkhunt.sim import (
     default_background,
     read_labels_csv,
     simulate,
+    simulate_days,
     three_epoch_schedule,
     write_dataset,
 )
@@ -50,7 +54,7 @@ def test_byte_identical_csv(tmp_path):
     hashes = []
     for name in ("a", "b"):
         out = tmp_path / name
-        write_dataset(simulate(cfg), out, cfg)
+        write_dataset(cfg, out)
         hashes.append(hashlib.sha256((out / "traffic.csv").read_bytes()).hexdigest())
     assert hashes[0] == hashes[1]
 
@@ -59,6 +63,70 @@ def test_different_seed_different_traffic():
     a = simulate(small_config(seed=1))
     b = simulate(small_config(seed=2))
     assert a.records.tolist() != b.records.tolist()
+
+
+# --------------------------------------------------------------- streaming
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=300),
+    n_ts=st.integers(min_value=1, max_value=50),
+    n_values=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_time_order_is_the_six_key_lexsort(n, n_ts, n_values, seed):
+    # Timestamps from a few values and keys from fewer force ties on every
+    # key, and full duplicates, whose order only the row index settles.
+    rng = np.random.default_rng(seed)
+    ts = rng.choice(rng.integers(0, 2**62, size=n_ts), size=n)
+    size, dport, sport, dst, src = rng.integers(0, n_values, size=(5, n))
+    keys = (size, dport, sport, dst, src, ts)
+    assert sim_module._time_order(keys).tolist() == np.lexsort(keys).tolist()
+
+
+def test_row_at_the_next_days_first_microsecond_sorts_as_in_one_run(monkeypatch):
+    # Day 0 has rows at offset 86400 s, day 1's first microsecond, where
+    # day 1 has rows of its own: smaller and larger sources, and one full
+    # duplicate.  Every other key is shared, so only src and the input
+    # order separate them.
+    day0_us = day_start_us(START)
+    src = {0: [7, 3, 5, 9, 5], 1: [4, 5, 8, 1]}
+    offsets = {0: [86400.0, 10.0, 86400.0, 86400.0, 20.0], 1: [0.0, 0.0, 0.0, 5.0]}
+
+    def hand_built(config, day_idx):
+        m = len(src[day_idx])
+        same = np.ones(m, dtype=np.int64)
+        day_us = day0_us + day_idx * US_PER_DAY
+        return sim_module._packets(
+            day_us, np.array(offsets[day_idx]), np.array(src[day_idx]), same, same, same, same
+        )
+
+    monkeypatch.setattr(sim_module, "_noise_day", hand_built)
+    cfg = small_config(crackonosh=CrackonoshConfig(population=(0, 0)))
+    rows = np.concatenate([hand_built(cfg, 0), hand_built(cfg, 1)])
+    expected = rows[np.lexsort([rows[k] for k in sim_module._SORT_KEYS])]
+    assert simulate(cfg).records.tolist() == expected.tolist()
+    day0, day1 = [table for _, _, table in simulate_days(cfg)]
+    assert day0.ts_us.tolist() == [day0_us + 10_000_000, day0_us + 20_000_000]
+    assert len(day1) == 7 and (day1.ts_us >= day0_us + US_PER_DAY).all()
+
+
+def test_first_day_streams_without_drawing_later_days(monkeypatch):
+    cfg = small_config(background=default_background()[:3], noise_ports_per_day=20)
+    records = simulate(cfg).records
+    drawn = []
+    crackonosh_day = sim_module._crackonosh_day
+
+    def spy(config, day_idx, *args):
+        drawn.append(day_idx)
+        return crackonosh_day(config, day_idx, *args)
+
+    monkeypatch.setattr(sim_module, "_crackonosh_day", spy)
+    day, port, table = next(simulate_days(cfg))
+    assert drawn == [0]
+    assert (day, port) == (START, ORACLE.daily_port(START))
+    day0 = records[records.ts_us < day_start_us(START) + US_PER_DAY]
+    assert len(day0) > 0 and table.tolist() == day0.tolist()
 
 
 @pytest.mark.parametrize("mode", ["direct", "naive"])
@@ -380,7 +448,7 @@ def test_zero_day_run_rejected():
 def test_write_dataset_round_trip(tmp_path):
     cfg = small_config()
     ds = simulate(cfg)
-    write_dataset(ds, tmp_path / "out", cfg)
+    write_dataset(cfg, tmp_path / "out")
     assert read_csv(tmp_path / "out" / "traffic.csv").tolist() == ds.records.tolist()
     assert read_labels_csv(tmp_path / "out" / "labels.csv") == dict(ds.labels)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -391,9 +459,8 @@ def test_write_dataset_round_trip(tmp_path):
 
 def test_manifest_stable_across_reruns(tmp_path):
     cfg = small_config()
-    ds = simulate(cfg)
-    write_dataset(ds, tmp_path / "a", cfg)
-    write_dataset(ds, tmp_path / "b", cfg)
+    write_dataset(cfg, tmp_path / "a")
+    write_dataset(cfg, tmp_path / "b")
     assert (tmp_path / "a" / "manifest.json").read_bytes() == (
         tmp_path / "b" / "manifest.json"
     ).read_bytes()
