@@ -42,6 +42,7 @@ from .records import (  # noqa: F401
     partition_by_day_port,
     partition_by_window,
     read_csv,
+    read_days,
     traffic_table,
     write_csv,
 )

@@ -16,8 +16,6 @@ import os
 import sys
 from datetime import timedelta
 
-import numpy as np
-
 from . import __version__
 from .population import (
     always_on,
@@ -29,11 +27,12 @@ from .population import (
 from .ranking import (
     DEFAULT_TOP_N,
     discoverability,
-    time_series_report,
+    labeled_rows,
+    score_periods,
     write_report_csv,
     write_report_json,
 )
-from .records import PROTO_UDP, US_PER_DAY, CsvFormatError, LabeledDataset, day_of_ts, read_csv, run_starts
+from .records import PROTO_UDP, CsvFormatError, read_days
 from .sim import load_config, read_labels_csv, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
@@ -96,10 +95,10 @@ def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> 
     )
 
 
-def _read_traffic(path) -> np.recarray:
-    """read_csv with unreadable or malformed files mapped to DataError."""
+def _read_days(path):
+    """read_days with an unreadable or malformed file mapped to DataError."""
     try:
-        return read_csv(path)
+        yield from read_days(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except CsvFormatError as exc:
@@ -140,25 +139,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_labeled(csv_path, labels_path) -> LabeledDataset:
-    records = _read_traffic(csv_path)
-    # Only UDP packets are ranked; without any there is no period to score.
-    if not (records["proto"] == PROTO_UDP).any():
-        raise DataError(f"{csv_path}: no UDP traffic")
-    try:
-        labels = read_labels_csv(labels_path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read labels {labels_path}: {exc}") from None
-    days = np.sort(records["ts_us"] // US_PER_DAY)
-    days = days[run_starts(days)]
-    missing = sorted({day_of_ts(d * US_PER_DAY) for d in days.tolist()} - set(labels))
-    if missing:
-        raise DataError(
-            "unlabeled days: " + ", ".join(d.isoformat() for d in missing)
-        )
-    return LabeledDataset(records=records, labels=labels)
-
-
 def _cmd_analyze(args) -> int:
     if args.top_n < 1:
         raise DataError(f"--top-n must be >= 1, got {args.top_n}")
@@ -166,12 +146,22 @@ def _cmd_analyze(args) -> int:
     for m in metrics:
         if m not in METRIC_IDS:
             raise DataError(f"unknown metric {m!r}; choose from {','.join(METRIC_IDS)}")
-    dataset = _load_labeled(args.csv, args.labels)
     window = WINDOWS[args.window]
+    parts = {day: score_periods(records, metrics, window) for day, records in _read_days(args.csv)}
+    # Only UDP packets are ranked; without any there is no period to score.
+    if not any(len(part.port) for part in parts.values()):
+        raise DataError(f"{args.csv}: no UDP traffic")
+    try:
+        labels = read_labels_csv(args.labels)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read labels {args.labels}: {exc}") from None
+    missing = [day.isoformat() for day in parts if day not in labels]
+    if missing:
+        raise DataError("unlabeled days: " + ", ".join(missing))
+    rows_by_metric = labeled_rows(list(parts.values()), metrics, labels, window)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     reports = []
-    rows_by_metric = time_series_report(dataset, metrics, window=window)
     for metric_id in metrics:
         rows = rows_by_metric[metric_id]
         name = f"report_{metric_id}.csv"
@@ -257,21 +247,16 @@ def _cmd_population(args) -> int:
     if args.bandwidth is not None and not 0 < args.bandwidth < math.inf:
         raise DataError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     tel = _parse_telescope(args.telescope)
+    tables = (table for _, table in _read_days(args.csv))
+    inside = (t[(t["proto"] == PROTO_UDP) & tel.contains_array(t["dst_ip"])] for t in tables)
     # Days with no UDP packet inside the telescope have nothing to report.
-    records = _read_traffic(args.csv)
-    inside = records[(records["proto"] == PROTO_UDP) & tel.contains_array(records["dst_ip"])]
-    if not len(inside):
+    reports = [always_on(day) for day in inside if len(day)]
+    if not reports:
         raise DataError(f"{args.csv}: no UDP traffic inside telescope {tel}")
-    # One stable sort splits the rows by day, each day in file order.
-    days = inside["ts_us"] // US_PER_DAY
-    order = np.argsort(days, kind="stable")
-    inside = np.take(inside, order)
-    bounds = np.append(run_starts(days[order]), len(inside)).tolist()
     os.makedirs(args.out, exist_ok=True)
     day_reports = {}
     samples = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        report = always_on(inside[lo:hi])
+    for report in reports:
         day_reports[report.day.isoformat()] = {
             "always_on_count": len(report.always_on_ips),
             "daily_packets": dict(

@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +32,12 @@ __all__ = [
     "RankedPortList",
     "DiscoverabilityReport",
     "ReportRow",
+    "PeriodScores",
     "rank_ports",
     "rank_of_labeled_port",
     "discoverability",
+    "score_periods",
+    "labeled_rows",
     "time_series_report",
     "write_report_csv",
     "write_report_json",
@@ -137,54 +140,82 @@ def discoverability(
     )
 
 
-def time_series_report(
-    dataset: LabeledDataset,
-    metric_ids: Sequence[str],
-    window: timedelta = timedelta(days=1),
-) -> dict[str, list[ReportRow]]:
-    """Score and rank of the labeled port per period, for each metric.
+class PeriodScores(NamedTuple):
+    """Segments in (window start, port) order; value and rank have a row per metric."""
 
-    The records are segmented by (window start, port) once and every
-    metric scores all segments at once; each metric then ranks every
-    period's ports with one sort by (period, -value, port).  The window
-    must divide a day evenly; each window is ranked independently and
-    compared against its UTC day's label.  Periods with no traffic at all
-    produce no row; periods with traffic but no packet on the labeled
-    port produce a row with score/rank None.
+    start_us: np.ndarray
+    port: np.ndarray
+    value: np.ndarray
+    rank: np.ndarray
+
+
+def _periods(start_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each period's first segment, and each segment's period index."""
+    firsts = run_starts(start_us)
+    return firsts, np.repeat(np.arange(len(firsts)), np.diff(np.append(firsts, len(start_us))))
+
+
+def score_periods(
+    records: np.ndarray, metric_ids: Sequence[str], window: timedelta = timedelta(days=1)
+) -> PeriodScores:
+    """Score every (window start, port) segment of a table and rank it in its period.
+
+    One segmentation and one score_segments call serve every metric; each
+    metric then ranks with one sort by (period, -value, port).  Windows
+    never cross 0000Z, so the results of a table's days, concatenated,
+    equal the whole table's.
     """
-    seg = segment_by_window(dataset.records, window)
+    seg = segment_by_window(records, window)
     values = score_segments(seg.records, seg.bounds, metric_ids)
-    firsts = run_starts(seg.start_us)  # each period's first segment
-    period = np.repeat(np.arange(len(firsts)), np.diff(np.append(firsts, len(seg.port))))
-    starts = seg.start_us[firsts].tolist()
-    labels = []
-    for start_us in starts:
-        day = day_of_ts(start_us)
-        if day not in dataset.labels:
+    firsts, period = _periods(seg.start_us)
+    value = np.array([values[m] for m in metric_ids], dtype=float).reshape(len(metric_ids), len(seg.port))
+    rank = np.empty(value.shape, dtype=np.int64)
+    for v, r in zip(value, rank):
+        # Periods stay in place (they are sorted), so a segment's rank is
+        # its sorted position less its period's first position, plus one.
+        order = np.lexsort((seg.port, -v, period))
+        r[order] = np.arange(len(order)) - firsts[period] + 1
+    return PeriodScores(seg.start_us, seg.port, value, rank)
+
+
+def labeled_rows(
+    parts: Sequence[PeriodScores], metric_ids: Sequence[str], labels: Mapping[date, int], window: timedelta
+) -> dict[str, list[ReportRow]]:
+    """The labeled port's score and rank per period of consecutive score_periods results.
+
+    Each period is compared against its UTC day's label.  A period with no
+    traffic gives no row; one whose labeled port is silent, score/rank None.
+    """
+    scores = PeriodScores(*(np.concatenate(cols, axis=-1) for cols in zip(*parts)))
+    firsts, period = _periods(scores.start_us)
+    starts = scores.start_us[firsts].tolist()
+    days = [day_of_ts(s) for s in starts]
+    for day in days:
+        if day not in labels:
             raise ValueError(f"no label for day {day.isoformat()}")
-        labels.append(dataset.labels[day])
     # Each period's labeled-port segment, or -1 when that port had no packet.
     labeled = np.full(len(firsts), -1)
-    hits = np.flatnonzero(seg.port == np.array(labels, dtype=np.int64)[period])
+    hits = np.flatnonzero(scores.port == np.array([labels[d] for d in days], dtype=np.int64)[period])
     labeled[period[hits]] = hits
     found = (labeled >= 0).tolist()
     periods = [window_start(s) for s in starts]
     if window == timedelta(days=1):
         periods = [p.date() for p in periods]
-    rows: dict[str, list[ReportRow]] = {}
-    for metric_id, value in values.items():
-        # Periods stay in place (they are sorted), so a segment's rank is
-        # its sorted position less its period's first position, plus one.
-        order = np.lexsort((seg.port, -value, period))
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order)) - firsts[period] + 1
-        rows[metric_id] = [
+    return {
+        metric_id: [
             ReportRow(period=p, metric_id=metric_id, score=v if f else None, rank=r if f else None)
-            for p, v, r, f in zip(
-                periods, value[labeled].tolist(), rank[labeled].tolist(), found
-            )
+            for p, v, r, f in zip(periods, value[labeled].tolist(), rank[labeled].tolist(), found)
         ]
-    return rows
+        for metric_id, value, rank in zip(metric_ids, scores.value, scores.rank)
+    }
+
+
+def time_series_report(
+    dataset: LabeledDataset, metric_ids: Sequence[str], window: timedelta = timedelta(days=1)
+) -> dict[str, list[ReportRow]]:
+    """Score and rank of the labeled port per period, for each metric: labeled_rows of one table."""
+    parts = [score_periods(dataset.records, metric_ids, window)]
+    return labeled_rows(parts, metric_ids, dataset.labels, window)
 
 
 def write_report_csv(rows: Sequence[ReportRow], path) -> None:

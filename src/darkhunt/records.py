@@ -33,6 +33,7 @@ __all__ = [
     "day_of_ts",
     "traffic_table",
     "read_csv",
+    "read_days",
     "write_csv",
     "write_csv_tables",
     "run_starts",
@@ -241,6 +242,18 @@ def _line_blocks(fh):
         yield block if block.endswith(b"\n") else block + b"\n"
 
 
+def _row_blocks(fh):
+    """(block, its rows, its first line number) per block after the header; see read_csv."""
+    header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
+    if header != CSV_HEADER:
+        raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
+    line_no = 2
+    for block in _line_blocks(fh):
+        rows = _parse_block(block)
+        yield block, _scan(block, line_no) if rows is None else rows, line_no
+        line_no += block.count(b"\n")
+
+
 def read_csv(path) -> np.recarray:
     """Read a canonical traffic CSV into a traffic table, in file order.
 
@@ -253,22 +266,41 @@ def read_csv(path) -> np.recarray:
     """
     with open(path, "rb") as fh:
         table = np.empty(os.fstat(fh.fileno()).st_size // _MIN_ROW_BYTES, dtype=TRAFFIC_DTYPE)
-        header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
-        if header != CSV_HEADER:
-            raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
-        n, line_no = 0, 2
-        for block in _line_blocks(fh):
-            rows = _parse_block(block)
-            if rows is None:
-                rows = _scan(block, line_no)
-                line_no += block.count(b"\n")
-            else:
-                line_no += len(rows)
+        n = 0
+        for _, rows, _ in _row_blocks(fh):
             if n + len(rows) > len(table):
                 raise CsvFormatError("the file grew while it was read, or is not a regular file")
             table[n : n + len(rows)] = rows
             n += len(rows)
     return traffic_table(table[:n])
+
+
+def read_days(path):
+    """Yield (UTC day, traffic table) per day of a traffic CSV, holding one day's blocks.
+
+    Reads like read_csv.  Rows may come in any order within a day; a row
+    whose day is earlier than an earlier row's raises CsvFormatError.
+    """
+    with open(path, "rb") as fh:
+        day, pending = -1, []
+        for block, rows, line_no in _row_blocks(fh):
+            days = rows["ts_us"] // US_PER_DAY
+            back = np.flatnonzero(np.diff(days, prepend=day) < 0)
+            if len(back):
+                i = back[0]
+                this, prev = (day_of_ts(d * US_PER_DAY) for d in (days[i], days[i - 1] if i else day))
+                # Blank lines hold no row, so count the block's other lines.
+                line = line_no + [k for k, raw in enumerate(block.split(b"\n")) if raw][i]
+                raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line, "ts_us")
+            starts = run_starts(days).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+                if days[lo] != day:
+                    if pending:
+                        yield day_of_ts(day * US_PER_DAY), traffic_table(np.concatenate(pending))
+                    day, pending = int(days[lo]), []
+                pending.append(rows[lo:hi])
+        if pending:
+            yield day_of_ts(day * US_PER_DAY), traffic_table(np.concatenate(pending))
 
 
 @functools.cache

@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+from datetime import timedelta
 
+import numpy as np
 import pytest
 
-from darkhunt import ranking
+from darkhunt import cli, ranking, records
 from darkhunt.cli import main
-from darkhunt.records import CSV_HEADER, traffic_table, write_csv
+from darkhunt.records import CSV_HEADER, US_PER_DAY, read_csv, traffic_table, write_csv
 
 CONFIG = {
     "seed": 21,
@@ -161,7 +164,9 @@ def test_analyze_partitions_once_for_all_metrics(sim_dir, tmp_path, monkeypatch)
         "--out", str(tmp_path / "rep"),
         "--window", "3h",
     ]) == 0
-    assert len(calls) == 1
+    # Once per UTC day of the CSV, never once per metric.
+    days = np.unique(read_csv(sim_dir / "traffic.csv")["ts_us"] // US_PER_DAY)
+    assert calls == [(timedelta(hours=3),)] * len(days)
     for metric in ("address_count", "block_count", "src_spread", "size_entropy"):
         assert (tmp_path / "rep" / f"report_{metric}.csv").exists()
 
@@ -211,6 +216,49 @@ def test_analyze_malformed_csv_prints_one_error_line(tmp_path, row):
     assert run.stderr.startswith(f"darkhunt: error: {traffic}: line 3: ")
     assert run.stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "population"])
+def test_a_day_that_goes_back_prints_one_error_line(tmp_path, command):
+    traffic = tmp_path / "unsorted.csv"
+    next_day = UDP_ROW.replace("1704067200", "1704153600", 1)
+    traffic.write_text(CSV_HEADER + "\n" + "\n".join([UDP_ROW, next_day, UDP_ROW]) + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("day,port\n2024-01-01,50000\n2024-01-02,50000\n")
+    out = tmp_path / "out"
+    inputs = {"analyze": ["--labels", str(labels)], "population": ["--telescope", "10.0.0.0/24"]}
+    argv = [command, "--csv", str(traffic), *inputs[command], "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "darkhunt.cli", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr == (
+        f"darkhunt: error: {traffic}: line 4: ts_us: "
+        "day 2024-01-01 after day 2024-01-02: days must not go back\n"
+    )
+    assert not out.exists()
+
+
+def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path):
+    table = read_csv(sim_dir / "traffic.csv")
+    days = table["ts_us"] // US_PER_DAY
+    # Days stay in order; rows within each day are shuffled.
+    order = np.lexsort((np.random.default_rng(5).permutation(len(table)), days))
+    shuffled = tmp_path / "shuffled.csv"
+    write_csv(np.take(table, order), shuffled)
+    assert shuffled.read_bytes() != (sim_dir / "traffic.csv").read_bytes()
+    outputs = []
+    for traffic in (sim_dir / "traffic.csv", shuffled):
+        out = tmp_path / traffic.stem
+        labels = ["--labels", str(sim_dir / "labels.csv"), "--window", "15m"]
+        assert main(["analyze", "--csv", str(traffic), *labels, "--out", str(out / "a")]) == 0
+        telescope = ["--telescope", CONFIG["telescope"][0]]
+        assert main(["population", "--csv", str(traffic), *telescope, "--out", str(out / "p")]) == 0
+        # Manifests name the input file, so only the reports are compared.
+        outputs.append({
+            f.relative_to(out): f.read_bytes() for f in out.rglob("*.*") if f.name != "manifest.json"
+        })
+    assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -437,6 +485,46 @@ def test_population_ignores_tcp_only_sources(tmp_path, capsys):
     assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
     day = json.loads((out / "always_on.json").read_text())["1970-01-01"]
     assert day == {"always_on_count": 1, "daily_packets": {str(0x01020304): 144}}
+
+
+# -------------------------------------------------------------------- memory
+
+@pytest.fixture(scope="module")
+def day_runs(tmp_path_factory):
+    """Simulated runs of 2 and 8 days with the same population each day."""
+    root = tmp_path_factory.mktemp("days")
+    runs = {}
+    for days in (2, 8):
+        cfg = write_config(root, telescope=["10.0.0.0/18"],
+                           crackonosh={"population": [3000] * days, "always_on_fraction": 0.5})
+        runs[days] = root / f"run{days}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(runs[days])]) == 0
+    return runs
+
+
+def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path, monkeypatch):
+    def whole_file_read(path):
+        raise AssertionError("read_csv reads the whole file")
+
+    monkeypatch.setattr(records, "read_csv", whole_file_read)
+    monkeypatch.setattr(cli, "read_csv", whole_file_read, raising=False)
+
+    def argv(command, run):
+        inputs = {"analyze": ["--labels", str(run / "labels.csv")], "population": ["--telescope", "10.0.0.0/18"]}
+        return [command, "--csv", str(run / "traffic.csv"), *inputs[command], "--out", str(tmp_path / "out")]
+
+    def peak(command, run):
+        tracemalloc.start()
+        try:
+            assert main(argv(command, run)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for command in ("analyze", "population"):
+        main(argv(command, day_runs[2]))  # first-use imports and tables are not counted
+        two, eight = peak(command, day_runs[2]), peak(command, day_runs[8])
+        assert eight <= 1.25 * two, (command, two, eight)
 
 
 # ------------------------------------------------------------------- imports

@@ -21,6 +21,7 @@ from darkhunt.records import (
     partition_by_day_port,
     partition_by_window,
     read_csv,
+    read_days,
     traffic_table,
     write_csv,
 )
@@ -651,3 +652,109 @@ def test_partition_by_window_quarter_hour():
 def test_partition_by_window_rejects_uneven():
     with pytest.raises(ValueError):
         partition_by_window(traffic_table([]), timedelta(minutes=7))
+
+
+# ---------------------------------------------------------- day reader
+
+def split_by_day(table):
+    """A table's rows as (UTC day, rows) pairs, days in order of first appearance."""
+    days = {}
+    for row in table.tolist():
+        days.setdefault(day_of_ts(row[0]), []).append(row)
+    return list(days.items())
+
+
+def read_days_list(path):
+    out = []
+    for day, table in read_days(path):
+        assert not table.flags.writeable
+        out.append((day, table.tolist()))
+    return out
+
+
+DAY0 = 19000  # a UTC day number, 2022-01-08
+
+
+def day_lines(days, blank_after=()):
+    """CSV text of the given rows per day, with a blank line after each listed line index."""
+    rows = [make_record(ts_us=(DAY0 + d) * US_PER_DAY + t, payload_len=t % 1000)
+            for d, times in days for t in times]
+    lines = []
+    for i, row in enumerate(rows):
+        lines.append(csv_row(row))
+        if i in blank_after:
+            lines.append("")
+    return CSV_HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+# Three days; the second is one row between blank lines, the third spans
+# many blocks at small block sizes.  Times within a day are out of order.
+THREE_DAYS = [(0, [7, 3, US_PER_DAY - 1]), (1, [0]), (3, [5, 2, 9, 1, 2, 8, 0])]
+
+
+def test_read_days_at_every_block_size(tmp_path):
+    # Every block size up to the whole file puts a block edge at every
+    # line, so each day starts exactly at a block edge for some size.
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS, blank_after={2, 3, 6}))
+    expected = split_by_day(read_csv(p))
+    assert [len(rows) for _, rows in expected] == [3, 1, 7]
+    for block_bytes in range(1, p.stat().st_size + 2):
+        with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+            assert read_days_list(p) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, US_PER_DAY - 1), st.booleans()),
+        max_size=40,
+    ),
+    st.integers(1, 200),
+)
+def test_read_days_matches_read_csv_split_by_day(tmp_path_factory, steps, block_bytes):
+    # Days only go forward (by 0, 1 or 2 days a row); times within a day
+    # are in any order; any row may be followed by a blank line.
+    days, day = [], 0
+    for step, t, _ in steps:
+        day += step
+        if not days or days[-1][0] != day:
+            days.append((day, []))
+        days[-1][1].append(t)
+    blanks = {i for i, (_, _, blank) in enumerate(steps) if blank}
+    p = tmp_path_factory.getbasetemp() / "days.csv"
+    p.write_text(day_lines(days, blanks))
+    with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+        assert read_days_list(p) == split_by_day(read_csv(p))
+
+
+def error_of(reader, path):
+    with pytest.raises(CsvFormatError) as info:
+        reader(path)
+    return info.value
+
+
+@pytest.mark.parametrize("row, field", BAD_ROWS[:4] + [(with_field("proto", "256"), None)])
+@pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, 1 << 19])
+def test_bad_row_in_a_later_day_raises_as_in_read_csv(tmp_path, row, field, block_bytes):
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS, blank_after={2}) + row + "\n")
+    with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+        days_error = error_of(read_days_list, p)
+        csv_error = error_of(read_csv, p)
+    assert (days_error.line, days_error.field) == (csv_error.line, csv_error.field) == (14, field)
+    assert str(days_error) == str(csv_error)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2 * ROW_BYTES, 1 << 19])
+def test_a_day_that_goes_back_names_its_first_line(tmp_path, block_bytes):
+    # Lines 2-4 hold day 0, line 6 day 1 and lines 5 and 7 are blank, so
+    # the first row back on day 0 is on line 8.
+    days = THREE_DAYS[:2] + [(0, [4, 5])] + THREE_DAYS[2:]
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(days, blank_after={2, 3}))
+    assert len(read_csv(p)) == 13  # read_csv takes rows in any order
+    with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+        error = error_of(read_days_list, p)
+    assert (error.line, error.field) == (8, "ts_us")
+    assert str(error) == "line 8: ts_us: day 2022-01-08 after day 2022-01-09: days must not go back"
