@@ -413,6 +413,32 @@ def reference_read_csv(path):
     return rows
 
 
+# The block parser read_csv used before it decoded values from the bytes:
+# one np.fromstring per block, then a range check and a render back with
+# the writer.  Kept as the reference the decoder must agree with.
+_REF_COLUMN_MAXIMA = np.array([2**63 - 1, *[255] * 4, 65535, *[255] * 4, 65535, 255, 65507], dtype=np.uint64)
+_REF_OCTETS = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.int64)
+
+
+def reference_parse_block(block):
+    """The rows of a block of LF-ended lines, or None if it does not render back to itself."""
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 warns and returns what it parsed before unmatched data.
+            warnings.simplefilter("error", DeprecationWarning)
+            v = np.fromstring(block.translate(bytes.maketrans(b".\n", b",,")), dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if v.size % 13:
+        return None
+    v = v.reshape(-1, 13)
+    if (v.view(np.uint64) > _REF_COLUMN_MAXIMA).any():
+        return None
+    columns = [v[:, 0], v[:, 1:5] @ _REF_OCTETS, v[:, 5], v[:, 6:10] @ _REF_OCTETS, *v[:, 10:].T]
+    rows = np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
+    return rows if records_module._render(rows) == block else None
+
+
 def outcome(reader, path):
     """A reader's rows, or the line, field and text of the error it raised."""
     try:
@@ -569,6 +595,106 @@ def test_strict_reports_the_first_bad_line_across_chunks(tmp_path, monkeypatch):
         with pytest.raises(CsvFormatError) as exc_info:
             read_with_blocks(monkeypatch, p, block_bytes)
         assert exc_info.value.line == 6
+
+
+def edit_bytes(data, edit, at, new):
+    """data with the byte at `at` (modulo its length) replaced, deleted, or preceded by `new`."""
+    if edit == "insert":
+        at %= len(data) + 1
+        return data[:at] + new + data[at:]
+    if not data:
+        return data
+    at %= len(data)
+    return data[:at] + (new if edit == "replace" else b"") + data[at + 1 :]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.lists(st.sampled_from(EDGE_ROWS) | records_st, max_size=8),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["replace", "insert", "delete"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.sampled_from(EDIT_BYTES),
+        ),
+        max_size=3,
+    ),
+)
+def test_decoder_matches_render_back_reference(rows, edits):
+    # The decoder accepts a block exactly when the old parser's render
+    # back does, with the same table, whatever its reused work array held.
+    block = reference_csv(rows)[len(CSV_HEADER) + 1 :]
+    for edit in edits:
+        block = edit_bytes(block, *edit)
+    expected = reference_parse_block(block)
+    decoded = records_module._parse_block(block, np.full((3, 16, 15), -1))
+    if expected is None:
+        assert decoded is None
+    else:
+        assert decoded is not None and decoded.dtype == TRAFFIC_DTYPE
+        assert decoded.tolist() == expected.tolist()
+
+
+def ts_of_digits(d):
+    """The least and the greatest ts_us of d digits, capped at 2**63 - 1."""
+    return [10 ** (d - 1) if d > 1 else 0, min(10**d - 1, 2**63 - 1)]
+
+
+# (field, raw value, whether a row with it is canonical).
+EDGE_FIELDS = [
+    *(("ts_us", str(ts), True) for d in (1, 8, 9, 16, 17, 19) for ts in ts_of_digits(d)),
+    ("ts_us", str(2**63 - 1), True),
+    ("ts_us", str(2**63), False),
+    ("ts_us", "9" * 19, False),
+    ("ts_us", str(10**19), False),
+    ("ts_us", "9" * 20, False),
+    ("ts_us", "18446744073709551617", False),  # 2**64 + 1
+    ("ts_us", str(2**53 + 1), True),
+    ("ts_us", "0" + "1" * 18, False),
+    ("src_port", "100000", False),
+    ("dst_port", "123456789", False),
+    ("dst_port", "100000001", False),  # its last 8 digits are 1
+    ("dst_port", "000000001", False),
+    *(("src_ip", f"1.2.3.{octet}", ok) for octet, ok in (("255", True), ("256", False), ("00", False), ("0", True))),
+    *(("dst_ip", f"{octet}.2.3.4", ok) for octet, ok in (("255", True), ("256", False), ("00", False), ("0", True))),
+    ("dst_ip", "1.2.3.1000", False),
+    ("proto", "255", True),
+    ("proto", "256", False),
+    ("payload_len", "65507", True),
+    ("payload_len", "65508", False),
+]
+
+
+@pytest.mark.parametrize("name, raw, ok", EDGE_FIELDS)
+@pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, None])
+def test_field_edges_read_as_the_line_reference(tmp_path, monkeypatch, name, raw, ok, block_bytes):
+    # None keeps the default block size.
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + "\n".join([GOOD_ROW, with_field(name, raw), GOOD_ROW]) + "\n")
+    if block_bytes is not None:
+        monkeypatch.setattr(records_module, "_BLOCK_BYTES", block_bytes)
+    got = outcome(lambda q: read_csv(q).tolist(), p)
+    assert got == outcome(reference_read_csv, p)
+    if ok:
+        value = ip_from_str(raw) if name.endswith("_ip") else int(raw)
+        assert got[1][TRAFFIC_DTYPE.names.index(name)] == value
+    else:
+        assert got[:2] == ("error", 3)
+
+
+def test_readers_neither_render_nor_call_fromstring(tmp_path, monkeypatch):
+    edges, days = tmp_path / "edges.csv", tmp_path / "days.csv"
+    day_rows = [make_record(ts_us=(DAY0 + d) * US_PER_DAY + t) for d, times in THREE_DAYS for t in times]
+    write_csv(traffic_table(EDGE_ROWS), edges)
+    write_csv(traffic_table(day_rows), days)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the readers must decode the bytes directly")
+
+    monkeypatch.setattr(records_module, "_render", forbidden)
+    monkeypatch.setattr(np, "fromstring", forbidden)
+    assert read_csv(edges).tolist() == EDGE_ROWS
+    assert read_days_list(days) == split_by_day(traffic_table(day_rows))
 
 
 # ---------------------------------------------------------------- partitioning
