@@ -12,7 +12,6 @@ from .metrics import (  # noqa: F401
     METRIC_IDS,
     address_count,
     block_count,
-    compute_metric,
     size_entropy,
     src_spread,
 )
@@ -40,7 +39,6 @@ from .records import (  # noqa: F401
     LabeledDataset,
     PortDayPartition,
     partition_by_day_port,
-    partition_by_window,
     read_csv,
     read_days,
     traffic_table,

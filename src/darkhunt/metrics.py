@@ -31,7 +31,6 @@ __all__ = [
     "block_count",
     "src_spread",
     "size_entropy",
-    "compute_metric",
     "score_segments",
 ]
 
@@ -81,20 +80,20 @@ def score_segments(
     return {metric_id: out[metric_id] for metric_id in metric_ids}
 
 
-def compute_metric(metric_id: str, part: PortDayPartition) -> float:
-    """Evaluate one metric by id on one partition; ids are listed in METRIC_IDS."""
+def _score(metric_id: str, part: PortDayPartition) -> float:
+    """One metric of one partition: score_segments over a single segment."""
     [value] = score_segments(part.records, np.array([0, len(part.records)]), [metric_id])[metric_id]
     return float(value)
 
 
 def address_count(part: PortDayPartition) -> int:
     """Count of distinct source addresses."""
-    return int(compute_metric("address_count", part))
+    return int(_score("address_count", part))
 
 
 def block_count(part: PortDayPartition) -> int:
     """Count of distinct /24 CIDR blocks among source addresses."""
-    return int(compute_metric("block_count", part))
+    return int(_score("block_count", part))
 
 
 def src_spread(part: PortDayPartition) -> float:
@@ -102,7 +101,7 @@ def src_spread(part: PortDayPartition) -> float:
 
     Defined over addresses on both sides, not packet counts.
     """
-    return compute_metric("src_spread", part)
+    return _score("src_spread", part)
 
 
 def size_entropy(part: PortDayPartition) -> float:
@@ -116,4 +115,4 @@ def size_entropy(part: PortDayPartition) -> float:
     are summed over distinct sizes in ascending order, so the value is
     exactly independent of packet order.
     """
-    return compute_metric("size_entropy", part)
+    return _score("size_entropy", part)

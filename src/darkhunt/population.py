@@ -148,6 +148,7 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
 
 
 _GRID_POINTS = 512
+_KDE_BLOCK_VALUES = 1 << 20
 # Grid margin in bandwidths.  Six sigmas leave < 1e-8 of each kernel's
 # mass outside the grid, so the trapezoid integral stays within 1e-6 of 1.
 _GRID_MARGIN_BW = 6.0
@@ -188,8 +189,15 @@ def density_profile(
     lo = x.min() - _GRID_MARGIN_BW * bw
     hi = x.max() + _GRID_MARGIN_BW * bw
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    z = (grid[:, None] - x[None, :]) / bw
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (x.size * bw * math.sqrt(2 * math.pi))
+    # Blocks of grid rows, about 2^20 kernel values each, bound the memory.
+    # Each row's sum is the same contiguous sum as in the whole matrix, so
+    # the density is bit-identical.
+    rows = max(1, _KDE_BLOCK_VALUES // x.size)
+    sums = np.empty(_GRID_POINTS)
+    for i in range(0, _GRID_POINTS, rows):
+        z = (grid[i : i + rows, None] - x[None, :]) / bw
+        sums[i : i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density = sums / (x.size * bw * math.sqrt(2 * math.pi))
     idx = _local_maxima(density, _PEAK_FLOOR * float(density.max()))
     return DensityProfile(
         sample=tuple(float(v) for v in x),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .records import (
     day_of_ts,
     run_starts,
     segment_by_window,
-    window_start,
 )
 
 __all__ = [
@@ -61,8 +60,6 @@ class RankedPortList:
     positions 1..len(entries).
     """
 
-    day: date
-    metric_id: str
     entries: tuple[RankEntry, ...]
 
 
@@ -89,24 +86,21 @@ class ReportRow:
 def rank_ports(
     partitions: Mapping[int, PortDayPartition], metric_id: str
 ) -> RankedPortList:
-    """Rank every port with traffic in one period by a metric.
+    """Rank every port with traffic in one period by a metric: score_periods of their packets.
 
-    `partitions` maps dst_port -> partition for a single day or window.
+    `partitions` maps dst_port -> partition for one UTC day or a window in it.
     """
-    nonempty = {p: part for p, part in partitions.items() if len(part.records)}
-    if not nonempty:
+    tables = [part.records for part in partitions.values() if len(part.records)]
+    if not tables:
         raise ValueError("rank_ports needs at least one non-empty partition")
-    day = next(iter(nonempty.values())).day
-    ports = np.array(list(nonempty))
-    tables = [part.records for part in nonempty.values()]
-    bounds = np.cumsum([0] + [len(t) for t in tables])
-    values = score_segments(np.concatenate(tables), bounds, [metric_id])[metric_id]
-    order = np.lexsort((ports, -values))
-    entries = tuple(
-        RankEntry(rank=i + 1, port=port, value=value)
-        for i, (port, value) in enumerate(zip(ports[order].tolist(), values[order].tolist()))
-    )
-    return RankedPortList(day=day, metric_id=metric_id, entries=entries)
+    scores = score_periods(np.concatenate(tables), [metric_id])
+    if len(run_starts(scores.start_us)) != 1:
+        raise ValueError("rank_ports needs UDP packets of exactly one UTC day")
+    [values], [ranks] = scores.value.tolist(), scores.rank.tolist()
+    entries = [None] * len(ranks)
+    for port, value, rank in zip(scores.port.tolist(), values, ranks):
+        entries[rank - 1] = RankEntry(rank=rank, port=port, value=value)
+    return RankedPortList(tuple(entries))
 
 
 def rank_of_labeled_port(ranked: RankedPortList, labeled_port: int) -> Optional[int]:
@@ -198,7 +192,7 @@ def labeled_rows(
     hits = np.flatnonzero(scores.port == np.array([labels[d] for d in days], dtype=np.int64)[period])
     labeled[period[hits]] = hits
     found = (labeled >= 0).tolist()
-    periods = [window_start(s) for s in starts]
+    periods = [datetime.fromtimestamp(s / 1_000_000, tz=timezone.utc) for s in starts]
     if window == timedelta(days=1):
         periods = [p.date() for p in periods]
     return {

@@ -12,7 +12,7 @@ import functools
 import os
 import re
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, timedelta
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +39,6 @@ __all__ = [
     "Segments",
     "segment_by_window",
     "partition_by_day_port",
-    "partition_by_window",
 ]
 
 CSV_HEADER = "ts_us,src_ip,src_port,dst_ip,dst_port,proto,payload_len"
@@ -474,36 +473,12 @@ def segment_by_window(records: np.ndarray, window: timedelta) -> Segments:
     return Segments(table, np.append(los, len(order)), start[los], port[los])
 
 
-def window_start(start_us: int) -> datetime:
-    """The UTC datetime of a window start in microseconds."""
-    return datetime.fromtimestamp(start_us / 1_000_000, tz=timezone.utc)
-
-
-def partition_by_window(
-    records: np.ndarray, window: timedelta
-) -> dict[tuple[datetime, int], PortDayPartition]:
-    """segment_by_window's segments as (window start, port) partitions.
-
-    Each partition's `day` is the UTC day containing the window, so
-    daily-port labels still apply, and its records are a table slice.
-    """
-    seg = segment_by_window(records, window)
+def partition_by_day_port(records: np.ndarray) -> dict[tuple[date, int], PortDayPartition]:
+    """segment_by_window's one-day segments as partitions keyed by (UTC day, port)."""
+    seg = segment_by_window(records, timedelta(days=1))
     bounds = seg.bounds.tolist()
+    days = [day_of_ts(start_us) for start_us in seg.start_us.tolist()]
     return {
-        (window_start(start_us), p): PortDayPartition(
-            day=day_of_ts(start_us), dst_port=p, records=seg.records[lo:hi]
-        )
-        for lo, hi, start_us, p in zip(
-            bounds[:-1], bounds[1:], seg.start_us.tolist(), seg.port.tolist()
-        )
-    }
-
-
-def partition_by_day_port(
-    records: np.ndarray,
-) -> dict[tuple[date, int], PortDayPartition]:
-    """partition_by_window over one-day windows, keyed by (UTC day, port)."""
-    return {
-        (part.day, port): part
-        for (_, port), part in partition_by_window(records, timedelta(days=1)).items()
+        (day, port): PortDayPartition(day=day, dst_port=port, records=seg.records[lo:hi])
+        for lo, hi, day, port in zip(bounds[:-1], bounds[1:], days, seg.port.tolist())
     }

@@ -64,6 +64,15 @@ __all__ = [
 EPHEMERAL_LO = 49152
 EPHEMERAL_HI = 65535
 
+# Noise probes go to ports 1-49107, below the default daily-port range.
+_NOISE_PORTS = 49107
+
+# Address space outside ordinary public unicast; no scanner sends from it.
+_RESERVED = TelescopeSpec.from_cidrs([
+    "0.0.0.0/8", "10.0.0.0/8", "127.0.0.0/8", "169.254.0.0/16",
+    "172.16.0.0/12", "192.168.0.0/16", "224.0.0.0/3",
+])
+
 # RNG substream kinds (first element of the stream key after the seed).
 _K_PLACE = 0
 _K_HOST = 1
@@ -180,8 +189,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("direct", "naive"):
             raise ValueError(f"mode must be 'direct' or 'naive': {self.mode}")
-        if self.noise_ports_per_day < 0:
-            raise ValueError("noise_ports_per_day must be >= 0")
+        if not 0 <= self.noise_ports_per_day <= _NOISE_PORTS:
+            raise ValueError(f"noise_ports_per_day must be within 0-{_NOISE_PORTS}")
+        # Scanners are drawn from public space outside the telescope.
+        if TelescopeSpec.from_cidrs(self.telescope.cidrs + _RESERVED.cidrs).k == IPV4_SPACE:
+            raise ValueError("telescope leaves no public address for scanners to send from")
 
     @property
     def days(self) -> int:
@@ -270,16 +282,6 @@ def default_background() -> tuple[BackgroundScanner, ...]:
     )
 
 
-def _reserved_mask(ips: np.ndarray) -> np.ndarray:
-    """True for addresses outside ordinary public unicast space."""
-    o1 = ips >> 24
-    mask = (o1 == 0) | (o1 == 10) | (o1 == 127) | (o1 >= 224)
-    mask |= (ips >> 16) == ((169 << 8) | 254)  # 169.254/16
-    mask |= (ips >> 20) == ((172 << 4) | 1)  # 172.16/12
-    mask |= (ips >> 16) == ((192 << 8) | 168)  # 192.168/16
-    return mask
-
-
 def _draw_public_ips(
     rng: np.random.Generator, n: int, telescope: TelescopeSpec
 ) -> np.ndarray:
@@ -288,7 +290,7 @@ def _draw_public_ips(
     filled = 0
     while filled < n:
         batch = rng.integers(0, IPV4_SPACE, size=max(1024, 2 * (n - filled)), dtype=np.int64)
-        ok = ~_reserved_mask(batch)
+        ok = ~_RESERVED.contains_array(batch)
         ok &= ~telescope.contains_array(batch)
         good = batch[ok]
         take = min(n - filled, good.size)
@@ -410,7 +412,7 @@ def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     tel = config.telescope
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_NOISE, day_idx)
-    ports = rng.choice(49107, size=n_ports, replace=False) + 1
+    ports = rng.choice(_NOISE_PORTS, size=n_ports, replace=False) + 1
     srcs = _draw_public_ips(rng, n_ports, tel)
     sizes = rng.integers(40, 401, size=n_ports)
     probe = np.repeat(np.arange(n_ports), rng.integers(1, 4, size=n_ports))

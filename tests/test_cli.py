@@ -89,6 +89,15 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_more_noise_ports_than_exist(tmp_path, capsys):
+    # Noise probes take distinct ports from 1-49107.
+    cfg_path = write_config(tmp_path, noise_ports_per_day=49108)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "noise_ports_per_day must be within 0-49107" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--out", "somewhere"])  # missing --config

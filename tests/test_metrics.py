@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkhunt.metrics import (
-    METRIC_IDS,
     address_count,
     block_count,
-    compute_metric,
     size_entropy,
     src_spread,
 )
@@ -87,15 +85,6 @@ def test_entropy_128_distinct_sizes_is_seven_bits():
 def test_entropy_empty_partition_errors():
     with pytest.raises(ValueError):
         size_entropy(empty_part())
-
-
-def test_compute_metric_dispatch():
-    p = part_of([make_record()])
-    for mid in METRIC_IDS:
-        value = compute_metric(mid, p)
-        assert type(value) is float
-    with pytest.raises(ValueError):
-        compute_metric("bogus", p)
 
 
 # ---------------------------------------------------------------- invariants

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -240,6 +241,28 @@ def test_density_integrates_to_one():
         integral = float(np.trapezoid(profile.density, profile.grid))
         assert integral == pytest.approx(1.0, rel=1e-6)
     assert (profile.density >= 0).all()
+
+
+@pytest.mark.parametrize("n", [2, 2047, 2049, 5000])
+def test_density_is_bit_identical_to_the_whole_matrix_sum(n):
+    # Blocks of grid rows change how much of the kernel matrix is live, not its sums.
+    x = np.random.default_rng(n).gamma(2.0, 300.0, n)
+    profile = density_profile(x)
+    z = (profile.grid[:, None] - x[None, :]) / profile.bandwidth
+    whole = np.exp(-0.5 * z * z).sum(axis=1) / (n * profile.bandwidth * math.sqrt(2 * math.pi))
+    assert profile.density.tobytes() == whole.tobytes()
+
+
+def test_density_memory_is_bounded_at_100k_samples():
+    # Each whole 512 x n temporary would take 410 MB here.
+    x = np.random.default_rng(46).normal(3000, 400, 100_000)
+    tracemalloc.start()
+    try:
+        density_profile(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_density_bandwidth_override():

@@ -80,6 +80,13 @@ def test_rank_ports_rejects_empty():
         rank_ports(day_parts(burst(1, 1)), "bogus")
 
 
+def test_rank_ports_rejects_partitions_of_two_days():
+    # Ranks are places within one period; partitions of two days make two periods.
+    parts = partition_by_day_port(traffic_table(burst(1, 2) + burst(2, 2, ts0=US_PER_DAY)))
+    with pytest.raises(ValueError, match="one UTC day"):
+        rank_ports({port: p for (_, port), p in parts.items()}, "address_count")
+
+
 # ------------------------------------------------------- rank_of_labeled_port
 
 def test_rank_of_labeled_port():

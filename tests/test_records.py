@@ -19,9 +19,9 @@ from darkhunt.records import (
     ip_from_str,
     ip_to_str,
     partition_by_day_port,
-    partition_by_window,
     read_csv,
     read_days,
+    segment_by_window,
     traffic_table,
     write_csv,
 )
@@ -765,19 +765,20 @@ def test_partition_complete_and_pure(items):
         assert part.records.tolist() == sorted(mine, key=lambda r: r[0])
 
 
-def test_partition_by_window_quarter_hour():
+def test_segment_by_window_quarter_hour():
     recs = [
         make_record(ts_us=0, dst_port=50000),
         make_record(ts_us=15 * 60 * 1_000_000, dst_port=50000),
         make_record(ts_us=16 * 60 * 1_000_000, dst_port=50000),
     ]
-    parts = partition_by_window(traffic_table(recs), timedelta(minutes=15))
-    assert sorted(len(p.records) for p in parts.values()) == [1, 2]
+    seg = segment_by_window(traffic_table(recs), timedelta(minutes=15))
+    assert np.diff(seg.bounds).tolist() == [1, 2]
+    assert seg.start_us.tolist() == [0, 15 * 60 * 1_000_000]
 
 
-def test_partition_by_window_rejects_uneven():
+def test_segment_by_window_rejects_uneven():
     with pytest.raises(ValueError):
-        partition_by_window(traffic_table([]), timedelta(minutes=7))
+        segment_by_window(traffic_table([]), timedelta(minutes=7))
 
 
 # ---------------------------------------------------------- day reader

@@ -1,4 +1,5 @@
 import hashlib
+import ipaddress
 import json
 from datetime import date
 
@@ -529,3 +530,34 @@ def test_config_from_dict_missing_keys():
     del d["crackonosh"]
     with pytest.raises(ValueError):
         config_from_dict(d)
+
+
+RESERVED_CIDRS = ("0.0.0.0/8", "10.0.0.0/8", "127.0.0.0/8", "169.254.0.0/16",
+                  "172.16.0.0/12", "192.168.0.0/16", "224.0.0.0/3")
+
+
+def complement(cidrs):
+    """CIDR strings of the IPv4 space outside the given networks."""
+    left = [ipaddress.IPv4Network("0.0.0.0/0")]
+    for cut in map(ipaddress.IPv4Network, cidrs):
+        # Two CIDR blocks are nested or disjoint.
+        kept = []
+        for net in left:
+            if cut.subnet_of(net):
+                kept.extend(net.address_exclude(cut))
+            elif not net.subnet_of(cut):
+                kept.append(net)
+        left = kept
+    return [str(net) for net in left]
+
+
+def test_config_rejects_a_telescope_leaving_no_public_source():
+    # Scanners send from public space outside the telescope; with none left,
+    # drawing a source address could never succeed.
+    d = base_dict()
+    for telescope in (["0.0.0.0/0"], ["0.0.0.0/1", "128.0.0.0/1"], complement(RESERVED_CIDRS)):
+        d["telescope"] = telescope
+        with pytest.raises(ValueError, match="no public address"):
+            config_from_dict(d)
+    d["telescope"] = complement(RESERVED_CIDRS + ("1.2.3.4/32",))
+    assert config_from_dict(d).telescope.k == 2**32 - TelescopeSpec.from_cidrs(RESERVED_CIDRS).k - 1
