@@ -129,7 +129,7 @@ def _cmd_simulate(args) -> int:
             seed_override=args.seed,
             scale_override=args.scale,
         )
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"bad config {args.config}: {exc}") from None
     manifest = write_dataset(config, args.out, inputs={"config": os.path.abspath(args.config)})
     print(

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -88,10 +88,6 @@ def _stream(seed: int, kind: int, a: int = 0, b: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, kind, a, b))))
 
 
-def _modal_entropy(probs: Sequence[float]) -> float:
-    return -sum(p * math.log2(p) for p in probs if p > 0)
-
-
 @dataclass(frozen=True)
 class BackgroundScanner:
     """One ordinary scanning campaign observed by the telescope.
@@ -126,8 +122,6 @@ class BackgroundScanner:
             raise ValueError("size_probs must match sizes")
         if abs(sum(self.size_probs) - 1.0) > 1e-9 or any(p <= 0 for p in self.size_probs):
             raise ValueError("size_probs must be positive and sum to 1")
-        if _modal_entropy(self.size_probs) > 2.0:
-            raise ValueError("modal size distribution exceeds 2 bits of entropy")
         if self.source_mode == "single":
             if self.n_sources != 1:
                 raise ValueError("single source mode means exactly 1 source")
@@ -191,13 +185,26 @@ class SimConfig:
             raise ValueError(f"mode must be 'direct' or 'naive': {self.mode}")
         if not 0 <= self.noise_ports_per_day <= _NOISE_PORTS:
             raise ValueError(f"noise_ports_per_day must be within 0-{_NOISE_PORTS}")
-        # Scanners are drawn from public space outside the telescope.
-        if TelescopeSpec.from_cidrs(self.telescope.cidrs + _RESERVED.cidrs).k == IPV4_SPACE:
+        # Hosts are drawn with replacement, so each /24 with any public
+        # address left has room for per24_cap of them.
+        cap, most = self.crackonosh.per24_cap, max(self.crackonosh.population)
+        room = cap * (2**24 - sum(net.num_addresses >> 8 for net in self.blocked.cidrs))
+        if room == 0:
             raise ValueError("telescope leaves no public address for scanners to send from")
+        if most > room:
+            raise ValueError(
+                f"{most} hosts do not fit in the public space outside the telescope: "
+                f"at most {room} at per24_cap {cap}"
+            )
 
     @property
     def days(self) -> int:
         return len(self.crackonosh.population)
+
+    @cached_property
+    def blocked(self) -> TelescopeSpec:
+        """The space no scanner sends from: the telescope and _RESERVED."""
+        return TelescopeSpec.from_cidrs(self.telescope.cidrs + _RESERVED.cidrs)
 
 
 def three_epoch_schedule(days_per_epoch: int, scale: float = 1.0) -> tuple[int, ...]:
@@ -282,41 +289,33 @@ def default_background() -> tuple[BackgroundScanner, ...]:
     )
 
 
-def _draw_public_ips(
-    rng: np.random.Generator, n: int, telescope: TelescopeSpec
-) -> np.ndarray:
-    """n uniform public-unicast addresses outside the telescope (no cap)."""
+def _draw_public_ips(rng: np.random.Generator, n: int, blocked: TelescopeSpec) -> np.ndarray:
+    """n uniform addresses outside blocked, with replacement (no cap)."""
     out = np.empty(n, dtype=np.int64)
     filled = 0
     while filled < n:
         batch = rng.integers(0, IPV4_SPACE, size=max(1024, 2 * (n - filled)), dtype=np.int64)
-        ok = ~_RESERVED.contains_array(batch)
-        ok &= ~telescope.contains_array(batch)
-        good = batch[ok]
+        good = batch[~blocked.contains_array(batch)]
         take = min(n - filled, good.size)
         out[filled : filled + take] = good[:take]
         filled += take
     return out
 
 
-def _place_hosts(
-    rng: np.random.Generator, n: int, telescope: TelescopeSpec, cap: int
-) -> np.ndarray:
-    """Place n scanner hosts uniformly over public space, <= cap per /24."""
-    out = np.empty(n, dtype=np.int64)
-    block_counts: dict[int, int] = {}
-    filled = 0
-    while filled < n:
-        for ip in _draw_public_ips(rng, max(256, n - filled), telescope):
-            blk = int(ip) >> 8
-            if block_counts.get(blk, 0) >= cap:
-                continue
-            block_counts[blk] = block_counts.get(blk, 0) + 1
-            out[filled] = ip
-            filled += 1
-            if filled == n:
-                break
-    return out
+def _place_hosts(rng: np.random.Generator, n: int, blocked: TelescopeSpec, cap: int) -> np.ndarray:
+    """n hosts drawn outside blocked, keeping in draw order each host that
+    finds fewer than cap hosts before it in its /24."""
+    placed = np.empty(0, dtype=np.int64)
+    while placed.size < n:
+        ips = np.concatenate([placed, _draw_public_ips(rng, max(256, n - placed.size), blocked)])
+        order = np.argsort(ips >> 8, kind="stable")
+        block = ips[order] >> 8
+        rank = np.arange(ips.size) - np.searchsorted(block, block)  # hosts before it in its /24
+        kept = np.empty(ips.size, dtype=bool)
+        kept[order] = rank < cap
+        drawn = ips[placed.size :][kept[placed.size :]]
+        placed = np.concatenate([placed, drawn[: n - placed.size]])
+    return placed
 
 
 # Generated packets as TRAFFIC_DTYPE rows (the protocol is always UDP).
@@ -413,7 +412,7 @@ def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_NOISE, day_idx)
     ports = rng.choice(_NOISE_PORTS, size=n_ports, replace=False) + 1
-    srcs = _draw_public_ips(rng, n_ports, tel)
+    srcs = _draw_public_ips(rng, n_ports, config.blocked)
     sizes = rng.integers(40, 401, size=n_ports)
     probe = np.repeat(np.arange(n_ports), rng.integers(1, 4, size=n_ports))
     m = probe.size
@@ -447,7 +446,7 @@ def simulate_days(config: SimConfig):
     ck = config.crackonosh
     max_pop = max(ck.population)
     place_rng = _stream(config.seed, _K_PLACE)
-    host_ips = _place_hosts(place_rng, max_pop, config.telescope, ck.per24_cap)
+    host_ips = _place_hosts(place_rng, max_pop, config.blocked, ck.per24_cap)
     host_always_on = place_rng.random(max_pop) < ck.always_on_fraction
 
     # Background infrastructure is fixed for the whole run: each campaign
@@ -456,9 +455,9 @@ def simulate_days(config: SimConfig):
     for scanner_idx, scanner in enumerate(config.background):
         setup = _stream(config.seed, _K_BG_SETUP, scanner_idx)
         if scanner.source_mode == "single":
-            sources = _draw_public_ips(setup, 1, config.telescope)
+            sources = _draw_public_ips(setup, 1, config.blocked)
         else:
-            base = (int(_draw_public_ips(setup, 1, config.telescope)[0]) >> 8) << 8
+            base = (int(_draw_public_ips(setup, 1, config.blocked)[0]) >> 8) << 8
             sources = base + setup.choice(256, size=scanner.n_sources, replace=False)
         bg_sources.append(sources)
 
@@ -507,9 +506,14 @@ def read_labels_csv(path) -> dict[date, int]:
                 continue
             try:
                 day_s, port_s = line.split(",")
-                labels[date.fromisoformat(day_s)] = int(port_s)
+                day, port = date.fromisoformat(day_s), int(port_s)
+                if not 0 <= port <= 65535:
+                    raise ValueError(f"port out of range 0-65535: {port}")
+                if day in labels:
+                    raise ValueError(f"day {day} listed twice")
             except ValueError as exc:
                 raise ValueError(f"labels line {line_no}: {exc}") from None
+            labels[day] = port
     return labels
 
 

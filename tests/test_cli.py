@@ -1,3 +1,4 @@
+import ipaddress
 import json
 import subprocess
 import sys
@@ -86,6 +87,39 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "modal sizes must be within 0-65507" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "crackonosh",
+    [
+        {"population": [8], "always_on_fracton": 0.5},  # misspelled key
+        {"population": [8], "rate_pps": "fast"},  # wrong-typed value
+    ],
+)
+def test_simulate_config_type_error_exits_2(tmp_path, capsys, crackonosh):
+    cfg_path = write_config(tmp_path, crackonosh=crackonosh)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"darkhunt: error: bad config {cfg_path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_day_public_space_cannot_hold(tmp_path):
+    # All of IPv4 is telescope or reserved but 1.2.3.0/24, which holds at
+    # most per24_cap = 2 hosts; placing 300 once looped forever.
+    public = ipaddress.IPv4Network("1.2.3.0/24")
+    telescope = [str(net) for net in ipaddress.IPv4Network("0.0.0.0/0").address_exclude(public)]
+    cfg_path = write_config(tmp_path, telescope=telescope, crackonosh={"population": [300]})
+    out = tmp_path / "o"
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-m", "darkhunt.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert run.returncode == 2
+    assert "300 hosts do not fit" in run.stderr
     assert not out.exists()
 
 
@@ -305,6 +339,21 @@ def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "unlabeled days" in err and "2024-01-02" in err
+
+
+@pytest.mark.parametrize(
+    "extra,message", [("2024-01-01,70000", "port out of range"), ("2024-01-01,5", "listed twice")]
+)
+def test_analyze_rejects_a_bad_labels_line(sim_dir, tmp_path, capsys, extra, message):
+    labels = tmp_path / "bad_labels.csv"
+    labels.write_text((sim_dir / "labels.csv").read_text() + extra + "\n")
+    out = tmp_path / "rep"
+    argv = ["analyze", "--csv", str(sim_dir / "traffic.csv"), "--labels", str(labels), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"darkhunt: error: cannot read labels {labels}: labels line 4: ")
+    assert message in err
+    assert not out.exists()
 
 
 def test_analyze_15m_denominator_counts_only_windows_with_traffic(tmp_path, capsys):

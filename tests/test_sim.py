@@ -24,6 +24,7 @@ from darkhunt.sim import (
     simulate_days,
     three_epoch_schedule,
     write_dataset,
+    write_labels_csv,
 )
 from darkhunt.telescope import TelescopeSpec, p_collision
 
@@ -223,6 +224,77 @@ def test_sources_avoid_reserved_and_telescope_space():
         assert src not in cfg.telescope
 
 
+# ------------------------------------------------------------- placement
+
+def draw_public_ips_reference(rng, n, telescope):
+    """The draw sim._draw_public_ips replaced: two membership tests per batch."""
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        batch = rng.integers(0, 2**32, size=max(1024, 2 * (n - filled)), dtype=np.int64)
+        ok = ~sim_module._RESERVED.contains_array(batch)
+        ok &= ~telescope.contains_array(batch)
+        good = batch[ok]
+        take = min(n - filled, good.size)
+        out[filled : filled + take] = good[:take]
+        filled += take
+    return out
+
+
+def place_hosts_reference(rng, n, telescope, cap):
+    """The per-address loop sim._place_hosts replaced: a dict of /24 counts."""
+    out = np.empty(n, dtype=np.int64)
+    block_counts = {}
+    filled = 0
+    while filled < n:
+        for ip in draw_public_ips_reference(rng, max(256, n - filled), telescope):
+            blk = int(ip) >> 8
+            if block_counts.get(blk, 0) >= cap:
+                continue
+            block_counts[blk] = block_counts.get(blk, 0) + 1
+            out[filled] = ip
+            filled += 1
+            if filled == n:
+                break
+    return out
+
+
+PLACEMENT_TELESCOPES = [[f"64.0.0.0/{prefix}"] for prefix in range(9, 23)] + [
+    ["10.0.0.0/9", "23.0.0.0/11", "64.0.0.0/10", "100.100.100.0/22"]
+]
+
+
+@pytest.mark.parametrize("cidrs", PLACEMENT_TELESCOPES, ids=",".join)
+def test_placement_matches_the_reference_loop(cidrs):
+    # The same addresses in the same order, and the generator left in the
+    # same state, over sizes that take one batch and sizes that take many.
+    telescope = TelescopeSpec.from_cidrs(cidrs)
+    blocked = small_config(telescope=telescope).blocked
+    prefix = telescope.cidrs[0].prefixlen
+    for n, cap, seed in [(1, 1, prefix), (255, 2, prefix + 1), (4000, 3, prefix + 2),
+                         (20000, 1, prefix + 3)]:
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        placed = sim_module._place_hosts(rng_a, n, blocked, cap)
+        assert placed.tolist() == place_hosts_reference(rng_b, n, telescope, cap).tolist()
+        assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize(
+    "cidrs,cap", [(["64.0.0.0/22"], 1), (["64.0.0.0/9"], 2), (PLACEMENT_TELESCOPES[-1], 3)]
+)
+def test_placement_matches_the_reference_loop_at_200k_hosts(cidrs, cap):
+    # At 200k hosts and cap 1, about 1.3k draws share a /24 with an
+    # earlier host and are refused, so more batches follow the first.
+    telescope = TelescopeSpec.from_cidrs(cidrs)
+    blocked = small_config(telescope=telescope).blocked
+    for seed in (3, 4):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        placed = sim_module._place_hosts(rng_a, 200_000, blocked, cap)
+        assert placed.tolist() == place_hosts_reference(rng_b, 200_000, telescope, cap).tolist()
+        assert rng_a.random() == rng_b.random()
+        assert np.unique(placed >> 8, return_counts=True)[1].max() <= cap
+
+
 # ----------------------------------------------------- cross-module examples
 
 def test_relabeling_with_same_oracle_matches_ground_truth():
@@ -409,8 +481,10 @@ def test_background_scanner_validation():
         BackgroundScanner(**ok, sizes=(1, 1), size_probs=(0.5, 0.5))
     with pytest.raises(ValueError, match="modal sizes must be within 0-65507"):
         BackgroundScanner(**ok, sizes=(100, 65508), size_probs=(0.5, 0.5))
-    # Uniform over 4 sizes sits exactly at the 2-bit construction bound.
+    # Uniform over 4 sizes sits exactly at the 2-bit construction bound;
+    # float slack within the sum tolerance does not push it over.
     BackgroundScanner(**ok, sizes=(1, 2, 3, 4), size_probs=(0.25,) * 4)
+    BackgroundScanner(**ok, sizes=(1, 2, 3, 4), size_probs=(0.2500000002,) * 4)
 
 
 def test_default_background_is_modal_and_low_port():
@@ -559,5 +633,54 @@ def test_config_rejects_a_telescope_leaving_no_public_source():
         d["telescope"] = telescope
         with pytest.raises(ValueError, match="no public address"):
             config_from_dict(d)
+    # One public address is enough for a day of per24_cap hosts.
     d["telescope"] = complement(RESERVED_CIDRS + ("1.2.3.4/32",))
+    d["crackonosh"] = {"population": [2, 1]}
     assert config_from_dict(d).telescope.k == 2**32 - TelescopeSpec.from_cidrs(RESERVED_CIDRS).k - 1
+
+
+def test_config_rejects_a_day_that_public_space_cannot_hold():
+    # One public /24 holds per24_cap hosts: drawn with replacement, at
+    # most 2 of them by default, so a 300-host day could never be placed.
+    d = base_dict()
+    d["telescope"] = complement(RESERVED_CIDRS + ("1.2.3.0/24",))
+    d["crackonosh"] = {"population": [300]}
+    with pytest.raises(ValueError, match="300 hosts do not fit .* at most 2 at per24_cap 2"):
+        config_from_dict(d)
+    d["crackonosh"] = {"population": [3, 4], "per24_cap": 4}
+    assert config_from_dict(d).crackonosh.per24_cap == 4
+    d["crackonosh"] = {"population": [3, 5], "per24_cap": 4}
+    with pytest.raises(ValueError, match="5 hosts do not fit"):
+        config_from_dict(d)
+    # The room counts only /24s wholly blocked: two public halves of two
+    # /24s are two /24s of room.
+    d["telescope"] = complement(RESERVED_CIDRS + ("1.2.3.0/25", "1.2.4.128/25"))
+    d["crackonosh"] = {"population": [4], "per24_cap": 2}
+    assert config_from_dict(d).days == 1
+    d["crackonosh"] = {"population": [5], "per24_cap": 2}
+    with pytest.raises(ValueError, match="at most 4"):
+        config_from_dict(d)
+
+
+# ------------------------------------------------------------------ labels
+
+def test_labels_accept_ports_0_and_65535(tmp_path):
+    labels = {date(2024, 1, 2): 0, date(2024, 1, 1): 65535}
+    path = tmp_path / "labels.csv"
+    write_labels_csv(labels, path)
+    assert read_labels_csv(path) == labels
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("2024-01-01,70000\n", "labels line 2: port out of range 0-65535: 70000"),
+        ("2024-01-01,-1\n", "labels line 2: port out of range 0-65535: -1"),
+        ("2024-01-01,50000\n2024-01-02,50001\n2024-01-01,5\n", "labels line 4: day 2024-01-01 listed twice"),
+    ],
+)
+def test_labels_reject_a_bad_port_and_a_repeated_day(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text("day,port\n" + body)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_labels_csv(path)
