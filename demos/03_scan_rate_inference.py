@@ -50,8 +50,8 @@ for peak, rate in zip(profile.peaks, rates):
     print(f"  {peak:7.1f} packets/day  ->  {rate:.2f} pps per host")
 
 # The same arithmetic, by hand, for one host:
-est = estimate_rate(r=np.mean(counts), t=86400, k_telescope=telescope.k)
-print(f"\nmean-count estimate: {est.s:.2f} pps (true rate 10.0)")
+mean_rate = estimate_rate(r=np.mean(counts), t=86400, k_telescope=telescope.k)
+print(f"\nmean-count estimate: {mean_rate:.2f} pps (true rate 10.0)")
 
 # Two hosts NATed behind one address double the apparent count; a second
 # KDE mode near 2x the primary peak is the tell.

@@ -15,8 +15,8 @@ from darkhunt import (
     TelescopeSpec,
     default_background,
     simulate,
-    time_series_report,
 )
+from darkhunt.ranking import labeled_rows, score_periods
 
 for prefix, label in ((16, "large"), (20, "small")):
     config = SimConfig(
@@ -37,7 +37,8 @@ for prefix, label in ((16, "large"), (20, "small")):
         (timedelta(minutes=15), "15m", 4),
         (timedelta(hours=3), "3h", 4),
     ):
-        rows = time_series_report(dataset, ["size_entropy"], window=window)["size_entropy"]
+        scores = score_periods(dataset.records, ["size_entropy"], window)
+        rows = labeled_rows([scores], ["size_entropy"], dataset.labels, window)["size_entropy"]
         print(f"  first {show} {name} windows (entropy score / rank):")
         for row in rows[:show]:
             score = "-" if row.score is None else f"{row.score:.2f}"

@@ -8,17 +8,10 @@ deterministic ground-truth traffic simulator to validate all of it.
 
 __version__ = "0.1.0"
 
-from .metrics import (  # noqa: F401
-    METRIC_IDS,
-    address_count,
-    block_count,
-    size_entropy,
-    src_spread,
-)
+from .metrics import METRIC_IDS, size_entropy  # noqa: F401
 from .population import (  # noqa: F401
     AlwaysOnReport,
     DensityProfile,
-    RateEstimate,
     always_on,
     density_profile,
     estimate_rate,
@@ -31,7 +24,6 @@ from .ranking import (  # noqa: F401
     discoverability,
     rank_of_labeled_port,
     rank_ports,
-    time_series_report,
 )
 from .records import (  # noqa: F401
     TRAFFIC_DTYPE,
@@ -42,7 +34,6 @@ from .records import (  # noqa: F401
     read_csv,
     read_days,
     traffic_table,
-    write_csv,
 )
 from .sim import (  # noqa: F401
     BackgroundScanner,

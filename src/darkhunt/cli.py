@@ -143,9 +143,11 @@ def _cmd_analyze(args) -> int:
     if args.top_n < 1:
         raise DataError(f"--top-n must be >= 1, got {args.top_n}")
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_IDS)
-    for m in metrics:
+    for i, m in enumerate(metrics):
         if m not in METRIC_IDS:
             raise DataError(f"unknown metric {m!r}; choose from {','.join(METRIC_IDS)}")
+        if m in metrics[:i]:
+            raise DataError(f"metric {m!r} given twice in --metrics")
     window = WINDOWS[args.window]
     parts = {day: score_periods(records, metrics, window) for day, records in _read_days(args.csv)}
     # Only UDP packets are ranked; without any there is no period to score.
@@ -259,11 +261,7 @@ def _cmd_population(args) -> int:
     for report in reports:
         day_reports[report.day.isoformat()] = {
             "always_on_count": len(report.always_on_ips),
-            "daily_packets": dict(
-                sorted(
-                    (str(ip), n) for ip, n in report.per_ip_daily_packets.items()
-                )
-            ),
+            "daily_packets": {str(ip): n for ip, n in report.per_ip_daily_packets.items()},
         }
         samples.extend(report.per_ip_daily_packets.values())
     with open(os.path.join(args.out, "always_on.json"), "w") as fh:
@@ -358,7 +356,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError) as exc:
+    # An output that cannot be written is, like bad data, not a usage error.
+    except (DataError, ValueError, OSError) as exc:
         print(f"darkhunt: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -25,14 +25,7 @@ import numpy as np
 
 from .records import PortDayPartition, run_starts
 
-__all__ = [
-    "METRIC_IDS",
-    "address_count",
-    "block_count",
-    "src_spread",
-    "size_entropy",
-    "score_segments",
-]
+__all__ = ["METRIC_IDS", "size_entropy", "score_segments"]
 
 METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
 
@@ -80,30 +73,6 @@ def score_segments(
     return {metric_id: out[metric_id] for metric_id in metric_ids}
 
 
-def _score(metric_id: str, part: PortDayPartition) -> float:
-    """One metric of one partition: score_segments over a single segment."""
-    [value] = score_segments(part.records, np.array([0, len(part.records)]), [metric_id])[metric_id]
-    return float(value)
-
-
-def address_count(part: PortDayPartition) -> int:
-    """Count of distinct source addresses."""
-    return int(_score("address_count", part))
-
-
-def block_count(part: PortDayPartition) -> int:
-    """Count of distinct /24 CIDR blocks among source addresses."""
-    return int(_score("block_count", part))
-
-
-def src_spread(part: PortDayPartition) -> float:
-    """Distinct source addresses per distinct destination address.
-
-    Defined over addresses on both sides, not packet counts.
-    """
-    return _score("src_spread", part)
-
-
 def size_entropy(part: PortDayPartition) -> float:
     """Shannon entropy (base 2) of the empirical payload-length distribution.
 
@@ -115,4 +84,5 @@ def size_entropy(part: PortDayPartition) -> float:
     are summed over distinct sizes in ascending order, so the value is
     exactly independent of packet order.
     """
-    return _score("size_entropy", part)
+    [value] = score_segments(part.records, np.array([0, len(part.records)]), ["size_entropy"])["size_entropy"]
+    return float(value)

@@ -31,7 +31,6 @@ from .telescope import IPV4_SPACE, TelescopeSpec
 __all__ = [
     "BINS_PER_DAY",
     "AlwaysOnReport",
-    "RateEstimate",
     "DensityProfile",
     "always_on",
     "estimate_rate",
@@ -54,20 +53,6 @@ class AlwaysOnReport:
     day: date
     always_on_ips: frozenset[int]
     per_ip_daily_packets: Mapping[int, int]
-
-
-@dataclass(frozen=True)
-class RateEstimate:
-    """Scan-rate estimate from telescope counts.
-
-    r packets over t seconds on a k-address telescope scale up to the full
-    address space as s = (r/t) * 2^32 / k packets/second.
-    """
-
-    r: float
-    t: float
-    k_telescope: int
-    s: float
 
 
 @dataclass(frozen=True)
@@ -121,17 +106,16 @@ def always_on(
     )
 
 
-def estimate_rate(r: float, t: float, k_telescope: int) -> RateEstimate:
-    """Scale observed packet counts up to a full-address-space send rate."""
+def estimate_rate(r: float, t: float, k_telescope: int) -> float:
+    """Per-host send rate in pps: r packets over t seconds on a k-address
+    telescope scaled up to the whole address space, s = (r/t) * 2^32 / k."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
     if k_telescope < 1:
         raise ValueError(f"k_telescope must be >= 1, got {k_telescope}")
-    return RateEstimate(
-        r=r, t=t, k_telescope=k_telescope, s=(r / t) * IPV4_SPACE / k_telescope
-    )
+    return (r / t) * IPV4_SPACE / k_telescope
 
 
 def _silverman_bandwidth(x: np.ndarray) -> float:
@@ -212,9 +196,7 @@ def peaks_to_rates(profile: DensityProfile, k_telescope: int) -> list[float]:
     """Map density peaks (packets/day) to per-host send rates (pps)."""
     if not profile.peaks:
         raise ValueError("density profile has no peaks")
-    return [
-        estimate_rate(p, SECONDS_PER_DAY, k_telescope).s for p in profile.peaks
-    ]
+    return [estimate_rate(p, SECONDS_PER_DAY, k_telescope) for p in profile.peaks]
 
 
 def write_density_csv(profile: DensityProfile, path) -> None:

@@ -17,13 +17,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .metrics import score_segments
-from .records import (
-    LabeledDataset,
-    PortDayPartition,
-    day_of_ts,
-    run_starts,
-    segment_by_window,
-)
+from .records import PortDayPartition, day_of_ts, run_starts, segment_by_window
 
 __all__ = [
     "DEFAULT_TOP_N",
@@ -37,7 +31,6 @@ __all__ = [
     "discoverability",
     "score_periods",
     "labeled_rows",
-    "time_series_report",
     "write_report_csv",
     "write_report_json",
 ]
@@ -202,14 +195,6 @@ def labeled_rows(
         ]
         for metric_id, value, rank in zip(metric_ids, scores.value, scores.rank)
     }
-
-
-def time_series_report(
-    dataset: LabeledDataset, metric_ids: Sequence[str], window: timedelta = timedelta(days=1)
-) -> dict[str, list[ReportRow]]:
-    """Score and rank of the labeled port per period, for each metric: labeled_rows of one table."""
-    parts = [score_periods(dataset.records, metric_ids, window)]
-    return labeled_rows(parts, metric_ids, dataset.labels, window)
 
 
 def write_report_csv(rows: Sequence[ReportRow], path) -> None:

@@ -33,7 +33,6 @@ __all__ = [
     "traffic_table",
     "read_csv",
     "read_days",
-    "write_csv",
     "write_csv_tables",
     "run_starts",
     "Segments",
@@ -61,6 +60,7 @@ _MAXIMA = dict(zip(_FIELDS, (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255,
 US_PER_DAY = 86_400_000_000
 SECONDS_PER_DAY = 86400.0
 _EPOCH = date(1970, 1, 1)
+_LAST_DAY = (date.max - _EPOCH).days  # 9999-12-31, the last day a date holds
 
 # The CSV field patterns, used to name the field of a bad row: unsigned
 # decimal integers in ASCII digits with no sign, separator or leading
@@ -177,7 +177,7 @@ _LEAST = np.array([2**64 - 1, 0, *(10 ** (d - 1) for d in range(2, 20)), 2**64 -
 # digits into pairs, pairs into quads and quads into eights: SIMD within
 # a register (Langdale & Lemire, VLDB J. 2019).
 _SWAR_STEPS = ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10**4 << 32 | 1, 32, 0xFFFFFFFF))
-_CHUNK_ROWS = 1 << 16  # rows per write_csv chunk
+_CHUNK_ROWS = 1 << 16  # rows per write_csv_tables chunk
 _BLOCK_BYTES = 1 << 17  # bytes read per read_csv block, rounded up to a whole line
 _MIN_ROW_BYTES = len("0,0.0.0.0,0,0.0.0.0,0,0,0\n")
 
@@ -317,18 +317,21 @@ def read_days(path):
     """Yield (UTC day, traffic table) per day of a traffic CSV, holding one day's blocks.
 
     Reads like read_csv.  Rows may come in any order within a day; a row
-    whose day is earlier than an earlier row's raises CsvFormatError.
+    whose day is earlier than an earlier row's, or after 9999-12-31,
+    raises CsvFormatError.
     """
     with open(path, "rb") as fh:
         day, pending = -1, []
         for block, rows, line_no in _row_blocks(fh):
             days = rows["ts_us"] // US_PER_DAY
-            back = np.flatnonzero(np.diff(days, prepend=day) < 0)
-            if len(back):
-                i = back[0]
-                this, prev = (day_of_ts(d * US_PER_DAY) for d in (days[i], days[i - 1] if i else day))
+            bad = np.flatnonzero((np.diff(days, prepend=day) < 0) | (days > _LAST_DAY))
+            if len(bad):
+                i = bad[0]
                 # Blank lines hold no row, so count the block's other lines.
                 line = line_no + [k for k, raw in enumerate(block.split(b"\n")) if raw][i]
+                if days[i] > _LAST_DAY:
+                    raise CsvFormatError(f"{rows['ts_us'][i]} is after {date.max}, the last day", line, "ts_us")
+                this, prev = (day_of_ts(d * US_PER_DAY) for d in (days[i], days[i - 1] if i else day))
                 raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line, "ts_us")
             starts = run_starts(days).tolist()
             for lo, hi in zip(starts, starts[1:] + [len(rows)]):
@@ -343,7 +346,7 @@ def read_days(path):
 
 @functools.cache
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """write_csv's lookup tables, built on first use rather than at import.
+    """write_csv_tables' lookup tables, built on first use rather than at import.
 
     Every entry is a fixed-width ASCII field padded with NUL bytes, which
     no CSV row contains, so one bytes.translate drops all the padding:
@@ -404,11 +407,6 @@ def _render(t: np.ndarray) -> bytes:
     out[:, 20:24] = np.frombuffer(b",\0\0\0", dtype=np.uint8)
     out[:, [39, 63, 87]] = np.frombuffer(b",,\n", dtype=np.uint8)
     return out.tobytes().translate(None, b"\0")
-
-
-def write_csv(records: np.ndarray, path) -> None:
-    """Write a traffic table in the canonical CSV format (LF newlines, no quoting)."""
-    write_csv_tables([records], path)
 
 
 def write_csv_tables(tables, path) -> int:

@@ -38,6 +38,7 @@ from .records import (
     PROTO_UDP,
     SECONDS_PER_DAY,
     TRAFFIC_DTYPE,
+    US_PER_DAY,
     LabeledDataset,
     day_start_us,
     traffic_table,
@@ -185,6 +186,8 @@ class SimConfig:
             raise ValueError(f"mode must be 'direct' or 'naive': {self.mode}")
         if not 0 <= self.noise_ports_per_day <= _NOISE_PORTS:
             raise ValueError(f"noise_ports_per_day must be within 0-{_NOISE_PORTS}")
+        if day_start_us(self.start_day) < 0 or (date.max - self.start_day).days < self.days - 1:
+            raise ValueError(f"days must fall in 1970-01-01 to {date.max}, got {self.days} from {self.start_day}")
         # Hosts are drawn with replacement, so each /24 with any public
         # address left has room for per24_cap of them.
         cap, most = self.crackonosh.per24_cap, max(self.crackonosh.population)
@@ -471,7 +474,7 @@ def simulate_days(config: SimConfig):
         rows.append(_noise_day(config, day_idx))
         rows = np.concatenate(rows)
         order = _time_order([rows[name] for name in _SORT_KEYS])
-        end_us = day_start_us(day + timedelta(days=1))
+        end_us = day_start_us(day) + US_PER_DAY
         keep = len(rows) if day_idx + 1 == config.days else np.count_nonzero(rows["ts_us"] < end_us)
         table, carry = traffic_table(np.take(rows, order[:keep])), np.take(rows, order[keep:])
         del rows, order  # hold only the table while the caller consumes it
@@ -601,6 +604,10 @@ def load_config(
     """Read a JSON simulator config file."""
     with open(path, "r") as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("a config must be a JSON object")
+    if not isinstance(d.get("crackonosh", {}), dict):
+        raise ValueError("crackonosh must be a JSON object")
     if seed_override is not None:
         d["seed"] = seed_override
     if scale_override is not None:

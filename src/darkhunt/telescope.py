@@ -87,15 +87,14 @@ class TelescopeSpec:
         )
 
     @classmethod
-    def from_prefix(cls, prefix_len: int, base: str = "10.0.0.0") -> "TelescopeSpec":
-        """A single-block telescope of the given prefix length.
+    def from_prefix(cls, prefix_len: int) -> "TelescopeSpec":
+        """A single-block telescope of the given prefix length, at 10.0.0.0.
 
-        The base address only matters for simulation output; the analytic
-        model depends on k alone.
+        The analytic model depends on k alone.
         """
         if not 0 <= prefix_len <= 32:
             raise ValueError(f"prefix length out of range: {prefix_len}")
-        return cls.from_cidrs([f"{base}/{prefix_len}"])
+        return cls.from_cidrs([f"10.0.0.0/{prefix_len}"])
 
     def __contains__(self, ip: int) -> bool:
         i = bisect.bisect_right(self._starts, ip) - 1

@@ -10,7 +10,7 @@ import pytest
 
 from darkhunt import cli, ranking, records
 from darkhunt.cli import main
-from darkhunt.records import CSV_HEADER, US_PER_DAY, read_csv, traffic_table, write_csv
+from darkhunt.records import CSV_HEADER, US_PER_DAY, read_csv, traffic_table, write_csv_tables
 
 CONFIG = {
     "seed": 21,
@@ -130,6 +130,59 @@ def test_simulate_rejects_more_noise_ports_than_exist(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "noise_ports_per_day must be within 0-49107" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("start_day", ["1969-12-31", "9999-12-31"])
+def test_simulate_rejects_days_outside_1970_to_9999_before_writing(tmp_path, capsys, start_day):
+    cfg_path = write_config(tmp_path, start_day=start_day)  # two days
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"darkhunt: error: bad config {cfg_path}: "
+        f"days must fall in 1970-01-01 to 9999-12-31, got 2 from {start_day}\n"
+    )
+    assert not out.exists()
+
+
+def test_a_run_ending_on_9999_12_31_goes_through_every_command(tmp_path):
+    cfg_path = write_config(tmp_path, start_day="9999-12-31",
+                            crackonosh={"population": [40], "always_on_fraction": 1.0})
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert (sim / "labels.csv").read_text().splitlines()[1].startswith("9999-12-31,")
+    traffic = ["--csv", str(sim / "traffic.csv")]
+    labels = ["--labels", str(sim / "labels.csv"), "--window", "15m"]
+    assert main(["analyze", *traffic, *labels, "--out", str(tmp_path / "a")]) == 0
+    telescope = ["--telescope", CONFIG["telescope"][0]]
+    assert main(["population", *traffic, *telescope, "--out", str(tmp_path / "p")]) == 0
+
+
+@pytest.mark.parametrize("document", [[5], dict(CONFIG, crackonosh=[5])], ids=["config", "crackonosh"])
+def test_simulate_scale_on_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--scale", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"darkhunt: error: bad config {cfg_path}: ")
+    assert err.endswith(" must be a JSON object\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "population", "model table"])
+def test_an_unwritable_out_exits_2(sim_dir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"  # no directory can be made inside a regular file
+    inputs = {
+        "simulate": ["--config", str(write_config(tmp_path, crackonosh={"population": [5]}))],
+        "analyze": ["--csv", str(sim_dir / "traffic.csv"), "--labels", str(sim_dir / "labels.csv")],
+        "population": ["--csv", str(sim_dir / "traffic.csv"), "--telescope", CONFIG["telescope"][0]],
+        "model table": [],
+    }[command]
+    assert main([*command.split(), *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("darkhunt: error: ") and str(out) in err and err.count("\n") == 1
 
 
 def test_usage_error_exits_1():
@@ -282,13 +335,30 @@ def test_a_day_that_goes_back_prints_one_error_line(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "population"])
+def test_a_day_after_9999_12_31_prints_one_error_line(tmp_path, capsys, command):
+    traffic = tmp_path / "late.csv"
+    last = UDP_ROW.replace("1704067200000000", "253402300799999999", 1)
+    late = UDP_ROW.replace("1704067200000000", "253402300800000000", 1)
+    traffic.write_text(CSV_HEADER + "\n" + "\n".join([last, late]) + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("day,port\n9999-12-31,50000\n")
+    out = tmp_path / "out"
+    inputs = {"analyze": ["--labels", str(labels)], "population": ["--telescope", "10.0.0.0/24"]}
+    assert main([command, "--csv", str(traffic), *inputs[command], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"darkhunt: error: {traffic}: line 3: ts_us: 253402300800000000 is after 9999-12-31, the last day\n"
+    )
+    assert not out.exists()
+
+
 def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path):
     table = read_csv(sim_dir / "traffic.csv")
     days = table["ts_us"] // US_PER_DAY
     # Days stay in order; rows within each day are shuffled.
     order = np.lexsort((np.random.default_rng(5).permutation(len(table)), days))
     shuffled = tmp_path / "shuffled.csv"
-    write_csv(np.take(table, order), shuffled)
+    write_csv_tables([np.take(table, order)], shuffled)
     assert shuffled.read_bytes() != (sim_dir / "traffic.csv").read_bytes()
     outputs = []
     for traffic in (sim_dir / "traffic.csv", shuffled):
@@ -365,7 +435,7 @@ def test_analyze_15m_denominator_counts_only_windows_with_traffic(tmp_path, caps
                 for i in range(3)]
     records = packets(0, 51234) + packets(1, 5060) + packets(40, 51234)
     csv_path = tmp_path / "t.csv"
-    write_csv(traffic_table(records), csv_path)
+    write_csv_tables([traffic_table(records)], csv_path)
     labels = tmp_path / "labels.csv"
     labels.write_text("day,port\n1970-01-01,51234\n")
     out = tmp_path / "rep"
@@ -391,6 +461,15 @@ def test_analyze_unknown_metric(sim_dir, tmp_path):
         "--out", str(tmp_path / "rep"),
         "--metrics", "nonsense",
     ]) == 2
+
+
+def test_analyze_repeated_metric_exits_2_before_reading_the_csv(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "rep"
+    argv = ["analyze", "--csv", str(missing), "--labels", str(missing), "--out", str(out)]
+    assert main([*argv, "--metrics", "address_count,size_entropy,address_count"]) == 2
+    assert capsys.readouterr().err == "darkhunt: error: metric 'address_count' given twice in --metrics\n"
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- model
@@ -515,7 +594,7 @@ def test_population_skips_days_without_telescope_traffic(tmp_path, capsys):
     records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
     records += [_packet(DAY_US + i * BIN_US, INSIDE) for i in range(144)]
     csv_path = tmp_path / "t.csv"
-    write_csv(traffic_table(records), csv_path)
+    write_csv_tables([traffic_table(records)], csv_path)
     out = tmp_path / "pop"
     assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
     always = json.loads((out / "always_on.json").read_text())
@@ -528,7 +607,7 @@ def test_population_without_udp_inside_telescope_names_it(tmp_path, capsys):
     records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
     records += [_packet(DAY_US + i * BIN_US, INSIDE, proto=6) for i in range(144)]
     csv_path = tmp_path / "t.csv"
-    write_csv(traffic_table(records), csv_path)
+    write_csv_tables([traffic_table(records)], csv_path)
     code = main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(tmp_path / "pop")])
     assert code == 2
     assert "no UDP traffic inside telescope 10.0.0.0/24" in capsys.readouterr().err
@@ -538,7 +617,7 @@ def test_population_ignores_tcp_only_sources(tmp_path, capsys):
     udp = [_packet(i * BIN_US, INSIDE) for i in range(144)]
     tcp = [_packet(i * BIN_US + 1, INSIDE, proto=6, src_ip=0x05060708) for i in range(144)]
     csv_path = tmp_path / "t.csv"
-    write_csv(traffic_table(udp + tcp), csv_path)
+    write_csv_tables([traffic_table(udp + tcp)], csv_path)
     out = tmp_path / "pop"
     assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
     day = json.loads((out / "always_on.json").read_text())["1970-01-01"]

@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkhunt.metrics import (
-    address_count,
-    block_count,
-    size_entropy,
-    src_spread,
-)
+import numpy as np
+
+from darkhunt.metrics import score_segments, size_entropy
 from darkhunt.records import PortDayPartition, partition_by_day_port, traffic_table
 from conftest import make_record
 
@@ -24,6 +21,20 @@ def part_of(records):
 
 def empty_part():
     return PortDayPartition(day=date(1970, 1, 1), dst_port=50000, records=traffic_table([]))
+
+
+def score(metric_id):
+    """One metric of one partition, scored as a single segment by score_segments."""
+
+    def f(part):
+        bounds = np.array([0, len(part.records)])
+        [value] = score_segments(part.records, bounds, [metric_id])[metric_id].tolist()
+        return value
+
+    return f
+
+
+address_count, block_count, src_spread = map(score, ("address_count", "block_count", "src_spread"))
 
 
 # ---------------------------------------------------------------- examples

@@ -175,14 +175,14 @@ def test_always_on_count_matches_monte_carlo_oracle():
 # -------------------------------------------------------------- estimate_rate
 
 def test_estimate_rate_slash16_anchor():
-    est = estimate_rate(13.2, 86400, 65536)
-    assert est.s == pytest.approx(10.0, abs=0.05)
-    assert est.s == (13.2 / 86400) * 2**32 / 65536
+    s = estimate_rate(13.2, 86400, 65536)
+    assert s == pytest.approx(10.0, abs=0.05)
+    assert s == (13.2 / 86400) * 2**32 / 65536
 
 
 def test_estimate_rate_zero_and_identity():
-    assert estimate_rate(0, 86400, 1024).s == 0.0
-    assert estimate_rate(864000, 86400, 2**32).s == 10.0
+    assert estimate_rate(0, 86400, 1024) == 0.0
+    assert estimate_rate(864000, 86400, 2**32) == 10.0
 
 
 def test_estimate_rate_rejects_bad_input():
@@ -201,10 +201,10 @@ def test_estimate_rate_rejects_bad_input():
     k=st.integers(min_value=1, max_value=2**32),
 )
 def test_estimate_rate_linear_in_r_inverse_in_k(r, scale, k):
-    base = estimate_rate(r, 86400, k).s
-    assert estimate_rate(r * scale, 86400, k).s == pytest.approx(base * scale, rel=1e-9)
+    base = estimate_rate(r, 86400, k)
+    assert estimate_rate(r * scale, 86400, k) == pytest.approx(base * scale, rel=1e-9)
     if k * 2 <= 2**32:
-        assert estimate_rate(r, 86400, k * 2).s == pytest.approx(base / 2, rel=1e-9)
+        assert estimate_rate(r, 86400, k * 2) == pytest.approx(base / 2, rel=1e-9)
 
 
 # ------------------------------------------------------------ density profile
@@ -338,9 +338,7 @@ def test_peaks_to_rates_applies_rate_formula():
     profile = density_profile([100.0, 100.0, 100.0])
     rates = peaks_to_rates(profile, 2**16)
     assert len(rates) == len(profile.peaks)
-    assert rates[0] == pytest.approx(
-        estimate_rate(profile.peaks[0], 86400, 2**16).s
-    )
+    assert rates[0] == pytest.approx(estimate_rate(profile.peaks[0], 86400, 2**16))
 
 
 def test_peaks_to_rates_published_anchor_needs_implied_k():
@@ -349,9 +347,9 @@ def test_peaks_to_rates_published_anchor_needs_implied_k():
     # telescope the same peak maps to ~6.4 pps.  Both follow from the
     # formula; the effective size is an input, never hard-coded.
     implied_k = round((1370.31 / 86400) * 2**32 / 12.4)
-    assert estimate_rate(1370.31, 86400, implied_k).s == pytest.approx(12.4, abs=0.01)
+    assert estimate_rate(1370.31, 86400, implied_k) == pytest.approx(12.4, abs=0.01)
     stated_k = 41636 * 256
-    assert estimate_rate(1370.31, 86400, stated_k).s == pytest.approx(6.39, abs=0.05)
+    assert estimate_rate(1370.31, 86400, stated_k) == pytest.approx(6.39, abs=0.05)
 
 
 def test_peaks_to_rates_requires_peaks():

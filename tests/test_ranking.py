@@ -11,17 +11,13 @@ from darkhunt.metrics import METRIC_IDS, score_segments
 from darkhunt.ranking import (
     discoverability,
     rank_of_labeled_port,
+    labeled_rows,
     rank_ports,
-    time_series_report,
+    score_periods,
     write_report_csv,
     write_report_json,
 )
-from darkhunt.records import (
-    LabeledDataset,
-    partition_by_day_port,
-    segment_by_window,
-    traffic_table,
-)
+from darkhunt.records import partition_by_day_port, segment_by_window, traffic_table
 from conftest import make_record
 
 US_PER_DAY = 86_400_000_000
@@ -35,6 +31,12 @@ def day_parts(records):
         assert day == DAY0
         parts[port] = p
     return parts
+
+
+def report(records, metric_ids, labels, window=timedelta(days=1)):
+    """The labeled port's rows per metric, as analyze builds them from one table."""
+    table = traffic_table(records)
+    return labeled_rows([score_periods(table, metric_ids, window)], metric_ids, labels, window)
 
 
 def burst(port, n_sources, ts0=0):
@@ -188,8 +190,7 @@ class FixedOracle:
 
 def test_time_series_single_day():
     records = burst(50000, 5) + burst(5060, 3)
-    ds = LabeledDataset(records=traffic_table(records), labels={DAY0: 50000})
-    rows = time_series_report(ds, ["address_count"])["address_count"]
+    rows = report(records, ["address_count"], {DAY0: 50000})["address_count"]
     assert len(rows) == 1
     assert rows[0].period == DAY0
     assert rows[0].rank == 1 and rows[0].score == 5
@@ -197,8 +198,7 @@ def test_time_series_single_day():
 
 def test_time_series_absent_label_port():
     records = burst(5060, 3)
-    ds = LabeledDataset(records=traffic_table(records), labels={DAY0: 50000})
-    [row] = time_series_report(ds, ["address_count"])["address_count"]
+    [row] = report(records, ["address_count"], {DAY0: 50000})["address_count"]
     assert row.rank is None and row.score is None
 
 
@@ -208,20 +208,18 @@ def test_time_series_multi_day_and_windows():
         recs += burst(50000, 5 - day_idx, ts0=day_idx * US_PER_DAY)
         recs += burst(5060, 3, ts0=day_idx * US_PER_DAY)
     labels = {d(i): 50000 for i in range(3)}
-    ds = LabeledDataset(records=traffic_table(recs), labels=labels)
-    rows = time_series_report(ds, ["address_count"])["address_count"]
+    rows = report(recs, ["address_count"], labels)["address_count"]
     assert [r.period for r in rows] == [d(0), d(1), d(2)]
     assert [r.rank for r in rows] == [1, 1, 2]  # day 2: 3 sources vs 3, tie -> 5060 first
 
-    rows_3h = time_series_report(ds, ["address_count"], window=timedelta(hours=3))["address_count"]
+    rows_3h = report(recs, ["address_count"], labels, timedelta(hours=3))["address_count"]
     assert len(rows_3h) == 3  # all bursts land in the first window of each day
     assert all(r.rank is not None for r in rows_3h)
 
 
 def test_time_series_unlabeled_day_errors():
-    ds = LabeledDataset(records=traffic_table(burst(50000, 2)), labels={d(1): 50000})
     with pytest.raises(ValueError):
-        time_series_report(ds, ["address_count"])
+        report(burst(50000, 2), ["address_count"], {d(1): 50000})
 
 
 def test_time_series_all_metrics_match_single_metric_runs():
@@ -229,11 +227,11 @@ def test_time_series_all_metrics_match_single_metric_runs():
     for day_idx in range(3):
         recs += burst(50000, 5 - day_idx, ts0=day_idx * US_PER_DAY)
         recs += burst(5060, 3, ts0=day_idx * US_PER_DAY)
-    ds = LabeledDataset(records=traffic_table(recs), labels={d(i): 50000 for i in range(3)})
-    together = time_series_report(ds, METRIC_IDS, window=timedelta(hours=3))
+    labels = {d(i): 50000 for i in range(3)}
+    together = report(recs, METRIC_IDS, labels, timedelta(hours=3))
     assert list(together) == list(METRIC_IDS)
     for metric_id in METRIC_IDS:
-        alone = time_series_report(ds, [metric_id], window=timedelta(hours=3))
+        alone = report(recs, [metric_id], labels, timedelta(hours=3))
         assert together[metric_id] == alone[metric_id]
         assert all(row.metric_id == metric_id for row in alone[metric_id])
 
@@ -260,7 +258,7 @@ def reference_scores(packets):
 
 
 def reference_report(rows, labels, window):
-    """time_series_report as one metric call per partition and a sort per period."""
+    """The labeled rows as one metric call per partition and a sort per period."""
     window_us = int(window.total_seconds() * 1_000_000)
     parts = defaultdict(list)
     for row in rows:
@@ -319,10 +317,10 @@ def bits(value):
 def test_segment_report_matches_per_partition_reference(window, rows, label_ports):
     labels = {d(0): label_ports[0], d(1): label_ports[1]}
     ref_scores, ref_report = reference_report(rows, labels, window)
-    report = time_series_report(LabeledDataset(traffic_table(rows), labels), METRIC_IDS, window)
-    assert list(report) == list(METRIC_IDS)
+    got_report = report(rows, METRIC_IDS, labels, window)
+    assert list(got_report) == list(METRIC_IDS)
     for metric_id in METRIC_IDS:
-        got = [(r.period, bits(r.score), r.rank) for r in report[metric_id]]
+        got = [(r.period, bits(r.score), r.rank) for r in got_report[metric_id]]
         assert got == [(p, bits(v), rank) for p, v, rank in ref_report[metric_id]]
     # Every segment, not only the labeled ports', scores bit for bit.
     seg = segment_by_window(traffic_table(rows), window)
@@ -340,9 +338,7 @@ def test_write_report_csv_golden(tmp_path):
     # Byte-exact golden: the report schema is an interchange contract.
     records = burst(50000, 2) + burst(5060, 3) + burst(50000, 4, ts0=US_PER_DAY)
     labels = {d(0): 50000, d(1): 50000}
-    rows = time_series_report(
-        LabeledDataset(records=traffic_table(records), labels=labels), ["address_count"]
-    )["address_count"]
+    rows = report(records, ["address_count"], labels)["address_count"]
     out = tmp_path / "report.csv"
     write_report_csv(rows, out)
     assert out.read_text() == (

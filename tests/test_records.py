@@ -23,7 +23,7 @@ from darkhunt.records import (
     read_days,
     segment_by_window,
     traffic_table,
-    write_csv,
+    write_csv_tables,
 )
 from conftest import make_record
 
@@ -158,7 +158,7 @@ def test_write_read_round_trip(tmp_path):
         for i in range(500)
     ]
     p = tmp_path / "rt.csv"
-    write_csv(traffic_table(records), p)
+    write_csv_tables([traffic_table(records)], p)
     assert read_csv(p).tolist() == records
 
 
@@ -175,7 +175,7 @@ def test_write_read_round_trip(tmp_path):
 def test_round_trip_any_valid_record(tmp_path_factory, **fields):
     rec = tuple(fields[name] for name in TRAFFIC_DTYPE.names)
     p = tmp_path_factory.mktemp("rt") / "one.csv"
-    write_csv(traffic_table([rec]), p)
+    write_csv_tables([traffic_table([rec])], p)
     assert read_csv(p).tolist() == [rec]
 
 
@@ -282,7 +282,7 @@ records_st = st.tuples(
 @given(st.lists(records_st, max_size=30))
 def test_read_inverts_write(tmp_path_factory, records):
     p = tmp_path_factory.mktemp("rt") / "many.csv"
-    write_csv(traffic_table(records), p)
+    write_csv_tables([traffic_table(records)], p)
     assert read_csv(p).tolist() == records
 
 
@@ -335,7 +335,7 @@ EDGE_ROWS = [tuple(0 for _ in TOP), TOP] + [
 )
 def test_write_csv_matches_row_reference(tmp_path_factory, rows):
     p = tmp_path_factory.getbasetemp() / "write_csv_reference.csv"
-    write_csv(traffic_table(rows), p)
+    write_csv_tables([traffic_table(rows)], p)
     assert p.read_bytes() == reference_csv(rows)
 
 
@@ -344,7 +344,7 @@ def test_write_csv_across_chunk_boundaries(tmp_path, n):
     # Rows are rendered in 65536-row chunks; every edge row recurs in each.
     rows = [EDGE_ROWS[i % len(EDGE_ROWS)] for i in range(n)]
     p = tmp_path / "t.csv"
-    write_csv(traffic_table(rows), p)
+    write_csv_tables([traffic_table(rows)], p)
     assert p.read_bytes() == reference_csv(rows)
 
 
@@ -494,7 +494,7 @@ def read_with_blocks(monkeypatch, path, block_bytes):
 def test_rows_straddle_blocks(tmp_path, monkeypatch, block_bytes):
     rows = EDGE_ROWS[:25]
     p = tmp_path / "t.csv"
-    write_csv(traffic_table(rows), p)
+    write_csv_tables([traffic_table(rows)], p)
     assert read_with_blocks(monkeypatch, p, block_bytes) == rows
 
 
@@ -685,8 +685,8 @@ def test_field_edges_read_as_the_line_reference(tmp_path, monkeypatch, name, raw
 def test_readers_neither_render_nor_call_fromstring(tmp_path, monkeypatch):
     edges, days = tmp_path / "edges.csv", tmp_path / "days.csv"
     day_rows = [make_record(ts_us=(DAY0 + d) * US_PER_DAY + t) for d, times in THREE_DAYS for t in times]
-    write_csv(traffic_table(EDGE_ROWS), edges)
-    write_csv(traffic_table(day_rows), days)
+    write_csv_tables([traffic_table(EDGE_ROWS)], edges)
+    write_csv_tables([traffic_table(day_rows)], days)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the readers must decode the bytes directly")
@@ -885,3 +885,21 @@ def test_a_day_that_goes_back_names_its_first_line(tmp_path, block_bytes):
         error = error_of(read_days_list, p)
     assert (error.line, error.field) == (8, "ts_us")
     assert str(error) == "line 8: ts_us: day 2022-01-08 after day 2022-01-09: days must not go back"
+
+
+LAST_DAY = date(9999, 12, 31)  # the last day a date holds
+
+
+@pytest.mark.parametrize("block_bytes", [1, 2 * ROW_BYTES, 1 << 19])
+def test_a_day_after_9999_12_31_names_its_first_line(tmp_path, block_bytes):
+    # Line 2 is the last microsecond of 9999-12-31, line 3 blank, and
+    # line 4 the first microsecond after it.
+    last = (LAST_DAY - date(1970, 1, 1)).days - DAY0
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines([(last, [US_PER_DAY - 1]), (last + 1, [0, 1])], blank_after={0}))
+    with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+        error = error_of(read_days_list, p)
+        p.write_text(day_lines([(last, [0, US_PER_DAY - 1])]))
+        assert [day for day, _ in read_days_list(p)] == [LAST_DAY]
+    assert (error.line, error.field) == (4, "ts_us")
+    assert str(error) == "line 4: ts_us: 253402300800000000 is after 9999-12-31, the last day"

@@ -1,7 +1,7 @@
 import hashlib
 import ipaddress
 import json
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -333,8 +333,12 @@ def test_two_thousand_sources_outrank_default_background():
 def test_coordinated_spread_beats_single_source_at_equal_budget():
     # Same telescope, same packet budget: thinly-spread coordination scores
     # orders of magnitude higher on src_spread than one busy scanner.
-    from darkhunt.metrics import src_spread
+    from darkhunt.ranking import rank_ports
     from darkhunt.records import partition_by_day_port
+
+    def src_spread(part):
+        [entry] = rank_ports({part.dst_port: part}, "src_spread").entries
+        return entry.value
 
     tel = TelescopeSpec.from_prefix(22)
     coordinated = simulate(small_config(
@@ -593,6 +597,23 @@ def test_config_from_dict_secret_sources(monkeypatch):
     monkeypatch.setenv("MY_SECRET", "indirect")
     assert config_from_dict(d).oracle.secret == b"indirect"
     assert config_from_dict(d, secret_override="flag-wins").oracle.secret == b"flag-wins"
+
+
+@pytest.mark.parametrize("start_day, days", [(date(1969, 12, 31), 1), (date(9999, 12, 30), 3)])
+def test_config_rejects_a_day_outside_1970_to_9999(start_day, days):
+    with pytest.raises(ValueError, match=f"got {days} from {start_day}"):
+        small_config(start_day=start_day, crackonosh=CrackonoshConfig(population=(5,) * days))
+
+
+def test_a_run_may_end_on_9999_12_31():
+    # The last day's end is one day past its start in microseconds; as a
+    # date it would be 10000-01-01, which a date cannot hold.
+    last = date(9999, 12, 31)
+    cfg = small_config(start_day=date(9999, 12, 30), crackonosh=CrackonoshConfig(population=(5, 5)))
+    days = list(simulate_days(cfg))
+    assert [day for day, _, _ in days] == [last - timedelta(days=1), last]
+    ts = np.concatenate([table["ts_us"] for _, _, table in days])
+    assert day_start_us(last - timedelta(days=1)) <= ts.min() and ts.max() < day_start_us(last) + US_PER_DAY
 
 
 def test_config_from_dict_missing_keys():
