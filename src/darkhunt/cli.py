@@ -105,21 +105,19 @@ def _read_days(path):
         raise DataError(f"{path}: {exc}") from None
 
 
-def _write_or_print(args, name: str, rows: list[list], command: str, params: dict) -> None:
-    """Write rows as CSV plus a manifest under --out, or print them."""
+def _write_or_show(args, name: str, rows: list[list], command: str, params: dict) -> str:
+    """Write rows as CSV plus a manifest under --out and say so, or return them as text."""
     if not args.out:
-        for row in rows:
-            print(",".join(str(v) for v in row))
-        return
+        return "\n".join(",".join(str(v) for v in row) for row in rows)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     _write_manifest(args.out, command, params, [name])
-    print(f"wrote {path}")
+    return f"wrote {path}"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     if not os.path.exists(args.config):
         raise DataError(f"config file not found: {args.config}")
     try:
@@ -132,14 +130,13 @@ def _cmd_simulate(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"bad config {args.config}: {exc}") from None
     manifest = write_dataset(config, args.out, inputs={"config": os.path.abspath(args.config)})
-    print(
+    return (
         f"wrote {manifest['records']} records over {manifest['days']} days to {args.out} "
         f"(config {manifest['config_sha256'][:12]})"
     )
-    return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> str:
     if args.top_n < 1:
         raise DataError(f"--top-n must be >= 1, got {args.top_n}")
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_IDS)
@@ -164,6 +161,7 @@ def _cmd_analyze(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     reports = []
+    lines = []
     for metric_id in metrics:
         rows = rows_by_metric[metric_id]
         name = f"report_{metric_id}.csv"
@@ -171,7 +169,7 @@ def _cmd_analyze(args) -> int:
         outputs.append(name)
         per_period = {row.period: row.rank for row in rows}
         reports.append(discoverability(per_period, n=args.top_n, metric_id=metric_id))
-        print(f"{metric_id}: D_{args.top_n} = {reports[-1].score:.3f} over {len(rows)} periods")
+        lines.append(f"{metric_id}: D_{args.top_n} = {reports[-1].score:.3f} over {len(rows)} periods")
     write_report_json(reports, os.path.join(args.out, "discoverability.json"))
     outputs.append("discoverability.json")
     _write_manifest(
@@ -186,10 +184,10 @@ def _cmd_analyze(args) -> int:
         },
         outputs,
     )
-    return EXIT_OK
+    return "\n".join(lines)
 
 
-def _cmd_model_table(args) -> int:
+def _cmd_model_table(args) -> str:
     prefixes = []
     for tok in args.prefixes.split(","):
         tok = tok.strip().lstrip("/")
@@ -202,25 +200,22 @@ def _cmd_model_table(args) -> int:
         lines.append(
             [r["size"], f"{r['p_collision']:.3g}", f"{r['p_observe']:.3g}", f"{r['expected_packets']:.3g}"]
         )
-    _write_or_print(
+    return _write_or_show(
         args,
         "table.csv",
         lines,
         "model table",
         {"prefixes": prefixes, "rate": args.rate, "duration": args.duration},
     )
-    return EXIT_OK
 
 
-def _cmd_model_coverage(args) -> int:
+def _cmd_model_coverage(args) -> str:
     tel = _parse_telescope(args.size)
     pop = ScanPopulation(host_count=1, rate_pps=args.rate, duration_s=args.duration)
-    days = days_to_coverage(tel, pop, args.target)
-    print(days)
-    return EXIT_OK
+    return str(days_to_coverage(tel, pop, args.target))
 
 
-def _cmd_model_tte(args) -> int:
+def _cmd_model_tte(args) -> str:
     if args.packets < 1:
         raise DataError("--packets must be >= 1")
     sizes = args.sizes.split(",") if args.sizes else [args.size]
@@ -235,17 +230,16 @@ def _cmd_model_tte(args) -> int:
             raise DataError("visible rate is zero; check --hosts/--rate/size")
         seconds = time_to_n_packets(rate, args.packets)
         rows.append([size, f"{rate:.6g}", f"{seconds:.6g}", f"{seconds / 3600:.4g}"])
-    _write_or_print(
+    return _write_or_show(
         args,
         "time_to_entropy.csv",
         rows,
         "model time-to-entropy",
         {"sizes": sizes, "hosts": args.hosts, "rate": args.rate, "packets": args.packets},
     )
-    return EXIT_OK
 
 
-def _cmd_population(args) -> int:
+def _cmd_population(args) -> str:
     if args.bandwidth is not None and not 0 < args.bandwidth < math.inf:
         raise DataError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     tel = _parse_telescope(args.telescope)
@@ -274,12 +268,11 @@ def _cmd_population(args) -> int:
         write_peaks_json(profile, os.path.join(args.out, "peaks.json"), k_telescope=tel.k)
         outputs += ["density.csv", "peaks.json"]
         rates = peaks_to_rates(profile, tel.k) if profile.peaks else []
-        print(
-            f"{len(samples)} always-on host-days; peaks at "
-            + ", ".join(f"{p:.1f} pkts/day ({r:.2f} pps)" for p, r in zip(profile.peaks, rates))
+        summary = f"{len(samples)} always-on host-days; peaks at " + ", ".join(
+            f"{p:.1f} pkts/day ({r:.2f} pps)" for p, r in zip(profile.peaks, rates)
         )
     else:
-        print(f"{len(samples)} always-on host-days; too few for a density profile")
+        summary = f"{len(samples)} always-on host-days; too few for a density profile"
     _write_manifest(
         args.out,
         "population",
@@ -290,7 +283,7 @@ def _cmd_population(args) -> int:
         },
         outputs,
     )
-    return EXIT_OK
+    return summary
 
 
 def build_parser() -> _Parser:
@@ -355,11 +348,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
     # An output that cannot be written is, like bad data, not a usage error.
     except (DataError, ValueError, OSError) as exc:
         print(f"darkhunt: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    # A command returns its stdout text once every output is written, so a
+    # reader that closes stdout early (`| head`) has lost no file.
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull, or the interpreter's last flush fails again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -177,7 +177,12 @@ _LEAST = np.array([2**64 - 1, 0, *(10 ** (d - 1) for d in range(2, 20)), 2**64 -
 # digits into pairs, pairs into quads and quads into eights: SIMD within
 # a register (Langdale & Lemire, VLDB J. 2019).
 _SWAR_STEPS = ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10**4 << 32 | 1, 32, 0xFFFFFFFF))
-_CHUNK_ROWS = 1 << 16  # rows per write_csv_tables chunk
+# The scales of ts_us's two earlier words, and the octet shifts that join
+# a dotted quad's four values into its address.
+_TS_WORD_SCALES = np.array([[10**8], [10**16]], dtype=np.uint64)
+_OCTET_SHIFTS = np.array([[24], [16], [8], [0]], dtype=np.uint64)
+_WORK_WORDS = 45  # int64 decoder work words per row: 15 digit counts, word starts and words
+_CHUNK_ROWS = 1 << 12  # rows per _render call: its byte matrix and temporaries stay cache-sized
 _BLOCK_BYTES = 1 << 17  # bytes read per read_csv block, rounded up to a whole line
 _MIN_ROW_BYTES = len("0,0.0.0.0,0,0.0.0.0,0,0,0\n")
 
@@ -202,7 +207,7 @@ def _line_error(line: str, line_no: int) -> CsvFormatError | None:
     return None
 
 
-def _parse_block(block: bytes, work: np.ndarray | None = None) -> np.ndarray | None:
+def _parse_block(block: bytes, work: np.ndarray | None = None, room=None) -> np.ndarray | None:
     """The rows of a block of LF-ended lines, or None if any is not canonical.
 
     A block is canonical exactly when every byte is a digit or separator,
@@ -212,10 +217,14 @@ def _parse_block(block: bytes, work: np.ndarray | None = None) -> np.ndarray | N
     digits or than their one word (whose value then has fewer digits than
     the field).  This is the README grammar; a test pins it to the writer.
 
-    The largest temporaries go in `work`, an int64 array of shape
-    (3, rows, 15), if it has room for the block's rows: a read that
-    passes the same one for every block touches the same pages, where
-    fresh arrays would be faulted in again each block.
+    The rows are decoded straight into the start of room(n), a
+    TRAFFIC_DTYPE array the caller gives with room for the block's n
+    rows (a fresh array if room is None), and that part of it is
+    returned; room is called only once the whole block is canonical.
+    The temporaries go in `work`, a flat int64 array, if it holds
+    _WORK_WORDS a row: a read that passes the same one for every block
+    touches the same pages, where fresh arrays would be faulted in again
+    each block.
     """
     data = _PAD + block
     b = np.frombuffer(data, dtype=np.uint8)
@@ -223,18 +232,18 @@ def _parse_block(block: bytes, work: np.ndarray | None = None) -> np.ndarray | N
     n = (len(seps) - 1) // 13
     if b.max() > 57 or b[-1] != 10 or b[seps[1:]].tobytes() != _ROW_SEPARATORS * n:
         return None
-    if work is None or work.shape[1] < n:
-        work = np.empty((3, n, 15), dtype=np.int64)
-    # Per row, 13 fields then ts_us's two earlier words: digit counts
-    # (which may clip to 0), the word starts, and the words.  Word i is
-    # bytes i to i + 7 of data, unaligned.
-    digits, at, v = work[:, :n]
-    ends = seps[1:].reshape(n, 13)
-    np.subtract(ends, seps[:-1].reshape(n, 13), out=digits[:, :13])
-    digits[:, :13] -= 1
-    digits[:, 13:] = digits[:, :1] - [8, 16]
-    np.subtract(ends, 8, out=at[:, :13])
-    at[:, 13:] = at[:, :1] - [8, 16]
+    if work is None or len(work) < _WORK_WORDS * n:
+        work = np.empty(_WORK_WORDS * n, dtype=np.int64)
+    # One contiguous array of n per field, the 13 fields then ts_us's two
+    # earlier words: digit counts (which may clip to 0), the word starts,
+    # and the words.  Word i is bytes i to i + 7 of data, unaligned.
+    digits, at, v = work[: _WORK_WORDS * n].reshape(3, 15, n)
+    np.subtract(seps[1:].reshape(n, 13).T, 8, out=at[:13])  # the one transposing pass
+    np.subtract(at[1:13], at[:12], out=digits[1:13])
+    np.subtract(seps[1::13], seps[:-1:13], out=digits[0])
+    digits[:13] -= 1
+    np.subtract(digits[0], [[8], [16]], out=digits[13:])
+    np.subtract(at[0], [[8], [16]], out=at[13:])
     # np.take gathers the unaligned words about twice as fast as indexing.
     v = np.take(np.ndarray(len(data) - 7, "<u8", data, strides=(1,)), at, out=v.view(np.uint64), mode="clip")
     v &= np.take(_WORD_MASKS, digits, out=at.view(np.uint64), mode="clip")
@@ -244,17 +253,23 @@ def _parse_block(block: bytes, work: np.ndarray | None = None) -> np.ndarray | N
         v &= keep
     # Exact up to 19 digits; a longer ts_us fails the check below
     # whatever it wraps to (the _LEAST past every value, or the maximum).
-    v[:, 0] += v[:, 13] * 10**8 + v[:, 14] * 10**16
-    least = np.take(_LEAST, digits, out=at.view(np.uint64), mode="clip")
-    v = v[:, :13]
-    if ((v < least[:, :13]) | (v > _COLUMN_MAXIMA)).any():
+    v[13:] *= _TS_WORD_SCALES
+    v[0] += v[13]
+    v[0] += v[14]
+    least = np.take(_LEAST, digits[:13], out=at[:13].view(np.uint64), mode="clip")
+    v = v[:13]
+    if ((v < least) | (v > _COLUMN_MAXIMA[:, None])).any():
         return None
-    ips = v[:, [1, 2, 3, 4, 6, 7, 8, 9]].astype(np.uint8, order="C").view(">u4")
-    return np.rec.fromarrays([v[:, 0], ips[:, 0], v[:, 5], ips[:, 1], *v[:, 10:].T], dtype=TRAFFIC_DTYPE)
+    v[1:5] <<= _OCTET_SHIFTS
+    v[6:10] <<= _OCTET_SHIFTS
+    rows = np.empty(n, dtype=TRAFFIC_DTYPE) if room is None else room(n)[:n]
+    for name, column in zip(_FIELDS, (v[0], v[1:5].sum(axis=0), v[5], v[6:10].sum(axis=0), *v[10:])):
+        rows[name] = column
+    return rows
 
 
-def _scan(block: bytes, line_no: int) -> np.ndarray:
-    """The rows of a block _parse_block refused, line by line.
+def _scan(block: bytes, line_no: int, work: np.ndarray, room) -> np.ndarray:
+    """The rows of a block _parse_block refused, line by line, decoded into room(n).
 
     Blank lines, the one legal non-canonical form, are skipped; the first
     other line that breaks the grammar or a field's range raises.
@@ -266,7 +281,7 @@ def _scan(block: bytes, line_no: int) -> np.ndarray:
             if error is not None:
                 raise error
     lines = [raw + b"\n" for raw in lines if raw]
-    rows = _parse_block(b"".join(lines))
+    rows = _parse_block(b"".join(lines), work, room)
     assert rows is not None, f"the block from line {line_no} passes the scan only"
     return rows
 
@@ -277,19 +292,30 @@ def _line_blocks(fh):
         yield block if block.endswith(b"\n") else block + b"\n"
 
 
-def _row_blocks(fh):
-    """(block, its rows, its first line number) per block after the header; see read_csv."""
+def _row_blocks(fh, room):
+    """(block, its rows, its first line number) per block after the header; see read_csv.
+
+    A block's rows are decoded straight into the caller's table: see
+    _parse_block for `room`.
+    """
     header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
     if header != CSV_HEADER:
         raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
     line_no = 2
-    work = np.empty((3, _BLOCK_BYTES // _MIN_ROW_BYTES, 15), dtype=np.int64)
+    work = np.empty(_WORK_WORDS * (_BLOCK_BYTES // _MIN_ROW_BYTES + 1), dtype=np.int64)
     for block in _line_blocks(fh):
-        rows = _parse_block(block, work)
+        rows = _parse_block(block, work, room)
         # Only a block that falls back to _scan can hold a blank line.
         lines = block.count(b"\n") if rows is None else len(rows)
-        yield block, _scan(block, line_no) if rows is None else rows, line_no
+        yield block, _scan(block, line_no, work, room) if rows is None else rows, line_no
         line_no += lines
+
+
+def _frozen(rows: np.ndarray) -> np.recarray:
+    """A read-only traffic table view of rows the decoder has bounded."""
+    table = rows.view(np.recarray)
+    table.flags.writeable = False
+    return table
 
 
 def read_csv(path) -> np.recarray:
@@ -299,30 +325,50 @@ def read_csv(path) -> np.recarray:
     and field (silent data loss corrupts population metrics).  The grammar
     is in the README; empty lines are skipped.  The file is read in blocks
     of whole lines, so only one block's temporaries are held at a time.
-    Rows go into one table sized for the shortest row (26 bytes); its pages
-    past the last row are never touched, so they never become resident.
+    Rows are decoded into one table sized for the shortest row (26 bytes);
+    its pages past the last row are never touched, so they never become
+    resident.
     """
     with open(path, "rb") as fh:
         table = np.empty(os.fstat(fh.fileno()).st_size // _MIN_ROW_BYTES, dtype=TRAFFIC_DTYPE)
         n = 0
-        for _, rows, _ in _row_blocks(fh):
-            if n + len(rows) > len(table):
+
+        def room(k):
+            if n + k > len(table):
                 raise CsvFormatError("the file grew while it was read, or is not a regular file")
-            table[n : n + len(rows)] = rows
+            return table[n:]
+
+        for _, rows, _ in _row_blocks(fh, room):
             n += len(rows)
-    return traffic_table(table[:n])
+    return _frozen(table[:n])
 
 
 def read_days(path):
-    """Yield (UTC day, traffic table) per day of a traffic CSV, holding one day's blocks.
+    """Yield (UTC day, traffic table) per day of a traffic CSV, holding one day's rows.
 
     Reads like read_csv.  Rows may come in any order within a day; a row
     whose day is earlier than an earlier row's, or after 9999-12-31,
-    raises CsvFormatError.
+    raises CsvFormatError.  Each day's rows are decoded into a table of
+    its own, which starts with room for a block's most rows and doubles
+    as the day grows; a block's rows of a later day are copied into that
+    day's new table.
     """
+
+    def fresh():
+        return np.empty(_BLOCK_BYTES // _MIN_ROW_BYTES + 1, dtype=TRAFFIC_DTYPE)
+
     with open(path, "rb") as fh:
-        day, pending = -1, []
-        for block, rows, line_no in _row_blocks(fh):
+        day, table, n = -1, fresh(), 0
+
+        def room(k):
+            nonlocal table
+            if n + k > len(table):
+                grown = np.empty(max(2 * len(table), n + k), dtype=TRAFFIC_DTYPE)
+                grown[:n] = table[:n]
+                table = grown
+            return table[n:]
+
+        for block, rows, line_no in _row_blocks(fh, room):
             days = rows["ts_us"] // US_PER_DAY
             bad = np.flatnonzero((np.diff(days, prepend=day) < 0) | (days > _LAST_DAY))
             if len(bad):
@@ -334,14 +380,18 @@ def read_days(path):
                 this, prev = (day_of_ts(d * US_PER_DAY) for d in (days[i], days[i - 1] if i else day))
                 raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line, "ts_us")
             starts = run_starts(days).tolist()
+            # A run is in place if it continues the table's day (only the
+            # first run can) or the table is empty (the first block's first
+            # run); any other starts a new day, in a fresh table of its own.
             for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-                if days[lo] != day:
-                    if pending:
-                        yield day_of_ts(day * US_PER_DAY), traffic_table(np.concatenate(pending))
-                    day, pending = int(days[lo]), []
-                pending.append(rows[lo:hi])
-        if pending:
-            yield day_of_ts(day * US_PER_DAY), traffic_table(np.concatenate(pending))
+                if days[lo] != day and n:
+                    yield day_of_ts(day * US_PER_DAY), _frozen(table[:n])
+                    table, n = fresh(), 0
+                    table[: hi - lo] = rows[lo:hi]
+                day = int(days[lo])
+                n += hi - lo
+        if n:
+            yield day_of_ts(day * US_PER_DAY), _frozen(table[:n])
 
 
 @functools.cache
@@ -356,18 +406,27 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     - ts (uint32): three blocks of 10000 four-digit timestamp groups:
       zero-filled (for groups after the leading one), NUL-padded (the
       leading group) and all NUL (groups before the leading one).
+
+    They are built one digit column at a time, in uint32 and uint8.
     """
-    scale = 10 ** np.arange(4, -1, -1)
-    v = np.arange(65536)[:, None]
-    filled = (v // scale % 10 + ord("0")).astype(np.uint8)
-    short = np.where((v < scale) & (scale > 1), np.uint8(0), filled)
-    octet = short[:256, 2:]
-    dot = np.full((65536, 1), ord("."), dtype=np.uint8)
-    comma = np.full((65536, 1), ord(","), dtype=np.uint8)
-    half = np.hstack([octet[v[:, 0] >> 8], dot, octet[v[:, 0] & 255], dot]).view(np.uint64)
-    num = np.hstack([np.zeros((65536, 2), dtype=np.uint8), short, comma]).view(np.uint64)
-    ts = np.vstack([filled[:10000, 1:], short[:10000, 1:], np.zeros((10000, 4), dtype=np.uint8)])
-    tables = half.ravel(), num.ravel(), ts.view(np.uint32).ravel()
+    v = np.arange(65536, dtype=np.uint32)
+    num = np.zeros((65536, 8), dtype=np.uint8)
+    num[:, 7] = ord(",")
+    ts = np.zeros((3, 10000, 4), dtype=np.uint8)
+    for col, scale in enumerate((10000, 1000, 100, 10, 1)):
+        digit = (v // scale % 10).astype(np.uint8)
+        digit += ord("0")
+        if col:
+            ts[0, :, col - 1] = digit[:10000]
+        # A leading zero is a NUL, but 0 itself prints as "0".
+        num[:, 2 + col] = digit if scale == 1 else np.where(v >= scale, digit, np.uint8(0))
+    ts[1] = num[:10000, 3:7]
+    # Entry hi * 256 + lo is octet hi, ".", octet lo, ".".
+    half = np.empty((256, 256, 8), dtype=np.uint8)
+    half[:, :, :3] = num[:256, None, 4:7]
+    half[:, :, 4:7] = num[None, :256, 4:7]
+    half[:, :, [3, 7]] = ord(".")
+    tables = half.view(np.uint64).ravel(), num.view(np.uint64).ravel(), ts.view(np.uint32).ravel()
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -377,15 +436,16 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _TS_GROUPS = 10 ** np.arange(16, -1, -4, dtype=np.int64)
 
 
-def _render(t: np.ndarray) -> bytes:
+def _render(t: np.ndarray, rows: np.ndarray | None = None) -> bytes:
     """CSV bytes of a table chunk, gathered from the digit tables.
 
     Each row is eleven 8-byte words of a padded byte matrix: ts_us and its
     separator (3 words), src_ip (2), src_port, dst_ip (2), dst_port,
-    proto, payload_len (1 each).
+    proto, payload_len (1 each).  The matrix is the start of `rows`, a
+    uint64 array of at least len(t) rows of 11, or a fresh one if None.
     """
     half, num, ts = _digit_tables()
-    rows = np.empty((len(t), 11), dtype=np.uint64)
+    rows = np.empty((len(t), 11), dtype=np.uint64) if rows is None else rows[: len(t)]
     # In-place steps and early dels keep the chunk's temporaries small.
     groups = t["ts_us"][:, None] // _TS_GROUPS
     groups %= 10000
@@ -410,13 +470,18 @@ def _render(t: np.ndarray) -> bytes:
 
 
 def write_csv_tables(tables, path) -> int:
-    """Write traffic tables one after another as one canonical CSV; returns the row count."""
+    """Write traffic tables one after another as one canonical CSV; returns the row count.
+
+    Rows are rendered _CHUNK_ROWS at a time into one byte matrix that every
+    chunk of every table reuses.
+    """
     n = 0
+    rows = np.empty((_CHUNK_ROWS, 11), dtype=np.uint64)
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for records in tables:
             for lo in range(0, len(records), _CHUNK_ROWS):
-                fh.write(_render(records[lo : lo + _CHUNK_ROWS]))
+                fh.write(_render(records[lo : lo + _CHUNK_ROWS], rows))
             n += len(records)
     return n
 

@@ -1,5 +1,6 @@
 import ipaddress
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -183,6 +184,36 @@ def test_an_unwritable_out_exits_2(sim_dir, tmp_path, capsys, command):
     assert main([*command.split(), *inputs, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("darkhunt: error: ") and str(out) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("command", ["analyze", "population"])
+def test_a_closed_stdout_leaves_out_complete(sim_dir, tmp_path, capsys, command, unbuffered):
+    # As with `| head -c 0`: the reader closes stdout before the command
+    # prints.  It exits 0 with no error line, and --out holds what a
+    # normal run writes, byte for byte.
+    inputs = {
+        "analyze": ["--labels", str(sim_dir / "labels.csv")],
+        "population": ["--telescope", CONFIG["telescope"][0]],
+    }[command]
+
+    def argv(out):
+        return [command, "--csv", str(sim_dir / "traffic.csv"), *inputs, "--out", str(out)]
+
+    assert main(argv(tmp_path / "whole")) == 0
+    assert capsys.readouterr().out
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    child = [sys.executable, "-m", "darkhunt.cli", *argv(tmp_path / "closed")]
+    proc = subprocess.Popen(child, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0 and err == b""
+    whole = sorted(p.name for p in (tmp_path / "whole").iterdir())
+    assert "manifest.json" in whole
+    assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == whole
+    for name in whole:
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 def test_usage_error_exits_1():

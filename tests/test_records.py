@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 from unittest import mock
@@ -91,8 +92,10 @@ def test_traffic_table_range_checks_arrays():
 def test_tables_are_read_only(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n" + csv_row(make_record()) + "\n")
-    for table in (read_csv(p), traffic_table([make_record()])):
-        assert table.dtype == TRAFFIC_DTYPE
+    day_tables = [table for _, table in read_days(p)]
+    assert len(day_tables) == 1
+    for table in (read_csv(p), traffic_table([make_record()]), *day_tables):
+        assert isinstance(table, np.recarray) and table.dtype == TRAFFIC_DTYPE
         with pytest.raises(ValueError):
             table.ts_us[0] = 1
 
@@ -341,11 +344,65 @@ def test_write_csv_matches_row_reference(tmp_path_factory, rows):
 
 @pytest.mark.parametrize("n", [0, 1, 65536, 65537])
 def test_write_csv_across_chunk_boundaries(tmp_path, n):
-    # Rows are rendered in 65536-row chunks; every edge row recurs in each.
+    # Every edge row recurs in each chunk, and the larger sizes span many.
     rows = [EDGE_ROWS[i % len(EDGE_ROWS)] for i in range(n)]
     p = tmp_path / "t.csv"
     write_csv_tables([traffic_table(rows)], p)
     assert p.read_bytes() == reference_csv(rows)
+
+
+CHUNK = records_module._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", sorted({c + d for c in (1, 7, CHUNK) for d in (-1, 0, 1)}))
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK])
+def test_write_csv_bytes_do_not_depend_on_chunking(tmp_path, monkeypatch, chunk, n):
+    # Two tables, so the second reuses the byte matrix the first left dirty.
+    rows = [EDGE_ROWS[i % len(EDGE_ROWS)] for i in range(n)]
+    monkeypatch.setattr(records_module, "_CHUNK_ROWS", chunk)
+    p = tmp_path / "t.csv"
+    assert write_csv_tables([traffic_table(rows), traffic_table(EDGE_ROWS[:3])], p) == n + 3
+    assert p.read_bytes() == reference_csv(rows + EDGE_ROWS[:3])
+
+
+def test_write_csv_memory_is_flat_in_rows(tmp_path):
+    edges = traffic_table(EDGE_ROWS)
+    write_csv_tables([edges], tmp_path / "warm.csv")  # the digit tables are built on first use
+
+    def peak(n):
+        table = np.take(edges, np.arange(n) % len(edges))
+        tracemalloc.start()
+        try:
+            write_csv_tables([table], tmp_path / f"{n}.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert large <= 1.25 * small, (small, large)
+
+
+def digit_tables_reference():
+    """_digit_tables as it was first built: whole (65536, 5) int64 digit matrices."""
+    scale = 10 ** np.arange(4, -1, -1)
+    v = np.arange(65536)[:, None]
+    filled = (v // scale % 10 + ord("0")).astype(np.uint8)
+    short = np.where((v < scale) & (scale > 1), np.uint8(0), filled)
+    octet = short[:256, 2:]
+    dot = np.full((65536, 1), ord("."), dtype=np.uint8)
+    comma = np.full((65536, 1), ord(","), dtype=np.uint8)
+    half = np.hstack([octet[v[:, 0] >> 8], dot, octet[v[:, 0] & 255], dot]).view(np.uint64)
+    num = np.hstack([np.zeros((65536, 2), dtype=np.uint8), short, comma]).view(np.uint64)
+    ts = np.vstack([filled[:10000, 1:], short[:10000, 1:], np.zeros((10000, 4), dtype=np.uint8)])
+    return half.ravel(), num.ravel(), ts.view(np.uint32).ravel()
+
+
+def test_digit_tables_match_the_reference_byte_for_byte():
+    tables = records_module._digit_tables()
+    for table, expected in zip(tables, digit_tables_reference(), strict=True):
+        assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+        assert table.tobytes() == expected.tobytes()
+        assert not table.flags.writeable
 
 
 # ------------------------------------------------------- reader blocks
@@ -627,7 +684,7 @@ def test_decoder_matches_render_back_reference(rows, edits):
     for edit in edits:
         block = edit_bytes(block, *edit)
     expected = reference_parse_block(block)
-    decoded = records_module._parse_block(block, np.full((3, 16, 15), -1))
+    decoded = records_module._parse_block(block, np.full(records_module._WORK_WORDS * 16, -1))
     if expected is None:
         assert decoded is None
     else:
@@ -853,6 +910,26 @@ def test_read_days_matches_read_csv_split_by_day(tmp_path_factory, steps, block_
     p.write_text(day_lines(days, blanks))
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
         assert read_days_list(p) == split_by_day(read_csv(p))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * ROW_BYTES, 1 << 19])
+def test_read_days_tables_keep_their_values(tmp_path, block_bytes):
+    # At 1 << 19 bytes one block holds every day; at one row a block, the
+    # long day grows its table many times.  Every table is held until the
+    # generator is done, and none shares memory with another.
+    days = THREE_DAYS + [(4, list(range(300))), (5, [6]), (7, [2, 1])]
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(days, blank_after={2, 310}))
+    expected = split_by_day(read_csv(p))
+    held, seen = [], []
+    with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+        for day, table in read_days(p):
+            held.append(table)
+            seen.append((day, table.tolist()))
+    assert seen == expected
+    assert [table.tolist() for table in held] == [rows for _, rows in expected]
+    for i, table in enumerate(held):
+        assert not any(np.shares_memory(table, other) for other in held[i + 1 :])
 
 
 def error_of(reader, path):
