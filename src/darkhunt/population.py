@@ -118,11 +118,31 @@ def estimate_rate(r: float, t: float, k_telescope: int) -> float:
     return (r / t) * IPV4_SPACE / k_telescope
 
 
+def _quartiles(x: np.ndarray) -> tuple[float, float]:
+    """np.percentile(x, [75, 25]) of at least 2 values, bit for bit.
+
+    numpy's default linear method, without the import of numpy.ma that
+    np.percentile makes on first use (about 20 ms): the value at
+    virtual index (n - 1) * q of the sorted sample, interpolated between
+    its neighbours a and b as numpy's _lerp does, from the nearer one.
+    """
+    s = np.sort(x)
+    out = []
+    for q in (0.75, 0.25):
+        v = (len(s) - 1) * q
+        i = math.floor(v)
+        t = v - i
+        a, b = float(s[i]), float(s[i + 1])
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out[0], out[1]
+
+
 def _silverman_bandwidth(x: np.ndarray) -> float:
     """Silverman's rule of thumb: 0.9 * min(std, IQR/1.34) * n^(-1/5)."""
     std = float(np.std(x))
-    q75, q25 = np.percentile(x, [75, 25])
-    iqr = float(q75 - q25)
+    q75, q25 = _quartiles(x)
+    iqr = q75 - q25
     scale = min(std, iqr / 1.34) if iqr > 0 else std
     if scale == 0:
         # Degenerate sample (all values equal): any positive width gives a

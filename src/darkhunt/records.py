@@ -56,6 +56,13 @@ MAX_UDP_PAYLOAD = 65507  # 65535 - 8 (UDP header) - 20 (IP header)
 _FIELDS = CSV_HEADER.split(",")
 # Every field is unsigned; its inclusive maximum, for the table and the reader.
 _MAXIMA = dict(zip(_FIELDS, (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255, MAX_UDP_PAYLOAD)))
+# The fields whose column type holds no value outside 0 to their maximum
+# (the addresses, ports and proto): a column of that type needs no check.
+_TYPE_BOUNDED = {
+    name
+    for name, hi in _MAXIMA.items()
+    if np.iinfo(TRAFFIC_DTYPE[name]).min >= 0 and np.iinfo(TRAFFIC_DTYPE[name]).max <= hi
+}
 
 US_PER_DAY = 86_400_000_000
 SECONDS_PER_DAY = 86400.0
@@ -116,6 +123,8 @@ def traffic_table(rows) -> np.recarray:
         rows = list(rows)
         columns = np.array(rows, dtype=object).reshape(-1, len(_FIELDS)).T
     for (name, hi), col in zip(_MAXIMA.items(), columns):
+        if name in _TYPE_BOUNDED and col.dtype == TRAFFIC_DTYPE[name]:
+            continue
         bad = (col < 0) | (col > hi)
         if bad.any():
             raise ValueError(f"{name} out of range 0-{hi}: {col[bad][0]}")
@@ -349,16 +358,16 @@ def read_days(path):
     Reads like read_csv.  Rows may come in any order within a day; a row
     whose day is earlier than an earlier row's, or after 9999-12-31,
     raises CsvFormatError.  Each day's rows are decoded into a table of
-    its own, which starts with room for a block's most rows and doubles
-    as the day grows; a block's rows of a later day are copied into that
-    day's new table.
+    its own, which starts with room for the previous day's rows plus a
+    block's most rows (days of a capture are alike in size) and doubles
+    past that; a block's rows of a later day are copied into that day's
+    new table.  The tail of a table that is never written never becomes
+    resident.
     """
-
-    def fresh():
-        return np.empty(_BLOCK_BYTES // _MIN_ROW_BYTES + 1, dtype=TRAFFIC_DTYPE)
+    block_rows = _BLOCK_BYTES // _MIN_ROW_BYTES + 1
 
     with open(path, "rb") as fh:
-        day, table, n = -1, fresh(), 0
+        day, table, n = -1, np.empty(block_rows, dtype=TRAFFIC_DTYPE), 0
 
         def room(k):
             nonlocal table
@@ -370,9 +379,13 @@ def read_days(path):
 
         for block, rows, line_no in _row_blocks(fh, room):
             days = rows["ts_us"] // US_PER_DAY
-            bad = np.flatnonzero((np.diff(days, prepend=day) < 0) | (days > _LAST_DAY))
-            if len(bad):
-                i = bad[0]
+            # Most blocks only continue the day, in place; a block of blank
+            # lines holds no row.
+            if (days == day).all():
+                n += len(rows)
+                continue
+            if not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
+                i = np.flatnonzero((np.diff(days, prepend=day) < 0) | (days > _LAST_DAY))[0]
                 # Blank lines hold no row, so count the block's other lines.
                 line = line_no + [k for k, raw in enumerate(block.split(b"\n")) if raw][i]
                 if days[i] > _LAST_DAY:
@@ -386,7 +399,7 @@ def read_days(path):
             for lo, hi in zip(starts, starts[1:] + [len(rows)]):
                 if days[lo] != day and n:
                     yield day_of_ts(day * US_PER_DAY), _frozen(table[:n])
-                    table, n = fresh(), 0
+                    table, n = np.empty(n + block_rows, dtype=TRAFFIC_DTYPE), 0
                     table[: hi - lo] = rows[lo:hi]
                 day = int(days[lo])
                 n += hi - lo

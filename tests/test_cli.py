@@ -559,9 +559,10 @@ def test_model_bad_cidr_exits_2(capsys):
 
 # ---------------------------------------------------------------- population
 
-def test_population_round_trip_rate(tmp_path):
-    # 60 always-on hosts at 10 pps against an 8.4M-address telescope: the
-    # density peak must map back to ~10 pps.
+@pytest.fixture(scope="module")
+def always_on_run(tmp_path_factory):
+    """60 always-on hosts at 10 pps against an 8.4M-address telescope."""
+    root = tmp_path_factory.mktemp("always_on")
     cfg = {
         "seed": 33,
         "start_day": "2024-01-01",
@@ -569,13 +570,18 @@ def test_population_round_trip_rate(tmp_path):
         "secret": "pop-test",
         "crackonosh": {"population": [60], "always_on_fraction": 1.0},
     }
-    cfg_path = tmp_path / "cfg.json"
+    cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    run = tmp_path / "run"
+    run = root / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(run)]) == 0
+    return run
+
+
+def test_population_round_trip_rate(always_on_run, tmp_path):
+    # The density peak must map back to ~10 pps.
     out = tmp_path / "pop"
     assert main([
-        "population", "--csv", str(run / "traffic.csv"),
+        "population", "--csv", str(always_on_run / "traffic.csv"),
         "--telescope", "10.0.0.0/9", "--out", str(out),
     ]) == 0
     payload = json.loads((out / "peaks.json").read_text())
@@ -585,6 +591,24 @@ def test_population_round_trip_rate(tmp_path):
     assert (out / "density.csv").exists()
     always = json.loads((out / "always_on.json").read_text())
     assert always["2024-01-01"]["always_on_count"] == 60
+
+
+def test_population_does_not_import_numpy_ma(always_on_run, tmp_path):
+    # np.percentile imports numpy.ma (about 20 ms) on first use; the
+    # bandwidth of a run's always-on sample needs no such import.  (numpy
+    # before 2.0 imports numpy.ma with numpy itself.)
+    script = (
+        "import sys\nfrom darkhunt.cli import main\nbefore = 'numpy.ma' in sys.modules\n"
+        "print(main(sys.argv[1:]), before, 'numpy.ma' in sys.modules)"
+    )
+    out = tmp_path / "pop"
+    argv = ["population", "--csv", str(always_on_run / "traffic.csv"), "--telescope", "10.0.0.0/9", "--out", str(out)]
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    code, before, after = run.stdout.splitlines()[-1].split()
+    assert (code, after) == ("0", before), run.stderr
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert after == "False"
+    assert len(json.loads((out / "peaks.json").read_text())["peaks_packets_per_day"]) >= 1
 
 
 def test_population_zero_always_on_is_ok(sim_dir, tmp_path, capsys):

@@ -4,13 +4,14 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from darkhunt.population import (
     _PEAK_FLOOR,
     _local_maxima,
+    _quartiles,
     BINS_PER_DAY,
     always_on,
     density_profile,
@@ -280,6 +281,28 @@ def test_density_needs_two_samples():
         density_profile([5.0])
     with pytest.raises(ValueError):
         density_profile([])
+
+
+# Quartile samples: any finite floats (-0.0 as 0.0: numpy's partition and
+# np.sort may order the two zeros differently), ties, all-equal samples
+# and daily packet counts.
+FLOATS = st.floats(-1e300, 1e300).map(lambda v: v + 0.0)
+QUARTILE_SAMPLES = st.one_of(
+    st.lists(FLOATS, min_size=2, max_size=60),
+    st.lists(st.sampled_from([0.0, 1.0, 2.5, 1e300]), min_size=2, max_size=60),
+    st.tuples(FLOATS, st.integers(2, 60)).map(lambda vn: [vn[0]] * vn[1]),
+    st.lists(st.integers(0, 10**7).map(float), min_size=2, max_size=400),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(QUARTILE_SAMPLES)
+@example([5.0, -3.0])
+@example([7.0, 7.0])
+@example([1e300, -1e300, 1e300])
+def test_quartiles_match_numpy_percentile_bit_for_bit(x):
+    x = np.array(x)
+    assert np.array(_quartiles(x)).tobytes() == np.percentile(x, [75, 25]).tobytes()
 
 
 def scipy_peaks(density):

@@ -81,11 +81,19 @@ def test_traffic_table_range_checks_each_field(name, value):
 
 
 def test_traffic_table_range_checks_arrays():
-    # Values the column types can hold but the format forbids.
-    for name, value in (("ts_us", -5), ("payload_len", 65508)):
-        rows = np.array([make_record()], dtype=TRAFFIC_DTYPE)
-        rows[name] = value
-        with pytest.raises(ValueError, match=f"^{name} out of range"):
+    for name, value, column_type in (
+        # Values the column types can hold but the format forbids.
+        ("ts_us", -5, "<i8"),
+        ("payload_len", 65508, "<u2"),
+        # Columns of a wider type than the table's.
+        ("src_ip", 2**32, "<i8"),
+        ("src_ip", -1, "<i8"),
+        ("dst_port", 65536, "<i8"),
+    ):
+        dtype = np.dtype([(f, column_type if f == name else TRAFFIC_DTYPE[f]) for f in TRAFFIC_DTYPE.names])
+        rows = np.array([make_record(), make_record()], dtype=dtype)
+        rows[name][1] = value
+        with pytest.raises(ValueError, match=f"^{name} out of range 0-[0-9]+: {value}$"):
             traffic_table(rows)
 
 
@@ -329,7 +337,7 @@ EDGE_ROWS = [tuple(0 for _ in TOP), TOP] + [
 ]
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(
         st.tuples(*(st.sampled_from(e) | st.integers(0, hi) for e, hi in zip(FIELD_EDGES, TOP))),
@@ -912,12 +920,24 @@ def test_read_days_matches_read_csv_split_by_day(tmp_path_factory, steps, block_
         assert read_days_list(p) == split_by_day(read_csv(p))
 
 
-@pytest.mark.parametrize("block_bytes", [1, 3 * ROW_BYTES, 1 << 19])
+def allocated_rows(table):
+    """The row count of the array a table is a view of."""
+    while table.base is not None:
+        table = table.base
+    return len(table)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * ROW_BYTES, 1 << 12, 1 << 19])
 def test_read_days_tables_keep_their_values(tmp_path, block_bytes):
     # At 1 << 19 bytes one block holds every day; at one row a block, the
-    # long day grows its table many times.  Every table is held until the
-    # generator is done, and none shares memory with another.
-    days = THREE_DAYS + [(4, list(range(300))), (5, [6]), (7, [2, 1])]
+    # long days grow their tables many times.  Days run big, small, big:
+    # the small day's table has room for the big day before it plus one
+    # block, and the last day outgrows the room the small day before it
+    # leaves.  Every table is held until the generator is done, and none
+    # shares memory with another.
+    days = THREE_DAYS + [(4, list(range(300))), (5, [6]), (7, [2, 1]), (8, list(range(400)))]
+    block_rows = block_bytes // records_module._MIN_ROW_BYTES + 1
+    assert 400 > 2 + block_rows or block_bytes == 1 << 19  # one block: no table grows
     p = tmp_path / "t.csv"
     p.write_text(day_lines(days, blank_after={2, 310}))
     expected = split_by_day(read_csv(p))
@@ -930,6 +950,49 @@ def test_read_days_tables_keep_their_values(tmp_path, block_bytes):
     assert [table.tolist() for table in held] == [rows for _, rows in expected]
     for i, table in enumerate(held):
         assert not any(np.shares_memory(table, other) for other in held[i + 1 :])
+    assert [len(table) for table in held[3:5]] == [300, 1]
+    assert allocated_rows(held[4]) == 300 + block_rows
+
+
+def test_a_block_going_back_between_rows_of_its_day_names_the_row(tmp_path):
+    # Lines 2-5 and 7 are on day 1, line 6 on day 0.  Rows are all one
+    # length, so at two rows' bytes a block is three lines: the second,
+    # lines 5-7, starts and ends on the day the first block ended on.
+    days = [(1, [100, 101, 102, 103]), (0, [104]), (1, [105])]
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(days))
+    lengths = {len(line) + 1 for line in p.read_text().splitlines()[1:]}
+    assert len(lengths) == 1
+    for block_bytes in (1, 2 * lengths.pop(), 1 << 19):
+        with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+            error = error_of(read_days_list, p)
+        assert (error.line, error.field) == (6, "ts_us")
+        assert str(error) == "line 6: ts_us: day 2022-01-08 after day 2022-01-09: days must not go back"
+
+
+def test_blocks_of_blank_lines_are_skipped(tmp_path, monkeypatch):
+    # At one byte a block, a run of blank lines is read as blocks of two
+    # blank lines, also before the first row and after the last.
+    header, *lines = day_lines([(0, [100]), (1, [101, 102])]).splitlines(keepends=True)
+    p = tmp_path / "t.csv"
+    p.write_text(header + "\n\n" + lines[0] + "\n" * 4 + lines[1] + "\n\n\n" + lines[2] + "\n\n")
+    expected = split_by_day(read_csv(p))
+    blocks = []
+    line_blocks = records_module._line_blocks
+
+    def spy(fh):
+        for block in line_blocks(fh):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(records_module, "_line_blocks", spy)
+    for block_bytes in range(1, p.stat().st_size + 2):
+        with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
+            assert read_days_list(p) == expected
+    assert b"\n\n" in blocks
+    p.write_text(header + "\n\n\n")
+    with mock.patch.object(records_module, "_BLOCK_BYTES", 1):
+        assert read_days_list(p) == []
 
 
 def error_of(reader, path):
