@@ -18,6 +18,7 @@ from datetime import timedelta
 
 from . import __version__
 from .population import (
+    NoTrafficError,
     always_on,
     density_profile,
     peaks_to_rates,
@@ -32,7 +33,7 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import PROTO_UDP, CsvFormatError, read_days
+from .records import CsvFormatError, read_days
 from .sim import load_config, read_labels_csv, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
@@ -146,7 +147,10 @@ def _cmd_analyze(args) -> str:
         if m in metrics[:i]:
             raise DataError(f"metric {m!r} given twice in --metrics")
     window = WINDOWS[args.window]
-    parts = {day: score_periods(records, metrics, window) for day, records in _read_days(args.csv)}
+    parts = {}
+    for day, records in _read_days(args.csv):
+        parts[day] = score_periods(records, metrics, window)
+        del records  # before the next day is read
     # Only UDP packets are ranked; without any there is no period to score.
     if not any(len(part.port) for part in parts.values()):
         raise DataError(f"{args.csv}: no UDP traffic")
@@ -243,10 +247,13 @@ def _cmd_population(args) -> str:
     if args.bandwidth is not None and not 0 < args.bandwidth < math.inf:
         raise DataError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     tel = _parse_telescope(args.telescope)
-    tables = (table for _, table in _read_days(args.csv))
-    inside = (t[(t["proto"] == PROTO_UDP) & tel.contains_array(t["dst_ip"])] for t in tables)
-    # Days with no UDP packet inside the telescope have nothing to report.
-    reports = [always_on(day) for day in inside if len(day)]
+    reports = []
+    for _, table in _read_days(args.csv):
+        try:
+            reports.append(always_on(table, tel))
+        except NoTrafficError:
+            pass  # no UDP packet inside the telescope: nothing to report
+        del table  # before the next day is read
     if not reports:
         raise DataError(f"{args.csv}: no UDP traffic inside telescope {tel}")
     os.makedirs(args.out, exist_ok=True)

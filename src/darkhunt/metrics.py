@@ -49,20 +49,30 @@ def score_segments(
             raise ValueError(f"{metric_id} is undefined on an empty partition")
     seg = np.repeat(np.arange(len(n), dtype=np.int64), n)
 
+    def sorted_keys(name, shift):
+        # (segment << shift | value), built and sorted in place.
+        keys = seg << shift
+        keys |= records[name]
+        keys.sort()
+        return keys
+
     def distinct(keys, shift):
         # keys are sorted with the segment in the bits from `shift` up.
-        return np.bincount(keys[run_starts(keys)] >> shift, minlength=len(n))
+        firsts = keys[run_starts(keys)]
+        firsts >>= shift
+        return np.bincount(firsts, minlength=len(n))
 
     out = {}
     if {"address_count", "block_count", "src_spread"} & set(metric_ids):
-        src = np.sort(seg << 32 | records["src_ip"])
+        src = sorted_keys("src_ip", 32)
         out["address_count"] = distinct(src, 32).astype(float)
-        out["block_count"] = distinct(src >> 8, 24).astype(float)
+        src >>= 8
+        out["block_count"] = distinct(src, 24).astype(float)
+        del src
     if "src_spread" in metric_ids:
-        dst = np.sort(seg << 32 | records["dst_ip"])
-        out["src_spread"] = out["address_count"] / distinct(dst, 32)
+        out["src_spread"] = out["address_count"] / distinct(sorted_keys("dst_ip", 32), 32)
     if "size_entropy" in metric_ids:
-        sizes = np.sort(seg << 16 | records["payload_len"])
+        sizes = sorted_keys("payload_len", 16)
         starts = run_starts(sizes)
         run_seg = sizes[starts] >> 16
         p = np.diff(np.append(starts, len(sizes))) / n[run_seg]

@@ -32,6 +32,7 @@ __all__ = [
     "BINS_PER_DAY",
     "AlwaysOnReport",
     "DensityProfile",
+    "NoTrafficError",
     "always_on",
     "estimate_rate",
     "density_profile",
@@ -66,6 +67,10 @@ class DensityProfile:
     peaks: tuple[float, ...]
 
 
+class NoTrafficError(ValueError):
+    """always_on was given no UDP packet (inside its telescope)."""
+
+
 def always_on(
     records: np.ndarray, telescope: Optional[TelescopeSpec] = None
 ) -> AlwaysOnReport:
@@ -74,7 +79,8 @@ def always_on(
     `records` is a traffic table spanning a single UTC day.  Only UDP
     packets count, as in partitions and metrics.  When a telescope is
     given, only packets destined to it are considered (a no-op for data
-    captured at the telescope itself).
+    captured at the telescope itself).  Raises NoTrafficError if no
+    packet counts.
     """
     keep = records["proto"] == PROTO_UDP
     if telescope is not None:
@@ -82,7 +88,7 @@ def always_on(
     ts = records["ts_us"][keep]
     src = records["src_ip"][keep].astype(np.int64)
     if not len(ts):
-        raise ValueError("no records for the day")
+        raise NoTrafficError("no records for the day")
     days = ts // US_PER_DAY
     other = days[days != days[0]]
     if len(other):

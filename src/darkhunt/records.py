@@ -496,6 +496,7 @@ def write_csv_tables(tables, path) -> int:
             for lo in range(0, len(records), _CHUNK_ROWS):
                 fh.write(_render(records[lo : lo + _CHUNK_ROWS], rows))
             n += len(records)
+            del records  # so a generator can free it before it makes the next
     return n
 
 
@@ -536,17 +537,26 @@ def segment_by_window(records: np.ndarray, window: timedelta) -> Segments:
     window_us = int(window.total_seconds() * 1_000_000)
     if window_us <= 0 or US_PER_DAY % window_us != 0:
         raise ValueError(f"window must evenly divide one day, got {window}")
+    # Each temporary is dropped as soon as it is used: only the window
+    # indices, ports and row order are left when the rows are gathered.
     udp = np.flatnonzero(records["proto"] == PROTO_UDP)
     ts, port = records["ts_us"][udp], records["dst_port"][udp]
-    start = ts // window_us * window_us
-    order = np.lexsort((ts, port, start))
-    start, port = start[order], port[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (start[1:] != start[:-1]) | (port[1:] != port[:-1])
+    win = ts // window_us
+    order = np.lexsort((ts, port, win))
+    del ts
+    win, port = win[order], port[order]
+    udp = udp[order]
+    del order
+    first = np.ones(len(udp), dtype=bool)
+    first[1:] = (win[1:] != win[:-1]) | (port[1:] != port[:-1])
     los = np.flatnonzero(first)
+    del first
+    starts = win[los]
+    starts *= window_us
+    del win
     # np.take gathers structured rows many times faster than fancy indexing.
-    table = traffic_table(np.take(records, udp[order]))
-    return Segments(table, np.append(los, len(order)), start[los], port[los])
+    table = traffic_table(np.take(records, udp))
+    return Segments(table, np.append(los, len(udp)), starts, port[los])
 
 
 def partition_by_day_port(records: np.ndarray) -> dict[tuple[date, int], PortDayPartition]:

@@ -305,37 +305,50 @@ def _draw_public_ips(rng: np.random.Generator, n: int, blocked: TelescopeSpec) -
     return out
 
 
+def _under_cap(ips: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the addresses that find fewer than cap addresses before them in their /24.
+
+    One sort of (/24, position) keys puts each /24's addresses together in
+    position order; an address's rank is its distance from its run's start.
+    """
+    keys = ips >> 8
+    keys <<= 32
+    keys |= np.arange(ips.size)
+    keys.sort()
+    first = np.ones(ips.size, dtype=bool)
+    first[1:] = keys[1:] >> 32 != keys[:-1] >> 32
+    rank = np.arange(ips.size)
+    run_start = np.where(first, rank, 0)
+    np.maximum.accumulate(run_start, out=run_start)
+    rank -= run_start
+    keys &= 0xFFFFFFFF
+    kept = np.empty(ips.size, dtype=bool)
+    kept[keys] = rank < cap
+    return kept
+
+
 def _place_hosts(rng: np.random.Generator, n: int, blocked: TelescopeSpec, cap: int) -> np.ndarray:
     """n hosts drawn outside blocked, keeping in draw order each host that
     finds fewer than cap hosts before it in its /24."""
     placed = np.empty(0, dtype=np.int64)
     while placed.size < n:
         ips = np.concatenate([placed, _draw_public_ips(rng, max(256, n - placed.size), blocked)])
-        order = np.argsort(ips >> 8, kind="stable")
-        block = ips[order] >> 8
-        rank = np.arange(ips.size) - np.searchsorted(block, block)  # hosts before it in its /24
-        kept = np.empty(ips.size, dtype=bool)
-        kept[order] = rank < cap
-        drawn = ips[placed.size :][kept[placed.size :]]
+        drawn = ips[placed.size :][_under_cap(ips, cap)[placed.size :]]
         placed = np.concatenate([placed, drawn[: n - placed.size]])
     return placed
 
 
-# Generated packets as TRAFFIC_DTYPE rows (the protocol is always UDP).
-def _packets(
-    day_us: int,
-    offsets_s: np.ndarray,
-    src: np.ndarray,
-    sport: np.ndarray,
-    dst: np.ndarray,
-    dport: np.ndarray,
-    sizes: np.ndarray,
-) -> np.ndarray:
-    ts = day_us + np.floor(offsets_s * 1e6).astype(np.int64)
-    columns = [ts, src, sport, dst, dport, np.full(ts.size, PROTO_UDP), sizes]
-    return np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
+def _store_ts(rows: np.ndarray, day_us: int, offsets_s: np.ndarray) -> None:
+    """Store offsets in seconds after day_us as rows' ts_us, floored to the
+    microsecond; offsets_s is overwritten."""
+    offsets_s *= 1e6
+    np.floor(offsets_s, out=offsets_s)
+    rows["ts_us"] = offsets_s
+    rows["ts_us"] += day_us
 
 
+# Each part allocates its TRAFFIC_DTYPE rows once and stores every column
+# as soon as it is drawn, so no full-width int64 column outlives its draw.
 def _crackonosh_day(
     config: SimConfig,
     day_idx: int,
@@ -367,11 +380,21 @@ def _crackonosh_day(
             hits.append(targets[tel.contains_array(targets)])
         host = np.repeat(np.arange(n_hosts), [h.size for h in hits])
         dst = np.concatenate([np.empty(0, dtype=np.int64), *hits])
-    m = host.size
-    offsets = t0[host] + dur[host] * rng.random(m)
-    sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
-    sizes = ck.payload_base + rng.integers(0, ck.padding_sizes, size=m)
-    return _packets(day_us, offsets, host_ips[host], sport, dst, np.full(m, port), sizes)
+    rows = np.empty(host.size, dtype=TRAFFIC_DTYPE)
+    rows["dst_ip"] = dst
+    del dst
+    offsets = rng.random(host.size)
+    offsets *= dur[host]
+    offsets += t0[host]
+    _store_ts(rows, day_us, offsets)
+    del offsets
+    rows["src_ip"] = host_ips[host]
+    rows["src_port"] = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=host.size)
+    rows["dst_port"] = port
+    rows["proto"] = PROTO_UDP
+    rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=host.size)
+    rows["payload_len"] += ck.payload_base
+    return rows
 
 
 def _background_day(
@@ -385,6 +408,7 @@ def _background_day(
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_BG_DAY, scanner_idx, day_idx)
     n_pkts = int(rng.poisson(scanner.rate_pps * SECONDS_PER_DAY))
+    rows = np.empty(n_pkts, dtype=TRAFFIC_DTYPE)
     # Every source speaks before any repeats, so daily per-port source
     # counts stay at the configured level.
     perm = rng.permutation(sources.size)
@@ -393,14 +417,16 @@ def _background_day(
         src_idx = np.concatenate([perm, extra])
     else:
         src_idx = perm[:n_pkts]
-    offsets = rng.uniform(0.0, SECONDS_PER_DAY, size=n_pkts)
-    dst = tel.addresses_at_array(rng.integers(0, tel.k, size=n_pkts))
-    sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=n_pkts)
-    sizes = np.array(scanner.sizes, dtype=np.int64)[
+    rows["src_ip"] = sources[src_idx]
+    _store_ts(rows, day_us, rng.uniform(0.0, SECONDS_PER_DAY, size=n_pkts))
+    rows["dst_ip"] = tel.addresses_at_array(rng.integers(0, tel.k, size=n_pkts))
+    rows["src_port"] = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=n_pkts)
+    rows["payload_len"] = np.array(scanner.sizes, dtype=np.int64)[
         rng.choice(len(scanner.sizes), size=n_pkts, p=scanner.size_probs)
     ]
-    dport = np.full(n_pkts, scanner.service_port)
-    return _packets(day_us, offsets, sources[src_idx], sport, dst, dport, sizes)
+    rows["dst_port"] = scanner.service_port
+    rows["proto"] = PROTO_UDP
+    return rows
 
 
 def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
@@ -418,11 +444,15 @@ def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     srcs = _draw_public_ips(rng, n_ports, config.blocked)
     sizes = rng.integers(40, 401, size=n_ports)
     probe = np.repeat(np.arange(n_ports), rng.integers(1, 4, size=n_ports))
-    m = probe.size
-    offsets = rng.uniform(0.0, SECONDS_PER_DAY, size=m)
-    dst = tel.addresses_at_array(rng.integers(0, tel.k, size=m))
-    sport = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=m)
-    return _packets(day_us, offsets, srcs[probe], sport, dst, ports[probe], sizes[probe])
+    rows = np.empty(probe.size, dtype=TRAFFIC_DTYPE)
+    rows["src_ip"] = srcs[probe]
+    rows["dst_port"] = ports[probe]
+    rows["payload_len"] = sizes[probe]
+    _store_ts(rows, day_us, rng.uniform(0.0, SECONDS_PER_DAY, size=probe.size))
+    rows["dst_ip"] = tel.addresses_at_array(rng.integers(0, tel.k, size=probe.size))
+    rows["src_port"] = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=probe.size)
+    rows["proto"] = PROTO_UDP
+    return rows
 
 
 def _time_order(keys) -> np.ndarray:
@@ -479,6 +509,7 @@ def simulate_days(config: SimConfig):
         table, carry = traffic_table(np.take(rows, order[:keep])), np.take(rows, order[keep:])
         del rows, order  # hold only the table while the caller consumes it
         yield day, port, table
+        del table  # so the day is gone before the next is drawn, once the caller drops it
 
 
 def simulate(config: SimConfig) -> LabeledDataset:
@@ -662,6 +693,7 @@ def write_dataset(config: SimConfig, out_dir, inputs: Optional[dict] = None) -> 
         for day, port, table in simulate_days(config):
             labels[day] = port
             yield table
+            del table
 
     records = write_csv_tables(tables(), os.path.join(out_dir, "traffic.csv"))
     write_labels_csv(labels, os.path.join(out_dir, "labels.csv"))

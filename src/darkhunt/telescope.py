@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import ipaddress
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,11 +54,14 @@ class TelescopeSpec:
 
     cidrs: tuple[ipaddress.IPv4Network, ...]
     k: int
-    # Parallel arrays over the normalized blocks: inclusive address
-    # ranges and the cumulative address count before each block.
+    # Parallel arrays over the normalized blocks: first address and the
+    # cumulative address count before each block.
     _starts: tuple[int, ...]
-    _ends: tuple[int, ...]
     _cum: tuple[int, ...]
+    # Each block's first address and the address after its last, in
+    # order: an address is inside exactly when an odd number of bounds
+    # are at or below it.  Derived from cidrs, so left out of ==.
+    _bounds: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
     def from_cidrs(cls, cidrs: Iterable[str | ipaddress.IPv4Network]) -> "TelescopeSpec":
@@ -71,20 +74,16 @@ class TelescopeSpec:
         if not nets:
             raise ValueError("telescope needs at least one CIDR block")
         merged = tuple(ipaddress.collapse_addresses(nets))
-        starts, ends, cum = [], [], []
+        starts, bounds, cum = [], [], []
         total = 0
         for net in merged:
             starts.append(int(net.network_address))
-            ends.append(int(net.broadcast_address))
+            bounds += [starts[-1], int(net.broadcast_address) + 1]
             cum.append(total)
             total += net.num_addresses
-        return cls(
-            cidrs=merged,
-            k=total,
-            _starts=tuple(starts),
-            _ends=tuple(ends),
-            _cum=tuple(cum),
-        )
+        bounds = np.array(bounds, dtype=np.int64)
+        bounds.flags.writeable = False
+        return cls(cidrs=merged, k=total, _starts=tuple(starts), _cum=tuple(cum), _bounds=bounds)
 
     @classmethod
     def from_prefix(cls, prefix_len: int) -> "TelescopeSpec":
@@ -97,8 +96,7 @@ class TelescopeSpec:
         return cls.from_cidrs([f"10.0.0.0/{prefix_len}"])
 
     def __contains__(self, ip: int) -> bool:
-        i = bisect.bisect_right(self._starts, ip) - 1
-        return i >= 0 and ip <= self._ends[i]
+        return bisect.bisect_right(self._bounds, ip) % 2 == 1
 
     def address_at(self, index: int) -> int:
         """The index-th address of the telescope (0 <= index < k)."""
@@ -109,17 +107,20 @@ class TelescopeSpec:
 
     def contains_array(self, ips: np.ndarray) -> np.ndarray:
         """Vectorized membership test over an int array of addresses."""
-        starts = np.asarray(self._starts, dtype=np.int64)
-        ends = np.asarray(self._ends, dtype=np.int64)
-        i = np.searchsorted(starts, ips, side="right") - 1
-        return (i >= 0) & (ips <= ends[np.clip(i, 0, len(ends) - 1)])
+        i = np.searchsorted(self._bounds, ips, side="right")
+        i &= 1
+        return i.astype(bool)
 
     def addresses_at_array(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized address_at over an int array of indices in [0, k)."""
         cum = np.asarray(self._cum, dtype=np.int64)
-        starts = np.asarray(self._starts, dtype=np.int64)
-        j = np.searchsorted(cum, indices, side="right") - 1
-        return starts[j] + (indices - cum[j])
+        j = np.searchsorted(cum, indices, side="right")
+        j -= 1
+        # Each index plus its block's first address less the indices before it.
+        out = (np.asarray(self._starts, dtype=np.int64) - cum)[j]
+        del j
+        out += indices
+        return out
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.cidrs)

@@ -644,17 +644,19 @@ OUTSIDE = 0xC0000201  # 192.0.2.1
 
 
 def test_population_skips_days_without_telescope_traffic(tmp_path, capsys):
-    # Day 0 has traffic only outside the telescope; day 1 has an always-on
-    # source inside it.  Day 0 is skipped, not fatal.
+    # Day 0 has traffic only outside the telescope; day 1 only non-UDP
+    # rows inside it; day 2 has an always-on source inside it.  Days 0
+    # and 1 are skipped, not fatal.
     records = [_packet(i * BIN_US, OUTSIDE) for i in range(144)]
-    records += [_packet(DAY_US + i * BIN_US, INSIDE) for i in range(144)]
+    records += [_packet(DAY_US + i * BIN_US, INSIDE, proto=6) for i in range(144)]
+    records += [_packet(2 * DAY_US + i * BIN_US, INSIDE) for i in range(144)]
     csv_path = tmp_path / "t.csv"
     write_csv_tables([traffic_table(records)], csv_path)
     out = tmp_path / "pop"
     assert main(["population", "--csv", str(csv_path), "--telescope", "10.0.0.0/24", "--out", str(out)]) == 0
     always = json.loads((out / "always_on.json").read_text())
-    assert list(always) == ["1970-01-02"]
-    assert always["1970-01-02"]["always_on_count"] == 1
+    assert list(always) == ["1970-01-03"]
+    assert always["1970-01-03"]["always_on_count"] == 1
 
 
 def test_population_without_udp_inside_telescope_names_it(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Byte goldens for every CLI output on two small fixed configs.
+"""Byte goldens for every CLI output on three fixed configs.
 
 Each command runs in-process; every file it writes and everything it
 prints is hashed with sha256 after the run's temporary directory is
@@ -45,6 +45,19 @@ WIDE = {
     "noise_ports_per_day": 10,
 }
 
+# Paper population: the three-epoch schedule at scale 1.0 (90k, 40k and
+# 26k hosts, one day each) on a /22 with the default background, as in
+# CI's smoke run. The only config that places the largest host batches.
+PAPERPOP = {
+    "seed": 1,
+    "start_day": "2022-10-13",
+    "telescope": ["10.0.0.0/22"],
+    "secret": "ci-smoke",
+    "crackonosh": {"population": {"schedule": "three_epoch", "days_per_epoch": 1, "scale": 1.0}},
+    "background": "default",
+    "noise_ports_per_day": 250,
+}
+
 GOLDEN = {
     "desk": {
         "analyze/discoverability.json": "a0dee737c37bfccf81cf058a39d0c98665aea5d79c8be3d76bfa7a15c5706c40",
@@ -82,6 +95,24 @@ GOLDEN = {
         "simulate/manifest.json": "28571bf855938c923278f716a49198c24609ca4007d214c51db6e1ead0dfc108",
         "simulate/traffic.csv": "5cee34baca50d6816eb3753c5b045d07340ff19d68e7022befc01de642b26dc0",
         "simulate:stdout": "9f6a10257da3fab7ec1155e1a616e03c8bf4c7af833fb02e5e342b596a6b89b0",
+    },
+    "paperpop": {
+        "analyze/discoverability.json": "43ece2dc6735f721febc9a3670365b3ecfbfa3410154b370f9c56c9db7b24403",
+        "analyze/manifest.json": "77e7892250926ced29e8e24e56820a953cb42edb98e5220e7d9993ab319dd940",
+        "analyze/report_address_count.csv": "df2ac60e562d0c78a39651d94465d609cc63b09163799c4d74829d3274e3f9f1",
+        "analyze/report_block_count.csv": "ea3014e55499b06531635e7c384fb02190ad4b8563e5633a2f2a73c168c87a0a",
+        "analyze/report_size_entropy.csv": "ab05fcfdc77cc56f361347ccc8b6570ebe94f39e363b2fcf50eb47a2c0284b6c",
+        "analyze/report_src_spread.csv": "a895e4afe4b751473ad5883a600191c29b5d4d47dc8750ac82204eb4cced47d4",
+        "analyze:stdout": "10eb92593caa4c5284c6b7a09dec4beae653bc5fa0575a38764c00417eb93b6f",
+        "population/always_on.json": "86eb5d14bf407a6da8fb1115910a6cf448e3215f8ebca9451568e424b59495b3",
+        "population/density.csv": "429200bde98f3a7a219f74079be2c7298a8d6901f6dd2efbf618a6c22168fb1c",
+        "population/manifest.json": "482e4a58e373e5847b08f2598c2ef07ca0629abb4123edd54c4a6ede24c01257",
+        "population/peaks.json": "e2025971235fdd59f8e04e5f18da464e3f64065c409976ec5fddcb68785b38fe",
+        "population:stdout": "484c15d3f20d7373cd424976283bec5fd236f8a106374ccafc2c54626c9bdd3b",
+        "simulate/labels.csv": "ac37ed632be0b6eeba4866ca908b1eb85c98a4f81f37bac4bc7e452269da72e0",
+        "simulate/manifest.json": "84c879fca35b4507df594ad9674bfca0170e34333e166565e8ee43d5ffc4d491",
+        "simulate/traffic.csv": "713a75c53e2b12ad52d9465f8d7680d5bd874a95dbcb1c6900cd08ec372780d3",
+        "simulate:stdout": "242511627ea97b00d39ae01b4cda09b0cd53bb81405a2bbebd44e37d14acf944",
     },
 }
 
@@ -141,6 +172,7 @@ def _outputs(tmp_path, capsys, config, window, telescope):
     [
         ("desk", DESK, "1d", "10.0.0.0/20"),
         ("wide", WIDE, "15m", "10.0.0.0/9"),
+        ("paperpop", PAPERPOP, "1d", "10.0.0.0/22"),
     ],
 )
 def test_cli_outputs_match_golden(tmp_path, capsys, name, config, window, telescope):

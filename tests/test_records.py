@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 import warnings
+import weakref
 from datetime import date, timedelta
 from unittest import mock
 
@@ -388,6 +389,21 @@ def test_write_csv_memory_is_flat_in_rows(tmp_path):
 
     small, large = peak(20_000), peak(200_000)
     assert large <= 1.25 * small, (small, large)
+
+
+def test_write_csv_drops_each_table_before_taking_the_next(tmp_path):
+    refs = []
+
+    def tables():
+        for day in range(3):
+            assert [ref() for ref in refs] == [None] * day, f"a table is alive when table {day} is made"
+            table = traffic_table([(day * US_PER_DAY + i, 1, 2, 3, 4, 17, 5) for i in range(10)])
+            refs.append(weakref.ref(table))
+            yield table
+            del table
+
+    assert write_csv_tables(tables(), tmp_path / "t.csv") == 30
+    assert len(refs) == 3
 
 
 def digit_tables_reference():

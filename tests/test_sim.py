@@ -1,6 +1,7 @@
 import hashlib
 import ipaddress
 import json
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.stats import chisquare, ks_2samp
 
 from darkhunt import sim as sim_module
 from darkhunt.portgen import DailyPortOracle
-from darkhunt.records import US_PER_DAY, day_of_ts, day_start_us, read_csv
+from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, US_PER_DAY, day_of_ts, day_start_us, read_csv
 from darkhunt.sim import (
     BackgroundScanner,
     CrackonoshConfig,
@@ -96,12 +97,14 @@ def test_row_at_the_next_days_first_microsecond_sorts_as_in_one_run(monkeypatch)
     offsets = {0: [86400.0, 10.0, 86400.0, 86400.0, 20.0], 1: [0.0, 0.0, 0.0, 5.0]}
 
     def hand_built(config, day_idx):
-        m = len(src[day_idx])
-        same = np.ones(m, dtype=np.int64)
+        rows = np.empty(len(src[day_idx]), dtype=TRAFFIC_DTYPE)
+        for name in ("src_port", "dst_ip", "dst_port", "payload_len"):
+            rows[name] = 1
+        rows["src_ip"] = src[day_idx]
+        rows["proto"] = PROTO_UDP
         day_us = day0_us + day_idx * US_PER_DAY
-        return sim_module._packets(
-            day_us, np.array(offsets[day_idx]), np.array(src[day_idx]), same, same, same, same
-        )
+        sim_module._store_ts(rows, day_us, np.array(offsets[day_idx]))
+        return rows
 
     monkeypatch.setattr(sim_module, "_noise_day", hand_built)
     cfg = small_config(crackonosh=CrackonoshConfig(population=(0, 0)))
@@ -111,6 +114,42 @@ def test_row_at_the_next_days_first_microsecond_sorts_as_in_one_run(monkeypatch)
     day0, day1 = [table for _, _, table in simulate_days(cfg)]
     assert day0.ts_us.tolist() == [day0_us + 10_000_000, day0_us + 20_000_000]
     assert len(day1) == 7 and (day1.ts_us >= day0_us + US_PER_DAY).all()
+
+
+def spy_on_drawing(monkeypatch, refs):
+    """Make each coordinated-part draw assert that every day in refs is gone."""
+    crackonosh_day = sim_module._crackonosh_day
+
+    def spy(config, day_idx, *args):
+        assert [ref() for ref in refs] == [None] * len(refs), f"a day is alive when day {day_idx} is drawn"
+        return crackonosh_day(config, day_idx, *args)
+
+    monkeypatch.setattr(sim_module, "_crackonosh_day", spy)
+
+
+def test_simulate_days_drops_each_day_before_drawing_the_next(monkeypatch):
+    refs = []
+    spy_on_drawing(monkeypatch, refs)
+    for _, _, table in simulate_days(small_config(crackonosh=CrackonoshConfig(population=(50, 50, 50)))):
+        refs.append(weakref.ref(table))
+        del table
+    assert len(refs) == 3
+
+
+def test_write_dataset_drops_each_day_before_drawing_the_next(tmp_path, monkeypatch):
+    refs = []
+    spy_on_drawing(monkeypatch, refs)
+    simulate_days_ = sim_module.simulate_days
+
+    def recorded(config):
+        for day, port, table in simulate_days_(config):
+            refs.append(weakref.ref(table))
+            yield day, port, table
+            del table
+
+    monkeypatch.setattr(sim_module, "simulate_days", recorded)
+    write_dataset(small_config(crackonosh=CrackonoshConfig(population=(50, 50, 50))), tmp_path)
+    assert len(refs) == 3
 
 
 def test_first_day_streams_without_drawing_later_days(monkeypatch):
@@ -293,6 +332,32 @@ def test_placement_matches_the_reference_loop_at_200k_hosts(cidrs, cap):
         assert placed.tolist() == place_hosts_reference(rng_b, 200_000, telescope, cap).tolist()
         assert rng_a.random() == rng_b.random()
         assert np.unique(placed >> 8, return_counts=True)[1].max() <= cap
+
+
+def under_cap_reference(ips, cap):
+    """The rule sim._under_cap replaced: a stable argsort by /24 and each
+    address's distance from its /24's first sorted position."""
+    order = np.argsort(ips >> 8, kind="stable")
+    block = ips[order] >> 8
+    rank = np.arange(ips.size) - np.searchsorted(block, block)
+    kept = np.empty(ips.size, dtype=bool)
+    kept[order] = rank < cap
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(min_value=0, max_value=3000),
+    n_blocks=st.integers(min_value=1, max_value=50),
+    cap=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_under_cap_matches_the_stable_argsort_rule(size, n_blocks, cap, seed):
+    # Addresses from a few /24s anywhere in IPv4, so most share a /24.
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, 2**24, size=n_blocks)
+    ips = rng.choice(blocks, size=size) << 8 | rng.integers(0, 256, size=size)
+    assert sim_module._under_cap(ips, cap).tolist() == under_cap_reference(ips, cap).tolist()
 
 
 # ----------------------------------------------------- cross-module examples

@@ -1,3 +1,4 @@
+import ipaddress
 import math
 
 import numpy as np
@@ -60,6 +61,43 @@ def test_membership_vectorized_matches_scalar():
     assert [int(v) for v in tel.addresses_at_array(idx)] == [
         tel.address_at(i) for i in range(tel.k)
     ]
+
+
+ADDRESSES = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@st.composite
+def cidr_sets(draw):
+    """A few CIDRs, each maybe with its next neighbour (adjacent), its first
+    half (inside it) or its supernet (around it)."""
+    nets = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        net = ipaddress.IPv4Network((draw(ADDRESSES), draw(st.integers(min_value=0, max_value=32))), strict=False)
+        nets.append(net)
+        kind = draw(st.sampled_from(["alone", "adjacent", "inside", "around"]))
+        if kind == "adjacent" and int(net.broadcast_address) < 2**32 - 1:
+            nets.append(ipaddress.IPv4Network((int(net.broadcast_address) + 1, net.prefixlen)))
+        elif kind == "inside" and net.prefixlen < 32:
+            nets.append(next(net.subnets()))
+        elif kind == "around" and net.prefixlen > 0:
+            nets.append(net.supernet())
+    return nets
+
+
+@settings(max_examples=300, deadline=None)
+@given(nets=cidr_sets(), extra=st.lists(ADDRESSES, max_size=20))
+def test_membership_matches_ipaddress(nets, extra):
+    tel = TelescopeSpec.from_cidrs(nets)
+    # Every block's edges and the addresses either side of them.
+    probe = {0, 2**32 - 1, *extra}
+    for net in nets:
+        lo, hi = int(net.network_address), int(net.broadcast_address)
+        probe |= {a for a in (lo - 1, lo, hi, hi + 1) if 0 <= a < 2**32}
+    probe = sorted(probe)
+    expected = [any(ipaddress.IPv4Address(a) in net for net in nets) for a in probe]
+    assert [a in tel for a in probe] == expected
+    for dtype in (np.int64, np.uint32):
+        assert tel.contains_array(np.array(probe, dtype=dtype)).tolist() == expected
 
 
 def test_rejects_empty_and_bad_cidr():
