@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -34,7 +33,7 @@ from .ranking import (
     write_report_json,
 )
 from .records import CsvFormatError, read_days
-from .sim import load_config, read_labels_csv, write_dataset, write_manifest
+from .sim import load_config, read_labels_csv, sha256, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
     ScanPopulation,
@@ -90,7 +89,7 @@ def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> 
     write_manifest(
         out_dir,
         command,
-        config_sha256=hashlib.sha256(blob).hexdigest(),
+        config_sha256=sha256(blob).hexdigest(),
         params=params,
         outputs=outputs,
     )
@@ -147,6 +146,11 @@ def _cmd_analyze(args) -> str:
         if m in metrics[:i]:
             raise DataError(f"metric {m!r} given twice in --metrics")
     window = WINDOWS[args.window]
+    # The labels first: a bad labels file should not cost a pass over the CSV.
+    try:
+        labels = read_labels_csv(args.labels)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read labels {args.labels}: {exc}") from None
     parts = {}
     for day, records in _read_days(args.csv):
         parts[day] = score_periods(records, metrics, window)
@@ -154,10 +158,6 @@ def _cmd_analyze(args) -> str:
     # Only UDP packets are ranked; without any there is no period to score.
     if not any(len(part.port) for part in parts.values()):
         raise DataError(f"{args.csv}: no UDP traffic")
-    try:
-        labels = read_labels_csv(args.labels)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read labels {args.labels}: {exc}") from None
     missing = [day.isoformat() for day in parts if day not in labels]
     if missing:
         raise DataError("unlabeled days: " + ", ".join(missing))

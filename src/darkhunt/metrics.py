@@ -19,7 +19,7 @@ invariant under packet reordering and under duplicating every packet.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,11 +31,16 @@ METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
 
 
 def score_segments(
-    records: np.ndarray, bounds: np.ndarray, metric_ids: Sequence[str] = METRIC_IDS
+    records: np.ndarray,
+    bounds: np.ndarray,
+    metric_ids: Sequence[str] = METRIC_IDS,
+    order: Optional[np.ndarray] = None,
 ) -> dict[str, np.ndarray]:
     """Metric values of every segment of a table, as float arrays by metric id.
 
-    Segment i is records[bounds[i]:bounds[i + 1]].  Distinct counts are
+    Segment i is records[order[bounds[i]:bounds[i + 1]]], or
+    records[bounds[i]:bounds[i + 1]] if order is None; only the columns
+    the metrics read are gathered, one at a time.  Distinct counts are
     runs in one sort of (segment << 32 | value).  size_entropy sums the
     terms (c/n) * log2(c/n) of a segment's distinct sizes in ascending size
     order, one after another from 0.0, with math.log2, so every value is
@@ -52,7 +57,7 @@ def score_segments(
     def sorted_keys(name, shift):
         # (segment << shift | value), built and sorted in place.
         keys = seg << shift
-        keys |= records[name]
+        keys |= records[name] if order is None else np.take(records[name], order)
         keys.sort()
         return keys
 

@@ -153,7 +153,7 @@ def score_periods(
     equal the whole table's.
     """
     seg = segment_by_window(records, window)
-    values = score_segments(seg.records, seg.bounds, metric_ids)
+    values = score_segments(records, seg.bounds, metric_ids, seg.order)
     firsts, period = _periods(seg.start_us)
     value = np.array([values[m] for m in metric_ids], dtype=float).reshape(len(metric_ids), len(seg.port))
     rank = np.empty(value.shape, dtype=np.int64)

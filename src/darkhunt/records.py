@@ -445,8 +445,9 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-# Timestamp group scales: 20 digits in five groups of four hold 2**63 - 1.
-_TS_GROUPS = 10 ** np.arange(16, -1, -4, dtype=np.int64)
+# Where ts_us's leading four-digit group falls: a value below 10**16 has
+# nothing in its first group, below 10**12 nothing in its first two, ...
+_TS_BOUNDS = np.array([[10**16], [10**12], [10**8], [10**4]], dtype=np.int64)
 
 
 def _render(t: np.ndarray, rows: np.ndarray | None = None) -> bytes:
@@ -459,23 +460,30 @@ def _render(t: np.ndarray, rows: np.ndarray | None = None) -> bytes:
     """
     half, num, ts = _digit_tables()
     rows = np.empty((len(t), 11), dtype=np.uint64) if rows is None else rows[: len(t)]
-    # In-place steps and early dels keep the chunk's temporaries small.
-    groups = t["ts_us"][:, None] // _TS_GROUPS
-    groups %= 10000
-    nonzero = groups != 0
-    nonzero[:, -1] = True  # 0 prints as its last group, "0"
+    # ts_us's five four-digit groups, most significant first: 20 digits
+    # hold 2**63 - 1.  Dividing by one scalar at a time lets numpy divide
+    # by multiply and shift.
+    groups = np.empty((5, len(t)), dtype=np.int64)
+    groups[0] = t["ts_us"]
+    for group in groups[:0:-1]:
+        np.remainder(groups[0], 10000, out=group)
+        groups[0] //= 10000
     # Table block per group: 0 after the leading group, 1 at it, 2 before.
-    block = np.sign(nonzero.argmax(axis=1)[:, None] - np.arange(5)) + 1
-    block *= 10000
-    groups += block
-    del nonzero, block
-    rows.view(np.uint32)[:, :5] = ts[groups]
+    # Group j is at or before the leading group when the value is below
+    # the bound of group j - 1 (always, for the first), and before it when
+    # below its own bound; the last group is never before it.
+    below = (t["ts_us"] < _TS_BOUNDS) * 10000
+    groups[0] += 10000
+    groups[:4] += below
+    groups[1:] += below
+    del below
+    rows.view(np.uint32)[:, :5] = np.take(ts, groups).T
     del groups
     for word, name in ((3, "src_ip"), (6, "dst_ip")):
-        rows[:, word] = half[t[name] >> 16]
-        rows[:, word + 1] = half[t[name] & 0xFFFF]
+        rows[:, word] = np.take(half, t[name] >> 16)
+        rows[:, word + 1] = np.take(half, t[name] & 0xFFFF)
     for word, name in zip((5, 8, 9, 10), ("src_port", "dst_port", "proto", "payload_len")):
-        rows[:, word] = num[t[name]]
+        rows[:, word] = np.take(num, t[name])
     out = rows.view(np.uint8)
     out[:, 20:24] = np.frombuffer(b",\0\0\0", dtype=np.uint8)
     out[:, [39, 63, 87]] = np.frombuffer(b",,\n", dtype=np.uint8)
@@ -514,14 +522,16 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Segments:
-    """UDP packets sorted into (window start, destination port) segments.
+    """A table's UDP packets in (window start, destination port) segments.
 
-    Segment i is records[bounds[i]:bounds[i + 1]], every packet to port[i]
-    in the window starting at start_us[i].  Segments come in (start, port)
-    order and hold packets ordered by timestamp (ties keep input order).
+    Segment i is records[order[bounds[i]:bounds[i + 1]]], every packet to
+    port[i] in the window starting at start_us[i].  Segments come in
+    (start, port) order and hold packets ordered by timestamp (ties keep
+    input order).  The rows are not copied: a caller gathers the columns
+    it reads.
     """
 
-    records: np.recarray
+    order: np.ndarray
     bounds: np.ndarray
     start_us: np.ndarray
     port: np.ndarray
@@ -538,7 +548,7 @@ def segment_by_window(records: np.ndarray, window: timedelta) -> Segments:
     if window_us <= 0 or US_PER_DAY % window_us != 0:
         raise ValueError(f"window must evenly divide one day, got {window}")
     # Each temporary is dropped as soon as it is used: only the window
-    # indices, ports and row order are left when the rows are gathered.
+    # indices, ports and row order are left at the end.
     udp = np.flatnonzero(records["proto"] == PROTO_UDP)
     ts, port = records["ts_us"][udp], records["dst_port"][udp]
     win = ts // window_us
@@ -553,18 +563,17 @@ def segment_by_window(records: np.ndarray, window: timedelta) -> Segments:
     del first
     starts = win[los]
     starts *= window_us
-    del win
-    # np.take gathers structured rows many times faster than fancy indexing.
-    table = traffic_table(np.take(records, udp))
-    return Segments(table, np.append(los, len(udp)), starts, port[los])
+    return Segments(udp, np.append(los, len(udp)), starts, port[los])
 
 
 def partition_by_day_port(records: np.ndarray) -> dict[tuple[date, int], PortDayPartition]:
     """segment_by_window's one-day segments as partitions keyed by (UTC day, port)."""
     seg = segment_by_window(records, timedelta(days=1))
+    # np.take gathers structured rows many times faster than fancy indexing.
+    rows = traffic_table(np.take(records, seg.order))
     bounds = seg.bounds.tolist()
     days = [day_of_ts(start_us) for start_us in seg.start_us.tolist()]
     return {
-        (day, port): PortDayPartition(day=day, dst_port=port, records=seg.records[lo:hi])
+        (day, port): PortDayPartition(day=day, dst_port=port, records=rows[lo:hi])
         for lo, hi, day, port in zip(bounds[:-1], bounds[1:], days, seg.port.tolist())
     }

@@ -21,12 +21,13 @@ matter how days are parallelized or reordered.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,16 @@ from .records import (
     write_csv_tables,
 )
 from .telescope import IPV4_SPACE, TelescopeSpec
+
+# hashlib is heavy to load: it brings in OpenSSL, several MB resident.
+# CPython's builtin sha256 gives the same digests, as random.py does for sha512.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "BackgroundScanner",
@@ -347,15 +358,18 @@ def _store_ts(rows: np.ndarray, day_us: int, offsets_s: np.ndarray) -> None:
     rows["ts_us"] += day_us
 
 
-# Each part allocates its TRAFFIC_DTYPE rows once and stores every column
-# as soon as it is drawn, so no full-width int64 column outlives its draw.
+# A day is drawn in parts, each a generator: it draws up to its row count
+# and yields it, is sent its slice of the day's one TRAFFIC_DTYPE table,
+# and then fills every column as soon as it is drawn, so no full-width
+# int64 column outlives its draw.  Each part draws from its own stream,
+# so its draws are the same whatever runs between its two halves.
 def _crackonosh_day(
     config: SimConfig,
     day_idx: int,
     port: int,
     host_ips: np.ndarray,
     host_always_on: np.ndarray,
-) -> np.ndarray:
+):
     """Telescope hits of the day's live hosts 0..population[day]-1."""
     ck = config.crackonosh
     tel = config.telescope
@@ -370,7 +384,10 @@ def _crackonosh_day(
     n_sent = np.rint(ck.rate_pps * dur).astype(np.int64)
     if config.mode == "direct":
         host = np.repeat(np.arange(n_hosts), rng.binomial(n_sent, tel.k / IPV4_SPACE))
-        dst = tel.addresses_at_array(rng.integers(0, tel.k, size=host.size))
+        rows = yield host.size
+        # Offsets into the telescope, below k <= 2**32, so they fit the
+        # column; they become addresses once `host` is gone (see below).
+        rows["dst_ip"] = rng.integers(0, tel.k, size=host.size)
     else:
         # Every probe of one host at a time, so memory stays at one
         # host-day's probes.
@@ -379,10 +396,9 @@ def _crackonosh_day(
             targets = rng.integers(0, IPV4_SPACE, size=sent, dtype=np.int64)
             hits.append(targets[tel.contains_array(targets)])
         host = np.repeat(np.arange(n_hosts), [h.size for h in hits])
-        dst = np.concatenate([np.empty(0, dtype=np.int64), *hits])
-    rows = np.empty(host.size, dtype=TRAFFIC_DTYPE)
-    rows["dst_ip"] = dst
-    del dst
+        rows = yield host.size
+        rows["dst_ip"] = np.concatenate([np.empty(0, dtype=np.int64), *hits])
+        del hits
     offsets = rng.random(host.size)
     offsets *= dur[host]
     offsets += t0[host]
@@ -394,7 +410,9 @@ def _crackonosh_day(
     rows["proto"] = PROTO_UDP
     rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=host.size)
     rows["payload_len"] += ck.payload_base
-    return rows
+    if config.mode == "direct":
+        del host  # so it and the mapping's temporaries are never alive at once
+        rows["dst_ip"] = tel.addresses_at_array(rows["dst_ip"])
 
 
 def _background_day(
@@ -403,12 +421,12 @@ def _background_day(
     scanner_idx: int,
     scanner: BackgroundScanner,
     sources: np.ndarray,
-) -> np.ndarray:
+):
     tel = config.telescope
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     rng = _stream(config.seed, _K_BG_DAY, scanner_idx, day_idx)
     n_pkts = int(rng.poisson(scanner.rate_pps * SECONDS_PER_DAY))
-    rows = np.empty(n_pkts, dtype=TRAFFIC_DTYPE)
+    rows = yield n_pkts
     # Every source speaks before any repeats, so daily per-port source
     # counts stay at the configured level.
     perm = rng.permutation(sources.size)
@@ -426,10 +444,9 @@ def _background_day(
     ]
     rows["dst_port"] = scanner.service_port
     rows["proto"] = PROTO_UDP
-    return rows
 
 
-def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
+def _noise_day(config: SimConfig, day_idx: int):
     """One-off probes: a long tail of low ports with one source and 1-3 packets.
 
     Ports stay below the coordinated-scanner range (they mimic service
@@ -443,8 +460,9 @@ def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     ports = rng.choice(_NOISE_PORTS, size=n_ports, replace=False) + 1
     srcs = _draw_public_ips(rng, n_ports, config.blocked)
     sizes = rng.integers(40, 401, size=n_ports)
-    probe = np.repeat(np.arange(n_ports), rng.integers(1, 4, size=n_ports))
-    rows = np.empty(probe.size, dtype=TRAFFIC_DTYPE)
+    repeats = rng.integers(1, 4, size=n_ports)
+    rows = yield int(repeats.sum())
+    probe = np.repeat(np.arange(n_ports), repeats)
     rows["src_ip"] = srcs[probe]
     rows["dst_port"] = ports[probe]
     rows["payload_len"] = sizes[probe]
@@ -452,20 +470,22 @@ def _noise_day(config: SimConfig, day_idx: int) -> np.ndarray:
     rows["dst_ip"] = tel.addresses_at_array(rng.integers(0, tel.k, size=probe.size))
     rows["src_port"] = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=probe.size)
     rows["proto"] = PROTO_UDP
-    return rows
 
 
-def _time_order(keys) -> np.ndarray:
+def _time_order(keys) -> tuple[np.ndarray, np.ndarray]:
     """np.lexsort(keys), whose last key is the timestamp, by one argsort of it and
-    a lexsort (row index last, for stability) of only the rows with tied timestamps."""
+    a lexsort (row index last, for stability) of only the rows with tied timestamps;
+    returns the order and the timestamps in that order."""
     ts = keys[-1]
     order = np.argsort(ts)
+    # Indexing copies none of a strided column, where np.take copies all of it.
+    ts = ts[order]
     tied = np.zeros(ts.size + 1, dtype=bool)
-    tied[1:-1] = ts[order[1:]] == ts[order[:-1]]
+    np.equal(ts[1:], ts[:-1], out=tied[1:-1])
     tied = tied[1:] | tied[:-1]
     sub = order[tied]
     order[tied] = sub[np.lexsort((sub, *(key[sub] for key in keys)))]
-    return order
+    return order, ts
 
 
 def simulate_days(config: SimConfig):
@@ -475,6 +495,8 @@ def simulate_days(config: SimConfig):
     sorted on its own, in the order one lexsort of the whole run on (ts,
     src, dst, sport, dport, size) gives: a row that rounding put at the
     next day's start goes into that day's sort, ahead of its own rows.
+    A day's rows are drawn into one table, sized from the parts' counts,
+    and sorted in place a column at a time.
     """
     ck = config.crackonosh
     max_pop = max(ck.population)
@@ -498,16 +520,30 @@ def simulate_days(config: SimConfig):
     for day_idx in range(config.days):
         day = config.start_day + timedelta(days=day_idx)
         port = config.oracle.daily_port(day)
-        rows = [carry, _crackonosh_day(config, day_idx, port, host_ips, host_always_on)]
+        parts = [_crackonosh_day(config, day_idx, port, host_ips, host_always_on)]
         for idx, scanner in enumerate(config.background):
-            rows.append(_background_day(config, day_idx, idx, scanner, bg_sources[idx]))
-        rows.append(_noise_day(config, day_idx))
-        rows = np.concatenate(rows)
-        order = _time_order([rows[name] for name in _SORT_KEYS])
+            parts.append(_background_day(config, day_idx, idx, scanner, bg_sources[idx]))
+        parts.append(_noise_day(config, day_idx))
+        bounds = list(accumulate([len(carry), *map(next, parts)]))
+        rows = np.empty(bounds[-1], dtype=TRAFFIC_DTYPE)
+        rows[: len(carry)] = carry
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            with suppress(StopIteration):
+                part.send(rows[lo:hi])
+        del parts
+        order, ts = _time_order([rows[name] for name in _SORT_KEYS])
         end_us = day_start_us(day) + US_PER_DAY
-        keep = len(rows) if day_idx + 1 == config.days else np.count_nonzero(rows["ts_us"] < end_us)
-        table, carry = traffic_table(np.take(rows, order[:keep])), np.take(rows, order[keep:])
-        del rows, order  # hold only the table while the caller consumes it
+        keep = len(rows) if day_idx + 1 == config.days else int(np.searchsorted(ts, end_us))
+        carry = np.take(rows, order[keep:])
+        rows["ts_us"][:keep] = ts[:keep]
+        del ts
+        # The other columns are at most 4 bytes wide: np.take's copy of
+        # one and its result take no more than the timestamps did.
+        for name in TRAFFIC_DTYPE.names[1:]:
+            rows[name][:keep] = np.take(rows[name], order[:keep])
+        del order
+        table = traffic_table(rows[:keep])
+        del rows  # hold only the table while the caller consumes it
         yield day, port, table
         del table  # so the day is gone before the next is drawn, once the caller drops it
 
@@ -659,7 +695,7 @@ def config_digest(config: SimConfig) -> str:
         "seed": config.seed,
         "start_day": config.start_day.isoformat(),
         "telescope": [str(c) for c in config.telescope.cidrs],
-        "secret_sha256": hashlib.sha256(config.oracle.secret).hexdigest(),
+        "secret_sha256": sha256(config.oracle.secret).hexdigest(),
         "port_range": [config.oracle.port_lo, config.oracle.port_hi],
         "crackonosh": asdict(config.crackonosh),
         "background": [asdict(s) for s in config.background],
@@ -667,7 +703,7 @@ def config_digest(config: SimConfig) -> str:
         "mode": config.mode,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def write_manifest(out_dir, command: str, **fields) -> dict:

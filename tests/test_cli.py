@@ -1,3 +1,4 @@
+import importlib.util
 import ipaddress
 import json
 import os
@@ -445,9 +446,14 @@ def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra,message", [("2024-01-01,70000", "port out of range"), ("2024-01-01,5", "listed twice")]
 )
-def test_analyze_rejects_a_bad_labels_line(sim_dir, tmp_path, capsys, extra, message):
+def test_analyze_rejects_a_bad_labels_line(sim_dir, tmp_path, monkeypatch, capsys, extra, message):
     labels = tmp_path / "bad_labels.csv"
     labels.write_text((sim_dir / "labels.csv").read_text() + extra + "\n")
+
+    def unread(path):
+        raise AssertionError("the CSV is read before the labels are checked")
+
+    monkeypatch.setattr(cli, "read_days", unread)
     out = tmp_path / "rep"
     argv = ["analyze", "--csv", str(sim_dir / "traffic.csv"), "--labels", str(labels), "--out", str(out)]
     assert main(argv) == 2
@@ -727,3 +733,13 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, darkhunt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_openssl():
+    # Manifests hash with CPython's builtin sha256: hashlib's OpenSSL
+    # module would add several MB to analyze's and population's RSS.
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python has no builtin sha256 module")
+    code = "import sys, darkhunt.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

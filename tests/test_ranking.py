@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from darkhunt.ranking import (
     write_report_csv,
     write_report_json,
 )
-from darkhunt.records import partition_by_day_port, segment_by_window, traffic_table
+from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, partition_by_day_port, segment_by_window, traffic_table
 from conftest import make_record
 
 US_PER_DAY = 86_400_000_000
@@ -236,6 +238,31 @@ def test_time_series_all_metrics_match_single_metric_runs():
         assert all(row.metric_id == metric_id for row in alone[metric_id])
 
 
+def test_scoring_a_day_gathers_columns_not_rows():
+    # The UDP rows' order, the segment keys and one gathered column at a
+    # time: about 1.75 times the table's bytes, against 2.4 when segments
+    # were a sorted copy of the rows.
+    rng = np.random.default_rng(5)
+    rows = np.zeros(40_000, dtype=TRAFFIC_DTYPE)
+    rows["ts_us"] = rng.integers(0, US_PER_DAY, len(rows))
+    # Like a simulated day: a few thousand sources over many addresses,
+    # and padded payload sizes.
+    rows["src_ip"] = rng.integers(0, 2**32, 3000)[rng.integers(0, 3000, len(rows))]
+    rows["dst_ip"] = rng.integers(0, 2**32, len(rows))
+    rows["dst_port"] = rng.integers(0, 20, len(rows))
+    rows["payload_len"] = rng.integers(64, 192, len(rows))
+    rows["proto"] = PROTO_UDP
+    table = traffic_table(rows)
+    score_periods(table, METRIC_IDS)  # first-use allocations are not counted
+    tracemalloc.start()
+    try:
+        score_periods(table, METRIC_IDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * table.nbytes, peak / table.nbytes
+
+
 # ------------------------------------------- segment report vs reference
 
 def reference_scores(packets):
@@ -323,8 +350,9 @@ def test_segment_report_matches_per_partition_reference(window, rows, label_port
         got = [(r.period, bits(r.score), r.rank) for r in got_report[metric_id]]
         assert got == [(p, bits(v), rank) for p, v, rank in ref_report[metric_id]]
     # Every segment, not only the labeled ports', scores bit for bit.
-    seg = segment_by_window(traffic_table(rows), window)
-    values = score_segments(seg.records, seg.bounds)
+    table = traffic_table(rows)
+    seg = segment_by_window(table, window)
+    values = score_segments(table, seg.bounds, order=seg.order)
     for i, key in enumerate(zip(seg.start_us.tolist(), seg.port.tolist())):
         for metric_id in METRIC_IDS:
             assert bits(float(values[metric_id][i])) == bits(ref_scores[key][metric_id])

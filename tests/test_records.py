@@ -360,6 +360,18 @@ def test_write_csv_across_chunk_boundaries(tmp_path, n):
     assert p.read_bytes() == reference_csv(rows)
 
 
+@pytest.mark.parametrize(
+    "ts_us", [0, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 10**16 - 1, 10**16, 2**63 - 1]
+)
+def test_timestamps_at_digit_group_edges_round_trip(tmp_path, ts_us):
+    # The writer splits ts_us into four-digit groups and finds the leading one.
+    row = (ts_us, 1, 2, 3, 4, 17, 5)
+    p = tmp_path / "t.csv"
+    write_csv_tables([traffic_table([row])], p)
+    assert p.read_bytes() == reference_csv([row])
+    assert read_csv(p).tolist() == [row]
+
+
 CHUNK = records_module._CHUNK_ROWS
 
 
