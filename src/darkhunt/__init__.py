@@ -31,7 +31,6 @@ from .records import (  # noqa: F401
     LabeledDataset,
     PortDayPartition,
     partition_by_day_port,
-    read_csv,
     read_days,
     traffic_table,
 )

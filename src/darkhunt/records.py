@@ -9,7 +9,6 @@ are pure functions, so partitions can be built and consumed concurrently.
 from __future__ import annotations
 
 import functools
-import os
 import re
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -31,7 +30,6 @@ __all__ = [
     "ip_from_str",
     "day_of_ts",
     "traffic_table",
-    "read_csv",
     "read_days",
     "write_csv_tables",
     "run_starts",
@@ -192,7 +190,7 @@ _TS_WORD_SCALES = np.array([[10**8], [10**16]], dtype=np.uint64)
 _OCTET_SHIFTS = np.array([[24], [16], [8], [0]], dtype=np.uint64)
 _WORK_WORDS = 45  # int64 decoder work words per row: 15 digit counts, word starts and words
 _CHUNK_ROWS = 1 << 12  # rows per _render call: its byte matrix and temporaries stay cache-sized
-_BLOCK_BYTES = 1 << 17  # bytes read per read_csv block, rounded up to a whole line
+_BLOCK_BYTES = 1 << 17  # bytes read per read_days block, rounded up to a whole line
 _MIN_ROW_BYTES = len("0,0.0.0.0,0,0.0.0.0,0,0,0\n")
 
 
@@ -216,7 +214,7 @@ def _line_error(line: str, line_no: int) -> CsvFormatError | None:
     return None
 
 
-def _parse_block(block: bytes, work: np.ndarray | None = None, room=None) -> np.ndarray | None:
+def _parse_block(block: bytes, work: np.ndarray, room) -> np.ndarray | None:
     """The rows of a block of LF-ended lines, or None if any is not canonical.
 
     A block is canonical exactly when every byte is a digit or separator,
@@ -228,12 +226,11 @@ def _parse_block(block: bytes, work: np.ndarray | None = None, room=None) -> np.
 
     The rows are decoded straight into the start of room(n), a
     TRAFFIC_DTYPE array the caller gives with room for the block's n
-    rows (a fresh array if room is None), and that part of it is
-    returned; room is called only once the whole block is canonical.
-    The temporaries go in `work`, a flat int64 array, if it holds
-    _WORK_WORDS a row: a read that passes the same one for every block
-    touches the same pages, where fresh arrays would be faulted in again
-    each block.
+    rows, and that part of it is returned; room is called only once the
+    whole block is canonical.  The temporaries go in `work`, a flat int64
+    array, if it holds _WORK_WORDS a row (else in a fresh one): a read
+    that passes the same one for every block touches the same pages,
+    where fresh arrays would be faulted in again each block.
     """
     data = _PAD + block
     b = np.frombuffer(data, dtype=np.uint8)
@@ -241,7 +238,7 @@ def _parse_block(block: bytes, work: np.ndarray | None = None, room=None) -> np.
     n = (len(seps) - 1) // 13
     if b.max() > 57 or b[-1] != 10 or b[seps[1:]].tobytes() != _ROW_SEPARATORS * n:
         return None
-    if work is None or len(work) < _WORK_WORDS * n:
+    if len(work) < _WORK_WORDS * n:
         work = np.empty(_WORK_WORDS * n, dtype=np.int64)
     # One contiguous array of n per field, the 13 fields then ts_us's two
     # earlier words: digit counts (which may clip to 0), the word starts,
@@ -271,7 +268,7 @@ def _parse_block(block: bytes, work: np.ndarray | None = None, room=None) -> np.
         return None
     v[1:5] <<= _OCTET_SHIFTS
     v[6:10] <<= _OCTET_SHIFTS
-    rows = np.empty(n, dtype=TRAFFIC_DTYPE) if room is None else room(n)[:n]
+    rows = room(n)[:n]
     for name, column in zip(_FIELDS, (v[0], v[1:5].sum(axis=0), v[5], v[6:10].sum(axis=0), *v[10:])):
         rows[name] = column
     return rows
@@ -301,25 +298,6 @@ def _line_blocks(fh):
         yield block if block.endswith(b"\n") else block + b"\n"
 
 
-def _row_blocks(fh, room):
-    """(block, its rows, its first line number) per block after the header; see read_csv.
-
-    A block's rows are decoded straight into the caller's table: see
-    _parse_block for `room`.
-    """
-    header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
-    if header != CSV_HEADER:
-        raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
-    line_no = 2
-    work = np.empty(_WORK_WORDS * (_BLOCK_BYTES // _MIN_ROW_BYTES + 1), dtype=np.int64)
-    for block in _line_blocks(fh):
-        rows = _parse_block(block, work, room)
-        # Only a block that falls back to _scan can hold a blank line.
-        lines = block.count(b"\n") if rows is None else len(rows)
-        yield block, _scan(block, line_no, work, room) if rows is None else rows, line_no
-        line_no += lines
-
-
 def _frozen(rows: np.ndarray) -> np.recarray:
     """A read-only traffic table view of rows the decoder has bounded."""
     table = rows.view(np.recarray)
@@ -327,47 +305,32 @@ def _frozen(rows: np.ndarray) -> np.recarray:
     return table
 
 
-def read_csv(path) -> np.recarray:
-    """Read a canonical traffic CSV into a traffic table, in file order.
-
-    Strict: the first malformed row raises CsvFormatError naming the line
-    and field (silent data loss corrupts population metrics).  The grammar
-    is in the README; empty lines are skipped.  The file is read in blocks
-    of whole lines, so only one block's temporaries are held at a time.
-    Rows are decoded into one table sized for the shortest row (26 bytes);
-    its pages past the last row are never touched, so they never become
-    resident.
-    """
-    with open(path, "rb") as fh:
-        table = np.empty(os.fstat(fh.fileno()).st_size // _MIN_ROW_BYTES, dtype=TRAFFIC_DTYPE)
-        n = 0
-
-        def room(k):
-            if n + k > len(table):
-                raise CsvFormatError("the file grew while it was read, or is not a regular file")
-            return table[n:]
-
-        for _, rows, _ in _row_blocks(fh, room):
-            n += len(rows)
-    return _frozen(table[:n])
-
-
 def read_days(path):
     """Yield (UTC day, traffic table) per day of a traffic CSV, holding one day's rows.
 
-    Reads like read_csv.  Rows may come in any order within a day; a row
-    whose day is earlier than an earlier row's, or after 9999-12-31,
-    raises CsvFormatError.  Each day's rows are decoded into a table of
-    its own, which starts with room for the previous day's rows plus a
-    block's most rows (days of a capture are alike in size) and doubles
-    past that; a block's rows of a later day are copied into that day's
-    new table.  The tail of a table that is never written never becomes
-    resident.
+    Strict: the first malformed row raises CsvFormatError naming the line
+    and field (silent data loss corrupts population metrics).  The grammar
+    is in the README; empty lines are skipped.  Rows may come in any order
+    within a day; a row whose day is earlier than an earlier row's, or
+    after 9999-12-31, raises CsvFormatError.
+
+    The file is read in blocks of whole lines, each decoded straight into
+    its day's table with one work area for every block.  Each day's rows
+    are decoded into a table of its own, which starts with room for the
+    previous day's rows plus a block's most rows (days of a capture are
+    alike in size) and doubles past that; a block's rows of a later day
+    are copied into that day's new table.  The tail of a table that is
+    never written never becomes resident.
     """
     block_rows = _BLOCK_BYTES // _MIN_ROW_BYTES + 1
+    work = np.empty(_WORK_WORDS * block_rows, dtype=np.int64)
 
     with open(path, "rb") as fh:
+        header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
+        if header != CSV_HEADER:
+            raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
         day, table, n = -1, np.empty(block_rows, dtype=TRAFFIC_DTYPE), 0
+        line_no, lines = 2, 0  # line_no + lines is the next block's first line
 
         def room(k):
             nonlocal table
@@ -377,7 +340,13 @@ def read_days(path):
                 table = grown
             return table[n:]
 
-        for block, rows, line_no in _row_blocks(fh, room):
+        for block in _line_blocks(fh):
+            line_no += lines
+            rows = _parse_block(block, work, room)
+            # Only a block that falls back to _scan can hold a blank line.
+            lines = block.count(b"\n") if rows is None else len(rows)
+            if rows is None:
+                rows = _scan(block, line_no, work, room)
             days = rows["ts_us"] // US_PER_DAY
             # Most blocks only continue the day, in place; a block of blank
             # lines holds no row.

@@ -22,7 +22,10 @@ matter how days are parallelized or reordered.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
+import re
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
@@ -40,6 +43,7 @@ from .records import (
     SECONDS_PER_DAY,
     TRAFFIC_DTYPE,
     US_PER_DAY,
+    _UINT_RE,
     LabeledDataset,
     day_start_us,
     traffic_table,
@@ -95,6 +99,22 @@ _K_NOISE = 4
 # The order of simulated rows, as np.lexsort keys: least significant first.
 _SORT_KEYS = ("payload_len", "dst_port", "src_port", "dst_ip", "src_ip", "ts_us")
 
+# The one day form date.fromisoformat takes on every Python from 3.10.
+_DAY_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_day(text: str, name: str) -> date:
+    if _DAY_RE.fullmatch(text) is None:
+        raise ValueError(f"{name}: not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
+
+
+def _require_ints(name: str, *values) -> None:
+    """Raise ValueError unless every value of the named field is an integer; a bool is not."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 def _stream(seed: int, kind: int, a: int = 0, b: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, kind, a, b))))
@@ -118,12 +138,15 @@ class BackgroundScanner:
     n_sources: int = 1
 
     def __post_init__(self) -> None:
+        _require_ints("service_port", self.service_port)
+        _require_ints("n_sources", self.n_sources)
+        _require_ints("sizes", *self.sizes)
         if not 0 <= self.service_port <= 65535:
             raise ValueError(f"service_port out of range: {self.service_port}")
         if self.source_mode not in ("single", "block"):
             raise ValueError(f"source_mode must be 'single' or 'block': {self.source_mode}")
-        if self.rate_pps <= 0:
-            raise ValueError("rate_pps must be > 0")
+        if not 0 < self.rate_pps < math.inf:
+            raise ValueError(f"rate_pps must be finite and > 0, got {self.rate_pps}")
         if not 1 <= len(self.sizes) <= 4:
             raise ValueError("modal size distribution needs 1-4 distinct sizes")
         if len(self.sizes) != len(set(self.sizes)):
@@ -167,8 +190,10 @@ class CrackonoshConfig:
             raise ValueError("population schedule must cover at least one day")
         if any(n < 0 for n in self.population):
             raise ValueError("population counts must be >= 0")
-        if self.rate_pps < 0:
-            raise ValueError("rate_pps must be >= 0")
+        for name in ("padding_sizes", "payload_base", "per24_cap"):
+            _require_ints(name, getattr(self, name))
+        if not 0 <= self.rate_pps < math.inf:
+            raise ValueError(f"rate_pps must be finite and >= 0, got {self.rate_pps}")
         if self.padding_sizes < 1:
             raise ValueError("padding_sizes must be >= 1")
         if self.payload_base < 0 or self.payload_base + self.padding_sizes - 1 > MAX_UDP_PAYLOAD:
@@ -228,8 +253,8 @@ def three_epoch_schedule(days_per_epoch: int, scale: float = 1.0) -> tuple[int, 
     """
     if days_per_epoch < 1:
         raise ValueError("days_per_epoch must be >= 1")
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     schedule = []
     for count in (90000, 40000, 26000):
         schedule.extend([round(count * scale)] * days_per_epoch)
@@ -576,8 +601,10 @@ def read_labels_csv(path) -> dict[date, int]:
                 continue
             try:
                 day_s, port_s = line.split(",")
-                day, port = date.fromisoformat(day_s), int(port_s)
-                if not 0 <= port <= 65535:
+                if _UINT_RE.fullmatch(port_s) is None:
+                    raise ValueError(f"port: not an unsigned decimal integer: {port_s!r}")
+                day, port = _parse_day(day_s, "day"), int(port_s)
+                if port > 65535:
                     raise ValueError(f"port out of range 0-65535: {port}")
                 if day in labels:
                     raise ValueError(f"day {day} listed twice")
@@ -596,7 +623,7 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     """
     try:
         seed = int(d["seed"])
-        start_day = date.fromisoformat(d["start_day"])
+        start_day = _parse_day(d["start_day"], "start_day")
         tel_field = d["telescope"]
     except KeyError as exc:
         raise ValueError(f"config missing required key: {exc.args[0]}") from None
@@ -640,12 +667,12 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     else:
         background = tuple(
             BackgroundScanner(
-                service_port=int(s["service_port"]),
+                service_port=s["service_port"],
                 source_mode=s["source_mode"],
                 rate_pps=float(s["rate_pps"]),
-                sizes=tuple(int(v) for v in s["sizes"]),
+                sizes=tuple(s["sizes"]),
                 size_probs=tuple(float(v) for v in s["size_probs"]),
-                n_sources=int(s.get("n_sources", 1)),
+                n_sources=s.get("n_sources", 1),
             )
             for s in bg_field
         )

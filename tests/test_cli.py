@@ -10,9 +10,9 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from darkhunt import cli, ranking, records
+from darkhunt import cli, ranking
 from darkhunt.cli import main
-from darkhunt.records import CSV_HEADER, US_PER_DAY, read_csv, traffic_table, write_csv_tables
+from darkhunt.records import CSV_HEADER, US_PER_DAY, read_days, traffic_table, write_csv_tables
 
 CONFIG = {
     "seed": 21,
@@ -82,10 +82,11 @@ def test_simulate_secret_never_printed(tmp_path, capsys):
     assert "cli-tests" not in manifest
 
 
+SCANNER = {"service_port": 53, "source_mode": "single", "rate_pps": 0.01, "sizes": [70], "size_probs": [1.0]}
+
+
 def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
-    scanner = {"service_port": 53, "source_mode": "single", "rate_pps": 0.01,
-               "sizes": [70000], "size_probs": [1.0]}
-    cfg_path = write_config(tmp_path, background=[scanner])
+    cfg_path = write_config(tmp_path, background=[dict(SCANNER, sizes=[70000])])
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "modal sizes must be within 0-65507" in capsys.readouterr().err
@@ -93,14 +94,28 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "crackonosh",
+    "overrides",
     [
-        {"population": [8], "always_on_fracton": 0.5},  # misspelled key
-        {"population": [8], "rate_pps": "fast"},  # wrong-typed value
+        {"crackonosh": {"population": [8], "always_on_fracton": 0.5}},  # misspelled key
+        {"crackonosh": {"population": [8], "rate_pps": "fast"}},  # wrong-typed value
+        # Numbers that once failed mid-run, leaving a partial --out, or
+        # were silently truncated or taken.
+        {"crackonosh": {"population": [8], "rate_pps": float("nan")}},
+        {"crackonosh": {"population": [8], "rate_pps": float("inf")}},
+        {"background": [dict(SCANNER, rate_pps=float("nan"))]},
+        {"background": [dict(SCANNER, rate_pps=float("inf"))]},
+        {"crackonosh": {"population": [8], "payload_base": 64.5}},
+        {"crackonosh": {"population": [8], "padding_sizes": 2.5}},
+        {"crackonosh": {"population": [8], "per24_cap": True}},
+        {"background": [dict(SCANNER, service_port=53.5)]},
+        {"background": [dict(SCANNER, sizes=[70.5])]},
+        # Days that only Python 3.11+ reads.
+        {"start_day": "20240101"},
+        {"start_day": "2024-W01-1"},
     ],
 )
-def test_simulate_config_type_error_exits_2(tmp_path, capsys, crackonosh):
-    cfg_path = write_config(tmp_path, crackonosh=crackonosh)
+def test_simulate_config_type_error_exits_2(tmp_path, capsys, overrides):
+    cfg_path = write_config(tmp_path, **overrides)
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -293,7 +308,7 @@ def test_analyze_partitions_once_for_all_metrics(sim_dir, tmp_path, monkeypatch)
         "--window", "3h",
     ]) == 0
     # Once per UTC day of the CSV, never once per metric.
-    days = np.unique(read_csv(sim_dir / "traffic.csv")["ts_us"] // US_PER_DAY)
+    days = [day for day, _ in read_days(sim_dir / "traffic.csv")]
     assert calls == [(timedelta(hours=3),)] * len(days)
     for metric in ("address_count", "block_count", "src_spread", "size_entropy"):
         assert (tmp_path / "rep" / f"report_{metric}.csv").exists()
@@ -385,7 +400,7 @@ def test_a_day_after_9999_12_31_prints_one_error_line(tmp_path, capsys, command)
 
 
 def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path):
-    table = read_csv(sim_dir / "traffic.csv")
+    table = np.concatenate([table for _, table in read_days(sim_dir / "traffic.csv")])
     days = table["ts_us"] // US_PER_DAY
     # Days stay in order; rows within each day are shuffled.
     order = np.lexsort((np.random.default_rng(5).permutation(len(table)), days))
@@ -409,6 +424,9 @@ def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path)
 @pytest.mark.parametrize(
     "command, flag, value",
     [
+        ("simulate", "--scale", "inf"),
+        ("simulate", "--scale", "nan"),
+        ("simulate", "--scale", "-1"),
         ("analyze", "--top-n", "0"),
         ("population", "--bandwidth", "0"),
         ("population", "--bandwidth", "-1"),
@@ -416,14 +434,17 @@ def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path)
         ("population", "--bandwidth", "inf"),
     ],
 )
-def test_bad_arguments_write_no_output(sim_dir, tmp_path, command, flag, value):
+def test_bad_arguments_write_no_output(sim_dir, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
+    three_epoch = {"population": {"schedule": "three_epoch", "scale": 0.001}}
     inputs = {
-        "analyze": ["--labels", str(sim_dir / "labels.csv")],
-        "population": ["--telescope", CONFIG["telescope"][0]],
+        "simulate": ["--config", str(write_config(tmp_path, crackonosh=three_epoch))],
+        "analyze": ["--csv", str(sim_dir / "traffic.csv"), "--labels", str(sim_dir / "labels.csv")],
+        "population": ["--csv", str(sim_dir / "traffic.csv"), "--telescope", CONFIG["telescope"][0]],
     }[command]
-    argv = [command, "--csv", str(sim_dir / "traffic.csv"), *inputs, "--out", str(out), flag, value]
-    assert main(argv) == 2
+    assert main([command, *inputs, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("darkhunt: error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -444,7 +465,19 @@ def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra,message", [("2024-01-01,70000", "port out of range"), ("2024-01-01,5", "listed twice")]
+    "extra,message",
+    [
+        ("2024-01-01,70000", "port out of range"),
+        ("2024-01-01,5", "listed twice"),
+        # Forms that int() or a newer date.fromisoformat accept.
+        ("2024-01-03,+5", "port: not an unsigned decimal integer: '+5'"),
+        ("2024-01-03, 5", "port: not an unsigned decimal integer: ' 5'"),
+        ("2024-01-03,٥", "port: not an unsigned decimal integer: '٥'"),
+        ("2024-01-03,5_0", "port: not an unsigned decimal integer: '5_0'"),
+        ("2024-01-03,05", "port: not an unsigned decimal integer: '05'"),
+        ("20240103,5", "day: not a YYYY-MM-DD date: '20240103'"),
+        ("2024-W01-3,5", "day: not a YYYY-MM-DD date: '2024-W01-3'"),
+    ],
 )
 def test_analyze_rejects_a_bad_labels_line(sim_dir, tmp_path, monkeypatch, capsys, extra, message):
     labels = tmp_path / "bad_labels.csv"
@@ -702,13 +735,7 @@ def day_runs(tmp_path_factory):
     return runs
 
 
-def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path, monkeypatch):
-    def whole_file_read(path):
-        raise AssertionError("read_csv reads the whole file")
-
-    monkeypatch.setattr(records, "read_csv", whole_file_read)
-    monkeypatch.setattr(cli, "read_csv", whole_file_read, raising=False)
-
+def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path):
     def argv(command, run):
         inputs = {"analyze": ["--labels", str(run / "labels.csv")], "population": ["--telescope", "10.0.0.0/18"]}
         return [command, "--csv", str(run / "traffic.csv"), *inputs[command], "--out", str(tmp_path / "out")]

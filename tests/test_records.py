@@ -21,7 +21,6 @@ from darkhunt.records import (
     ip_from_str,
     ip_to_str,
     partition_by_day_port,
-    read_csv,
     read_days,
     segment_by_window,
     traffic_table,
@@ -30,6 +29,8 @@ from darkhunt.records import (
 from conftest import make_record
 
 US_PER_DAY = 86_400_000_000
+LAST_DAY = date(9999, 12, 31)  # the last day a date holds, and the last read_days takes
+LAST_TS = (LAST_DAY - date(1970, 1, 1)).days * US_PER_DAY + US_PER_DAY - 1  # its last microsecond
 
 
 # ---------------------------------------------------------------- records
@@ -41,11 +42,14 @@ def csv_row(rec):
 
 def test_record_field_validation(tmp_path):
     # The row grammar bounds addresses and signs; the reader range-checks
-    # the other fields line by line, up to the table's column types.
+    # the other fields line by line, up to the table's column types.  Its
+    # largest ts_us is the last microsecond of 9999-12-31.
     top = (2**63 - 1, 2**32 - 1, 65535, 2**32 - 1, 65535, 255, 65507)
+    assert traffic_table([top]).tolist() == [top]
+    top = (LAST_TS, *top[1:])
     p = tmp_path / "top.csv"
     p.write_text(CSV_HEADER + "\n" + csv_row(top) + "\n")
-    assert read_csv(p).tolist() == [top] == traffic_table([top]).tolist()
+    assert read_days_list(p) == [(LAST_DAY, [top])]
     for name, value in (
         ("ts_us", 2**63),
         ("src_port", 70000),
@@ -57,7 +61,7 @@ def test_record_field_validation(tmp_path):
         row[TRAFFIC_DTYPE.names.index(name)] = value
         p.write_text(CSV_HEADER + "\n" + csv_row(top) + "\n" + csv_row(row) + "\n")
         with pytest.raises(CsvFormatError, match=f"line 3: {name} out of range") as exc_info:
-            read_csv(p)
+            read_days_list(p)
         assert exc_info.value.line == 3
 
 
@@ -103,7 +107,7 @@ def test_tables_are_read_only(tmp_path):
     p.write_text(CSV_HEADER + "\n" + csv_row(make_record()) + "\n")
     day_tables = [table for _, table in read_days(p)]
     assert len(day_tables) == 1
-    for table in (read_csv(p), traffic_table([make_record()]), *day_tables):
+    for table in (traffic_table([make_record()]), *day_tables):
         assert isinstance(table, np.recarray) and table.dtype == TRAFFIC_DTYPE
         with pytest.raises(ValueError):
             table.ts_us[0] = 1
@@ -128,29 +132,28 @@ def test_day_boundary_is_half_open():
 
 # ---------------------------------------------------------------- CSV I/O
 
-def test_read_csv_direct_mapping(tmp_path):
+def test_read_days_direct_mapping(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n1663372800000000,1.2.3.4,50000,10.0.0.1,51234,17,212\n")
-    assert read_csv(p).tolist() == [
-        (1663372800000000, ip_from_str("1.2.3.4"), 50000, ip_from_str("10.0.0.1"), 51234, 17, 212)
-    ]
+    row = (1663372800000000, ip_from_str("1.2.3.4"), 50000, ip_from_str("10.0.0.1"), 51234, 17, 212)
+    assert read_days_list(p) == [(date(2022, 9, 17), [row])]
 
 
-def test_read_csv_header_only(tmp_path):
+def test_read_days_header_only(tmp_path):
     p = tmp_path / "t.csv"
     for data in (CSV_HEADER + "\n", CSV_HEADER, CSV_HEADER + "\n\n\n"):
         p.write_text(data)
-        assert len(read_csv(p)) == 0
+        assert read_days_list(p) == []
 
 
-def test_read_csv_rejects_bad_header(tmp_path):
+def test_read_days_rejects_bad_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("time,src,dst\n")
     with pytest.raises(CsvFormatError):
-        read_csv(p)
+        read_days_list(p)
 
 
-def test_read_csv_names_line_and_field_on_range_violation(tmp_path):
+def test_read_days_names_line_and_field_on_range_violation(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(
         CSV_HEADER + "\n"
@@ -158,7 +161,7 @@ def test_read_csv_names_line_and_field_on_range_violation(tmp_path):
         "2000,1.2.3.4,70000,10.0.0.1,51234,17,212\n"
     )
     with pytest.raises(CsvFormatError) as exc_info:
-        read_csv(p)
+        read_days_list(p)
     msg = str(exc_info.value)
     assert "line 3" in msg and "src_port" in msg
     assert exc_info.value.line == 3
@@ -171,12 +174,12 @@ def test_write_read_round_trip(tmp_path):
     ]
     p = tmp_path / "rt.csv"
     write_csv_tables([traffic_table(records)], p)
-    assert read_csv(p).tolist() == records
+    assert read_days_list(p) == [(date(1970, 1, 1), records)]
 
 
 @settings(max_examples=200)
 @given(
-    ts_us=st.integers(min_value=0, max_value=2**62),
+    ts_us=st.integers(min_value=0, max_value=LAST_TS),
     src_ip=st.integers(min_value=0, max_value=2**32 - 1),
     src_port=st.integers(min_value=0, max_value=65535),
     dst_ip=st.integers(min_value=0, max_value=2**32 - 1),
@@ -188,7 +191,7 @@ def test_round_trip_any_valid_record(tmp_path_factory, **fields):
     rec = tuple(fields[name] for name in TRAFFIC_DTYPE.names)
     p = tmp_path_factory.mktemp("rt") / "one.csv"
     write_csv_tables([traffic_table([rec])], p)
-    assert read_csv(p).tolist() == [rec]
+    assert read_days_list(p) == [(day_of_ts(rec[0]), [rec])]
 
 
 # ------------------------------------------------------------ CSV grammar
@@ -228,7 +231,7 @@ def test_grammar_rejects_row(tmp_path, row, field):
         (CSV_HEADER + "\n" + GOOD_ROW + "\n" + row + "\n" + GOOD_ROW + "\n").encode()
     )
     with pytest.raises(CsvFormatError) as exc_info:
-        read_csv(p)
+        read_days_list(p)
     assert exc_info.value.line == 3
     assert exc_info.value.field == field
 
@@ -241,7 +244,7 @@ def test_rejecting_a_row_leaks_no_warning(tmp_path, row, field):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(CsvFormatError):
-            read_csv(p)
+            read_days_list(p)
     assert caught == []
 
 
@@ -249,7 +252,7 @@ def test_grammar_rejects_crlf_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_bytes((CSV_HEADER + "\r\n" + GOOD_ROW + "\n").encode())
     with pytest.raises(CsvFormatError) as exc_info:
-        read_csv(p)
+        read_days_list(p)
     assert exc_info.value.line == 1 and exc_info.value.field is None
 
 
@@ -261,41 +264,47 @@ def test_grammar_field_count_and_range_errors_name_the_line(tmp_path):
     ):
         p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n" + bad + "\n")
         with pytest.raises(CsvFormatError, match=f"^line 3: {message}") as exc_info:
-            read_csv(p)
+            read_days_list(p)
         assert exc_info.value.field is None
 
 
 def test_blank_lines_are_skipped(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n\n" + GOOD_ROW + "\n\n\n" + GOOD_ROW)
-    assert len(read_csv(p)) == 2
+    assert [len(rows) for _, rows in read_days_list(p)] == [2]
 
 
 def test_undecodable_bytes_are_a_row_error(tmp_path):
     p = tmp_path / "t.csv"
     p.write_bytes((CSV_HEADER + "\n").encode() + b"1663\xff,1.2.3.4,1,1.2.3.4,1,17,1\n")
     with pytest.raises(CsvFormatError) as exc_info:
-        read_csv(p)
+        read_days_list(p)
     assert exc_info.value.line == 2 and exc_info.value.field == "ts_us"
 
 
-records_st = st.tuples(
-    st.integers(min_value=0, max_value=2**62),  # ts_us
-    st.integers(min_value=0, max_value=2**32 - 1),  # src_ip
-    st.integers(min_value=0, max_value=65535),  # src_port
-    st.integers(min_value=0, max_value=2**32 - 1),  # dst_ip
-    st.integers(min_value=0, max_value=65535),  # dst_port
-    st.integers(min_value=0, max_value=255),  # proto
-    st.integers(min_value=0, max_value=65507),  # payload_len
-)
+def records_strategy(ts_max):
+    """Row tuples with ts_us up to ts_max and every other field over its range."""
+    return st.tuples(
+        st.integers(min_value=0, max_value=ts_max),  # ts_us
+        st.integers(min_value=0, max_value=2**32 - 1),  # src_ip
+        st.integers(min_value=0, max_value=65535),  # src_port
+        st.integers(min_value=0, max_value=2**32 - 1),  # dst_ip
+        st.integers(min_value=0, max_value=65535),  # dst_port
+        st.integers(min_value=0, max_value=255),  # proto
+        st.integers(min_value=0, max_value=65507),  # payload_len
+    )
+
+
+records_st = records_strategy(2**62)
+day_records_st = records_strategy(LAST_TS)  # the days read_days takes
 
 
 @settings(max_examples=100)
-@given(st.lists(records_st, max_size=30))
+@given(st.lists(day_records_st, max_size=30).map(sorted))
 def test_read_inverts_write(tmp_path_factory, records):
     p = tmp_path_factory.mktemp("rt") / "many.csv"
     write_csv_tables([traffic_table(records)], p)
-    assert read_csv(p).tolist() == records
+    assert read_days_list(p) == split_by_day(records)
 
 
 # ------------------------------------------------------------ CSV writer
@@ -338,6 +347,11 @@ EDGE_ROWS = [tuple(0 for _ in TOP), TOP] + [
 ]
 
 
+def in_day_order(rows):
+    """Rows as read_days takes them: ts_us capped at the end of 9999-12-31, then sorted."""
+    return sorted((min(row[0], LAST_TS), *row[1:]) for row in rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
@@ -369,7 +383,8 @@ def test_timestamps_at_digit_group_edges_round_trip(tmp_path, ts_us):
     p = tmp_path / "t.csv"
     write_csv_tables([traffic_table([row])], p)
     assert p.read_bytes() == reference_csv([row])
-    assert read_csv(p).tolist() == [row]
+    # The decoder takes every ts_us; read_days only those up to 9999-12-31.
+    assert outcome(read_days_list, p) == outcome(reference_read_days, p)
 
 
 CHUNK = records_module._CHUNK_ROWS
@@ -443,7 +458,7 @@ def test_digit_tables_match_the_reference_byte_for_byte():
 
 # ------------------------------------------------------- reader blocks
 
-# The per-line regex grammar read_csv used before it parsed whole blocks,
+# The per-line regex grammar the reader used before it parsed whole blocks,
 # kept as the reference the block reader must agree with.
 _REF_UINT = "(0|[1-9][0-9]*)"
 _REF_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
@@ -486,9 +501,8 @@ def _ref_range_error(line, line_no):
     return None
 
 
-def reference_read_csv(path):
-    """Row tuples of a traffic CSV, one regex match per line; raises like read_csv."""
-    rows = []
+def reference_rows(path):
+    """Yield (line number, row tuple) per row of a traffic CSV, one regex match per line."""
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
         header = fh.readline().removesuffix("\n")
         if header != CSV_HEADER:
@@ -502,11 +516,31 @@ def reference_read_csv(path):
             if error is not None:
                 raise error
             v = [int(x) for x in line.replace(".", ",").split(",")]
-            rows.append((v[0], ip_of(v[1:5]), v[5], ip_of(v[6:10]), *v[10:]))
-    return rows
+            yield line_no, (v[0], ip_of(v[1:5]), v[5], ip_of(v[6:10]), *v[10:])
 
 
-# The block parser read_csv used before it decoded values from the bytes:
+def reference_read_days(path):
+    """The rows of reference_rows split by UTC day, under read_days' two day rules.
+
+    Days never go back, and none is after 9999-12-31.  The first line that
+    breaks the grammar, a field's range or a day rule raises as read_days
+    does.
+    """
+    days = []
+    for line_no, row in reference_rows(path):
+        day = row[0] // US_PER_DAY
+        if row[0] > LAST_TS:
+            raise CsvFormatError(f"{row[0]} is after {LAST_DAY}, the last day", line_no, "ts_us")
+        if days and day < days[-1][0]:
+            this, prev = day_of_ts(row[0]), day_of_ts(days[-1][0] * US_PER_DAY)
+            raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line_no, "ts_us")
+        if not days or days[-1][0] != day:
+            days.append((day, []))
+        days[-1][1].append(row)
+    return [(day_of_ts(day * US_PER_DAY), rows) for day, rows in days]
+
+
+# The block parser the reader used before it decoded values from the bytes:
 # one np.fromstring per block, then a range check and a render back with
 # the writer.  Kept as the reference the decoder must agree with.
 _REF_COLUMN_MAXIMA = np.array([2**63 - 1, *[255] * 4, 65535, *[255] * 4, 65535, 255, 65507], dtype=np.uint64)
@@ -548,7 +582,7 @@ EDIT_BYTES = [bytes([c]) for c in b"0123456789,.\n\r +-_\xff"] + ["٣".encode()]
 
 @settings(max_examples=300, deadline=None)
 @given(
-    rows=st.lists(st.sampled_from(EDGE_ROWS) | records_st, max_size=8),
+    rows=st.lists(st.sampled_from(EDGE_ROWS) | day_records_st, max_size=8).map(in_day_order),
     edit=st.sampled_from(["replace", "insert", "delete"]),
     at=st.integers(min_value=0, max_value=10_000),
     new=st.sampled_from(EDIT_BYTES),
@@ -558,6 +592,8 @@ def test_block_reader_matches_line_reference_after_one_byte_edit(
     tmp_path_factory, rows, edit, at, new, block_bytes
 ):
     # Blocks as small as one byte put the edit on or next to a block edge.
+    # The rows are in day order, so an edit that breaks the grammar leaves
+    # no day error before it.
     data = reference_csv(rows)
     if edit == "insert":
         at %= len(data) + 1
@@ -567,9 +603,9 @@ def test_block_reader_matches_line_reference_after_one_byte_edit(
         data = data[:at] + (new if edit == "replace" else b"") + data[at + 1 :]
     p = tmp_path_factory.getbasetemp() / "edited.csv"
     p.write_bytes(data)
-    expected = outcome(reference_read_csv, p)
+    expected = outcome(reference_read_days, p)
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
-        assert outcome(lambda q: read_csv(q).tolist(), p) == expected
+        assert outcome(read_days_list, p) == expected
 
 
 GOOD_TUPLE = (1663372800000000, ip_of([198, 51, 7, 9]), 50000, ip_of([10, 0, 0, 1]), 51812, 17, 212)
@@ -578,14 +614,14 @@ ROW_BYTES = len(GOOD_ROW) + 1
 
 def read_with_blocks(monkeypatch, path, block_bytes):
     monkeypatch.setattr(records_module, "_BLOCK_BYTES", block_bytes)
-    return read_csv(path).tolist()
+    return [row for _, rows in read_days_list(path) for row in rows]
 
 
 @pytest.mark.parametrize(
     "block_bytes", [1, 20, ROW_BYTES - 1, ROW_BYTES, ROW_BYTES + 1, 3 * ROW_BYTES + 7]
 )
 def test_rows_straddle_blocks(tmp_path, monkeypatch, block_bytes):
-    rows = EDGE_ROWS[:25]
+    rows = in_day_order(EDGE_ROWS[:25])
     p = tmp_path / "t.csv"
     write_csv_tables([traffic_table(rows)], p)
     assert read_with_blocks(monkeypatch, p, block_bytes) == rows
@@ -606,10 +642,11 @@ MIN_ROW = "0,0.0.0.0,0,0.0.0.0,0,0,0"  # the shortest canonical row
 
 @pytest.mark.parametrize("lf", ["\n", ""])
 def test_minimum_length_rows(tmp_path, lf):
-    # The reader sizes its table for rows this short.
+    # The reader sizes its tables for rows this short.
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n" + "\n".join([MIN_ROW] * 1000) + lf)
-    table = read_csv(p)
+    [(day, table)] = read_days(p)
+    assert day == date(1970, 1, 1)
     assert table.shape == (1000,) and not table.flags.writeable
     assert table.tolist() == [(0,) * 7] * 1000
 
@@ -624,27 +661,9 @@ def test_last_row_without_lf_at_the_default_block_size(tmp_path, past):
     p = tmp_path / "t.csv"
     p.write_text(CSV_HEADER + "\n" + "\n".join(f"{t}{MIN_ROW[1:]}" for t in ts))
     assert p.stat().st_size == len(CSV_HEADER) + size
-    table = read_csv(p)
+    [(_, table)] = read_days(p)
     assert table.shape == (len(ts),) and not table.flags.writeable
     assert table["ts_us"].tolist() == ts
-
-
-def test_a_file_that_grows_while_read_fails(tmp_path, monkeypatch):
-    p = tmp_path / "t.csv"
-    p.write_text(CSV_HEADER + "\n" + GOOD_ROW + "\n")
-    line_blocks = records_module._line_blocks
-
-    def growing(fh):
-        blocks = line_blocks(fh)
-        yield next(blocks)
-        with open(p, "a") as out:
-            out.write((GOOD_ROW + "\n") * 10)
-        yield from blocks
-
-    monkeypatch.setattr(records_module, "_line_blocks", growing)
-    monkeypatch.setattr(records_module, "_BLOCK_BYTES", ROW_BYTES)
-    with pytest.raises(CsvFormatError, match="the file grew while it was read"):
-        read_csv(p)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 3, ROW_BYTES, ROW_BYTES + 2, 1 << 22])
@@ -720,7 +739,8 @@ def test_decoder_matches_render_back_reference(rows, edits):
     for edit in edits:
         block = edit_bytes(block, *edit)
     expected = reference_parse_block(block)
-    decoded = records_module._parse_block(block, np.full(records_module._WORK_WORDS * 16, -1))
+    work = np.full(records_module._WORK_WORDS * 16, -1)
+    decoded = records_module._parse_block(block, work, lambda n: np.zeros(n + 1, dtype=TRAFFIC_DTYPE))
     if expected is None:
         assert decoded is None
     else:
@@ -761,33 +781,37 @@ EDGE_FIELDS = [
 @pytest.mark.parametrize("name, raw, ok", EDGE_FIELDS)
 @pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, None])
 def test_field_edges_read_as_the_line_reference(tmp_path, monkeypatch, name, raw, ok, block_bytes):
-    # None keeps the default block size.
+    # None keeps the default block size.  The rows around the edited one
+    # are on the first and the last day read_days takes, so no ts_us the
+    # edited row can hold sends a day back; one after 9999-12-31 raises.
     p = tmp_path / "t.csv"
-    p.write_text(CSV_HEADER + "\n" + "\n".join([GOOD_ROW, with_field(name, raw), GOOD_ROW]) + "\n")
+    lines = [with_field("ts_us", "0"), with_field(name, raw), with_field("ts_us", str(LAST_TS))]
+    p.write_text(CSV_HEADER + "\n" + "\n".join(lines) + "\n")
     if block_bytes is not None:
         monkeypatch.setattr(records_module, "_BLOCK_BYTES", block_bytes)
-    got = outcome(lambda q: read_csv(q).tolist(), p)
-    assert got == outcome(reference_read_csv, p)
-    if ok:
+    got = outcome(read_days_list, p)
+    assert got == outcome(reference_read_days, p)
+    if ok and not (name == "ts_us" and int(raw) > LAST_TS):
         value = ip_from_str(raw) if name.endswith("_ip") else int(raw)
-        assert got[1][TRAFFIC_DTYPE.names.index(name)] == value
+        assert [row for _, rows in got for row in rows][1][TRAFFIC_DTYPE.names.index(name)] == value
     else:
         assert got[:2] == ("error", 3)
 
 
-def test_readers_neither_render_nor_call_fromstring(tmp_path, monkeypatch):
+def test_read_days_neither_renders_nor_calls_fromstring(tmp_path, monkeypatch):
     edges, days = tmp_path / "edges.csv", tmp_path / "days.csv"
+    edge_rows = in_day_order(EDGE_ROWS)
     day_rows = [make_record(ts_us=(DAY0 + d) * US_PER_DAY + t) for d, times in THREE_DAYS for t in times]
-    write_csv_tables([traffic_table(EDGE_ROWS)], edges)
+    write_csv_tables([traffic_table(edge_rows)], edges)
     write_csv_tables([traffic_table(day_rows)], days)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the readers must decode the bytes directly")
+        raise AssertionError("the reader must decode the bytes directly")
 
     monkeypatch.setattr(records_module, "_render", forbidden)
     monkeypatch.setattr(np, "fromstring", forbidden)
-    assert read_csv(edges).tolist() == EDGE_ROWS
-    assert read_days_list(days) == split_by_day(traffic_table(day_rows))
+    assert read_days_list(edges) == split_by_day(edge_rows)
+    assert read_days_list(days) == split_by_day(day_rows)
 
 
 # ---------------------------------------------------------------- partitioning
@@ -876,10 +900,10 @@ def test_segment_by_window_rejects_uneven():
 
 # ---------------------------------------------------------- day reader
 
-def split_by_day(table):
-    """A table's rows as (UTC day, rows) pairs, days in order of first appearance."""
+def split_by_day(rows):
+    """Row tuples as (UTC day, rows) pairs, days in order of first appearance."""
     days = {}
-    for row in table.tolist():
+    for row in rows:
         days.setdefault(day_of_ts(row[0]), []).append(row)
     return list(days.items())
 
@@ -917,7 +941,7 @@ def test_read_days_at_every_block_size(tmp_path):
     # line, so each day starts exactly at a block edge for some size.
     p = tmp_path / "t.csv"
     p.write_text(day_lines(THREE_DAYS, blank_after={2, 3, 6}))
-    expected = split_by_day(read_csv(p))
+    expected = reference_read_days(p)
     assert [len(rows) for _, rows in expected] == [3, 1, 7]
     for block_bytes in range(1, p.stat().st_size + 2):
         with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
@@ -932,7 +956,7 @@ def test_read_days_at_every_block_size(tmp_path):
     ),
     st.integers(1, 200),
 )
-def test_read_days_matches_read_csv_split_by_day(tmp_path_factory, steps, block_bytes):
+def test_read_days_matches_the_line_reference(tmp_path_factory, steps, block_bytes):
     # Days only go forward (by 0, 1 or 2 days a row); times within a day
     # are in any order; any row may be followed by a blank line.
     days, day = [], 0
@@ -945,7 +969,7 @@ def test_read_days_matches_read_csv_split_by_day(tmp_path_factory, steps, block_
     p = tmp_path_factory.getbasetemp() / "days.csv"
     p.write_text(day_lines(days, blanks))
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
-        assert read_days_list(p) == split_by_day(read_csv(p))
+        assert read_days_list(p) == reference_read_days(p)
 
 
 def allocated_rows(table):
@@ -968,7 +992,7 @@ def test_read_days_tables_keep_their_values(tmp_path, block_bytes):
     assert 400 > 2 + block_rows or block_bytes == 1 << 19  # one block: no table grows
     p = tmp_path / "t.csv"
     p.write_text(day_lines(days, blank_after={2, 310}))
-    expected = split_by_day(read_csv(p))
+    expected = reference_read_days(p)
     held, seen = [], []
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
         for day, table in read_days(p):
@@ -1004,7 +1028,7 @@ def test_blocks_of_blank_lines_are_skipped(tmp_path, monkeypatch):
     header, *lines = day_lines([(0, [100]), (1, [101, 102])]).splitlines(keepends=True)
     p = tmp_path / "t.csv"
     p.write_text(header + "\n\n" + lines[0] + "\n" * 4 + lines[1] + "\n\n\n" + lines[2] + "\n\n")
-    expected = split_by_day(read_csv(p))
+    expected = reference_read_days(p)
     blocks = []
     line_blocks = records_module._line_blocks
 
@@ -1031,14 +1055,14 @@ def error_of(reader, path):
 
 @pytest.mark.parametrize("row, field", BAD_ROWS[:4] + [(with_field("proto", "256"), None)])
 @pytest.mark.parametrize("block_bytes", [1, ROW_BYTES, 1 << 19])
-def test_bad_row_in_a_later_day_raises_as_in_read_csv(tmp_path, row, field, block_bytes):
+def test_bad_row_in_a_later_day_raises_as_the_line_reference(tmp_path, row, field, block_bytes):
     p = tmp_path / "t.csv"
     p.write_text(day_lines(THREE_DAYS, blank_after={2}) + row + "\n")
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
         days_error = error_of(read_days_list, p)
-        csv_error = error_of(read_csv, p)
-    assert (days_error.line, days_error.field) == (csv_error.line, csv_error.field) == (14, field)
-    assert str(days_error) == str(csv_error)
+    expected = error_of(reference_read_days, p)
+    assert (days_error.line, days_error.field) == (expected.line, expected.field) == (14, field)
+    assert str(days_error) == str(expected)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 2 * ROW_BYTES, 1 << 19])
@@ -1048,14 +1072,11 @@ def test_a_day_that_goes_back_names_its_first_line(tmp_path, block_bytes):
     days = THREE_DAYS[:2] + [(0, [4, 5])] + THREE_DAYS[2:]
     p = tmp_path / "t.csv"
     p.write_text(day_lines(days, blank_after={2, 3}))
-    assert len(read_csv(p)) == 13  # read_csv takes rows in any order
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
         error = error_of(read_days_list, p)
     assert (error.line, error.field) == (8, "ts_us")
     assert str(error) == "line 8: ts_us: day 2022-01-08 after day 2022-01-09: days must not go back"
-
-
-LAST_DAY = date(9999, 12, 31)  # the last day a date holds
+    assert outcome(reference_read_days, p) == ("error", 8, "ts_us", str(error))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 2 * ROW_BYTES, 1 << 19])
@@ -1065,9 +1086,11 @@ def test_a_day_after_9999_12_31_names_its_first_line(tmp_path, block_bytes):
     last = (LAST_DAY - date(1970, 1, 1)).days - DAY0
     p = tmp_path / "t.csv"
     p.write_text(day_lines([(last, [US_PER_DAY - 1]), (last + 1, [0, 1])], blank_after={0}))
+    expected = outcome(reference_read_days, p)
     with mock.patch.object(records_module, "_BLOCK_BYTES", block_bytes):
         error = error_of(read_days_list, p)
         p.write_text(day_lines([(last, [0, US_PER_DAY - 1])]))
         assert [day for day, _ in read_days_list(p)] == [LAST_DAY]
     assert (error.line, error.field) == (4, "ts_us")
     assert str(error) == "line 4: ts_us: 253402300800000000 is after 9999-12-31, the last day"
+    assert expected == ("error", 4, "ts_us", str(error))

@@ -13,7 +13,7 @@ from scipy.stats import chisquare, ks_2samp
 
 from darkhunt import sim as sim_module
 from darkhunt.portgen import DailyPortOracle
-from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, US_PER_DAY, day_of_ts, day_start_us, read_csv
+from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, US_PER_DAY, day_of_ts, day_start_us, read_days
 from darkhunt.sim import (
     BackgroundScanner,
     CrackonoshConfig,
@@ -622,7 +622,8 @@ def test_write_dataset_round_trip(tmp_path):
     cfg = small_config()
     ds = simulate(cfg)
     write_dataset(cfg, tmp_path / "out")
-    assert read_csv(tmp_path / "out" / "traffic.csv").tolist() == ds.records.tolist()
+    read = [row for _, table in read_days(tmp_path / "out" / "traffic.csv") for row in table.tolist()]
+    assert read == ds.records.tolist()
     assert read_labels_csv(tmp_path / "out" / "labels.csv") == dict(ds.labels)
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seed"] == cfg.seed
@@ -790,7 +791,7 @@ def test_labels_accept_ports_0_and_65535(tmp_path):
     "body,message",
     [
         ("2024-01-01,70000\n", "labels line 2: port out of range 0-65535: 70000"),
-        ("2024-01-01,-1\n", "labels line 2: port out of range 0-65535: -1"),
+        ("2024-01-01,-1\n", "labels line 2: port: not an unsigned decimal integer: '-1'"),
         ("2024-01-01,50000\n2024-01-02,50001\n2024-01-01,5\n", "labels line 4: day 2024-01-01 listed twice"),
     ],
 )
