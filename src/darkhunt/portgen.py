@@ -10,6 +10,7 @@ interoperability with any actual botnet.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from datetime import date
 
@@ -35,6 +36,10 @@ class DailyPortOracle:
     def __post_init__(self) -> None:
         if not isinstance(self.secret, bytes):
             raise TypeError("secret must be bytes")
+        # Integers only, as sim._require_ints asks (sim imports this module).
+        for port in (self.port_lo, self.port_hi):
+            if isinstance(port, bool) or not isinstance(port, numbers.Integral):
+                raise ValueError(f"port range must be integers, got {port!r}")
         if not 0 <= self.port_lo <= self.port_hi <= 65535:
             raise ValueError(
                 f"invalid port range [{self.port_lo}, {self.port_hi}]"

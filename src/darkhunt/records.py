@@ -26,8 +26,6 @@ __all__ = [
     "MAX_UDP_PAYLOAD",
     "US_PER_DAY",
     "SECONDS_PER_DAY",
-    "ip_to_str",
-    "ip_from_str",
     "day_of_ts",
     "traffic_table",
     "read_days",
@@ -42,7 +40,7 @@ CSV_HEADER = "ts_us,src_ip,src_port,dst_ip,dst_port,proto,payload_len"
 
 # One observed packet header per row, one column per CSV field: ts_us
 # int64 (microseconds since the Unix epoch, UTC), src_ip/dst_ip uint32
-# (use ip_to_str / ip_from_str at the edges), ports uint16, proto uint8,
+# (use the stdlib's ipaddress at the edges), ports uint16, proto uint8,
 # payload_len uint16.
 TRAFFIC_DTYPE = np.dtype(
     list(zip(CSV_HEADER.split(","), ["<i8", "<u4", "<u2", "<u4", "<u2", "u1", "<u2"]))
@@ -74,24 +72,6 @@ _LAST_DAY = (date.max - _EPOCH).days  # 9999-12-31, the last day a date holds
 _UINT_RE = re.compile("0|[1-9][0-9]*")
 _OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
 _IPV4_RE = re.compile(r"\.".join([_OCTET] * 4))
-
-
-def ip_to_str(ip: int) -> str:
-    """Render a 32-bit address as dotted-quad."""
-    return f"{ip >> 24 & 255}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
-
-
-def ip_from_str(s: str) -> int:
-    """Parse a strict dotted-quad IPv4 address to a 32-bit integer.
-
-    Rejects IPv6, empty octets, out-of-range octets, leading zeros and
-    non-ASCII digits.  No shorthand forms ("1.2.3" etc.) are accepted.
-    """
-    m = _IPV4_RE.fullmatch(s)
-    if m is None:
-        raise ValueError(f"not a dotted-quad IPv4 address: {s!r}")
-    a, b, c, d = map(int, m.groups())
-    return a << 24 | b << 16 | c << 8 | d
 
 
 def day_of_ts(ts_us: int) -> date:
@@ -274,18 +254,29 @@ def _parse_block(block: bytes, work: np.ndarray, room) -> np.ndarray | None:
     return rows
 
 
-def _scan(block: bytes, line_no: int, work: np.ndarray, room) -> np.ndarray:
-    """The rows of a block _parse_block refused, line by line, decoded into room(n).
+def _scan(block: bytes, line_no: int, day: int, work: np.ndarray, room) -> np.ndarray:
+    """The rows of a block, line by line, decoded into room(n).
 
+    `day` is the day number of the row before the block (-1 if none).
     Blank lines, the one legal non-canonical form, are skipped; the first
-    other line that breaks the grammar or a field's range raises.
+    other line that breaks the grammar, a field's range or a day rule (a
+    day earlier than the row before's, or after 9999-12-31) raises.
     """
     lines = block.split(b"\n")[:-1]
     for i, raw in enumerate(lines):
-        if raw:
-            error = _line_error(raw.decode("utf-8", errors="replace"), line_no + i)
-            if error is not None:
-                raise error
+        if not raw:
+            continue
+        line = raw.decode("utf-8", errors="replace")
+        error = _line_error(line, line_no + i)
+        if error is not None:
+            raise error
+        ts = int(line[: line.index(",")])
+        if ts // US_PER_DAY > _LAST_DAY:
+            raise CsvFormatError(f"{ts} is after {date.max}, the last day", line_no + i, "ts_us")
+        if ts // US_PER_DAY < day:
+            this, prev = day_of_ts(ts), day_of_ts(day * US_PER_DAY)
+            raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line_no + i, "ts_us")
+        day = ts // US_PER_DAY
     lines = [raw + b"\n" for raw in lines if raw]
     rows = _parse_block(b"".join(lines), work, room)
     assert rows is not None, f"the block from line {line_no} passes the scan only"
@@ -298,13 +289,6 @@ def _line_blocks(fh):
         yield block if block.endswith(b"\n") else block + b"\n"
 
 
-def _frozen(rows: np.ndarray) -> np.recarray:
-    """A read-only traffic table view of rows the decoder has bounded."""
-    table = rows.view(np.recarray)
-    table.flags.writeable = False
-    return table
-
-
 def read_days(path):
     """Yield (UTC day, traffic table) per day of a traffic CSV, holding one day's rows.
 
@@ -312,7 +296,9 @@ def read_days(path):
     and field (silent data loss corrupts population metrics).  The grammar
     is in the README; empty lines are skipped.  Rows may come in any order
     within a day; a row whose day is earlier than an earlier row's, or
-    after 9999-12-31, raises CsvFormatError.
+    after 9999-12-31, raises CsvFormatError.  Every row error comes from
+    _scan, the line walk of a block the decoder refuses or whose days
+    break a rule, so the first bad line raises whatever the block size.
 
     The file is read in blocks of whole lines, each decoded straight into
     its day's table with one work area for every block.  Each day's rows
@@ -346,7 +332,7 @@ def read_days(path):
             # Only a block that falls back to _scan can hold a blank line.
             lines = block.count(b"\n") if rows is None else len(rows)
             if rows is None:
-                rows = _scan(block, line_no, work, room)
+                rows = _scan(block, line_no, day, work, room)
             days = rows["ts_us"] // US_PER_DAY
             # Most blocks only continue the day, in place; a block of blank
             # lines holds no row.
@@ -354,26 +340,21 @@ def read_days(path):
                 n += len(rows)
                 continue
             if not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
-                i = np.flatnonzero((np.diff(days, prepend=day) < 0) | (days > _LAST_DAY))[0]
-                # Blank lines hold no row, so count the block's other lines.
-                line = line_no + [k for k, raw in enumerate(block.split(b"\n")) if raw][i]
-                if days[i] > _LAST_DAY:
-                    raise CsvFormatError(f"{rows['ts_us'][i]} is after {date.max}, the last day", line, "ts_us")
-                this, prev = (day_of_ts(d * US_PER_DAY) for d in (days[i], days[i - 1] if i else day))
-                raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line, "ts_us")
+                _scan(block, line_no, day, work, room)
+                raise AssertionError(f"the block from line {line_no} breaks a day rule the scan passes")
             starts = run_starts(days).tolist()
             # A run is in place if it continues the table's day (only the
             # first run can) or the table is empty (the first block's first
             # run); any other starts a new day, in a fresh table of its own.
             for lo, hi in zip(starts, starts[1:] + [len(rows)]):
                 if days[lo] != day and n:
-                    yield day_of_ts(day * US_PER_DAY), _frozen(table[:n])
+                    yield day_of_ts(day * US_PER_DAY), traffic_table(table[:n])
                     table, n = np.empty(n + block_rows, dtype=TRAFFIC_DTYPE), 0
                     table[: hi - lo] = rows[lo:hi]
                 day = int(days[lo])
                 n += hi - lo
         if n:
-            yield day_of_ts(day * US_PER_DAY), _frozen(table[:n])
+            yield day_of_ts(day * US_PER_DAY), traffic_table(table[:n])
 
 
 @functools.cache

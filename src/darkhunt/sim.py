@@ -188,6 +188,7 @@ class CrackonoshConfig:
     def __post_init__(self) -> None:
         if not self.population:
             raise ValueError("population schedule must cover at least one day")
+        _require_ints("population", *self.population)
         if any(n < 0 for n in self.population):
             raise ValueError("population counts must be >= 0")
         for name in ("padding_sizes", "payload_base", "per24_cap"):
@@ -218,6 +219,8 @@ class SimConfig:
     mode: str = "direct"  # "direct" | "naive"
 
     def __post_init__(self) -> None:
+        _require_ints("seed", self.seed)
+        _require_ints("noise_ports_per_day", self.noise_ports_per_day)
         if self.mode not in ("direct", "naive"):
             raise ValueError(f"mode must be 'direct' or 'naive': {self.mode}")
         if not 0 <= self.noise_ports_per_day <= _NOISE_PORTS:
@@ -251,6 +254,7 @@ def three_epoch_schedule(days_per_epoch: int, scale: float = 1.0) -> tuple[int, 
 
     Scale it down (e.g. 0.01) for desk-size runs; counts are rounded.
     """
+    _require_ints("days_per_epoch", days_per_epoch)
     if days_per_epoch < 1:
         raise ValueError("days_per_epoch must be >= 1")
     if not 0 <= scale < math.inf:
@@ -622,7 +626,7 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     or a plain string in the file.  Secrets are never logged.
     """
     try:
-        seed = int(d["seed"])
+        seed = d["seed"]
         start_day = _parse_day(d["start_day"], "start_day")
         tel_field = d["telescope"]
     except KeyError as exc:
@@ -643,7 +647,7 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
         else:
             secret = str(raw)
     port_lo, port_hi = d.get("port_range", (49108, 65535))
-    oracle = DailyPortOracle(secret=secret.encode(), port_lo=int(port_lo), port_hi=int(port_hi))
+    oracle = DailyPortOracle(secret=secret.encode(), port_lo=port_lo, port_hi=port_hi)
 
     ck_d = dict(d.get("crackonosh", {}))
     pop_field = ck_d.pop("population", None)
@@ -653,10 +657,10 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
         if pop_field.get("schedule") != "three_epoch":
             raise ValueError(f"unknown population schedule: {pop_field.get('schedule')!r}")
         population = three_epoch_schedule(
-            int(pop_field.get("days_per_epoch", 1)), float(pop_field.get("scale", 1.0))
+            pop_field.get("days_per_epoch", 1), float(pop_field.get("scale", 1.0))
         )
     else:
-        population = tuple(int(n) for n in pop_field)
+        population = tuple(pop_field)
     crackonosh = CrackonoshConfig(population=population, **ck_d)
 
     bg_field = d.get("background", "none")
@@ -684,7 +688,7 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
         oracle=oracle,
         crackonosh=crackonosh,
         background=background,
-        noise_ports_per_day=int(d.get("noise_ports_per_day", 0)),
+        noise_ports_per_day=d.get("noise_ports_per_day", 0),
         mode=d.get("mode", "direct"),
     )
 

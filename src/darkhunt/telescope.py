@@ -14,7 +14,6 @@ of darkspace size.
 
 from __future__ import annotations
 
-import bisect
 import ipaddress
 import math
 from dataclasses import dataclass, field
@@ -48,16 +47,13 @@ class TelescopeSpec:
     """Normalized darkspace address set.
 
     Blocks are deduplicated and merged; k is the size of their union.
-    Supports membership tests and indexed access (address_at) so the
-    simulator can place hits uniformly over the telescope.
+    Supports vectorized membership tests and indexed access
+    (addresses_at_array) so the simulator can place hits uniformly over
+    the telescope.
     """
 
     cidrs: tuple[ipaddress.IPv4Network, ...]
     k: int
-    # Parallel arrays over the normalized blocks: first address and the
-    # cumulative address count before each block.
-    _starts: tuple[int, ...]
-    _cum: tuple[int, ...]
     # Each block's first address and the address after its last, in
     # order: an address is inside exactly when an odd number of bounds
     # are at or below it.  Derived from cidrs, so left out of ==.
@@ -74,16 +70,12 @@ class TelescopeSpec:
         if not nets:
             raise ValueError("telescope needs at least one CIDR block")
         merged = tuple(ipaddress.collapse_addresses(nets))
-        starts, bounds, cum = [], [], []
-        total = 0
+        bounds = []
         for net in merged:
-            starts.append(int(net.network_address))
-            bounds += [starts[-1], int(net.broadcast_address) + 1]
-            cum.append(total)
-            total += net.num_addresses
+            bounds += [int(net.network_address), int(net.broadcast_address) + 1]
         bounds = np.array(bounds, dtype=np.int64)
         bounds.flags.writeable = False
-        return cls(cidrs=merged, k=total, _starts=tuple(starts), _cum=tuple(cum), _bounds=bounds)
+        return cls(cidrs=merged, k=sum(net.num_addresses for net in merged), _bounds=bounds)
 
     @classmethod
     def from_prefix(cls, prefix_len: int) -> "TelescopeSpec":
@@ -95,16 +87,6 @@ class TelescopeSpec:
             raise ValueError(f"prefix length out of range: {prefix_len}")
         return cls.from_cidrs([f"10.0.0.0/{prefix_len}"])
 
-    def __contains__(self, ip: int) -> bool:
-        return bisect.bisect_right(self._bounds, ip) % 2 == 1
-
-    def address_at(self, index: int) -> int:
-        """The index-th address of the telescope (0 <= index < k)."""
-        if not 0 <= index < self.k:
-            raise IndexError(f"address index {index} out of range 0..{self.k - 1}")
-        i = bisect.bisect_right(self._cum, index) - 1
-        return self._starts[i] + (index - self._cum[i])
-
     def contains_array(self, ips: np.ndarray) -> np.ndarray:
         """Vectorized membership test over an int array of addresses."""
         i = np.searchsorted(self._bounds, ips, side="right")
@@ -112,12 +94,13 @@ class TelescopeSpec:
         return i.astype(bool)
 
     def addresses_at_array(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized address_at over an int array of indices in [0, k)."""
-        cum = np.asarray(self._cum, dtype=np.int64)
-        j = np.searchsorted(cum, indices, side="right")
+        """The telescope's addresses at an int array of indices in [0, k), in block order."""
+        starts, sizes = self._bounds[::2], np.diff(self._bounds)[::2]
+        before = np.cumsum(sizes) - sizes  # the addresses in the blocks before each block
+        j = np.searchsorted(before, indices, side="right")
         j -= 1
         # Each index plus its block's first address less the indices before it.
-        out = (np.asarray(self._starts, dtype=np.int64) - cum)[j]
+        out = (starts - before)[j]
         del j
         out += indices
         return out
@@ -142,8 +125,11 @@ class ScanPopulation:
     def __post_init__(self) -> None:
         if self.host_count < 0:
             raise ValueError(f"host_count must be >= 0, got {self.host_count}")
-        if self.rate_pps < 0 or self.duration_s <= 0:
-            raise ValueError("rate_pps must be >= 0 and duration_s > 0")
+        if not (0 <= self.rate_pps < math.inf and 0 < self.duration_s < math.inf):
+            raise ValueError(
+                f"rate_pps must be finite and >= 0 and duration_s finite and > 0, "
+                f"got {self.rate_pps} and {self.duration_s}"
+            )
 
 
 def p_collision(telescope: TelescopeSpec) -> float:

@@ -1,6 +1,6 @@
-import pytest
+import ipaddress
 
-from darkhunt.records import ip_from_str
+import pytest
 
 
 def make_record(
@@ -15,9 +15,9 @@ def make_record(
     """One traffic-table row tuple, with addresses as friendly dotted quads."""
     return (
         ts_us,
-        src if isinstance(src, int) else ip_from_str(src),
+        src if isinstance(src, int) else int(ipaddress.IPv4Address(src)),
         src_port,
-        dst if isinstance(dst, int) else ip_from_str(dst),
+        dst if isinstance(dst, int) else int(ipaddress.IPv4Address(dst)),
         dst_port,
         proto,
         payload_len,

@@ -109,6 +109,11 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
         {"crackonosh": {"population": [8], "per24_cap": True}},
         {"background": [dict(SCANNER, service_port=53.5)]},
         {"background": [dict(SCANNER, sizes=[70.5])]},
+        {"seed": 1.9},
+        {"noise_ports_per_day": 2.5},
+        {"port_range": [49108.5, 65535]},
+        {"crackonosh": {"population": [8.7, True]}},
+        {"crackonosh": {"population": {"schedule": "three_epoch", "days_per_epoch": 1.5, "scale": 0.001}}},
         # Days that only Python 3.11+ reads.
         {"start_day": "20240101"},
         {"start_day": "2024-W01-1"},
@@ -432,6 +437,9 @@ def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path)
         ("population", "--bandwidth", "-1"),
         ("population", "--bandwidth", "nan"),
         ("population", "--bandwidth", "inf"),
+        ("model table", "--rate", "nan"),
+        ("model table", "--duration", "inf"),
+        ("model time-to-entropy", "--rate", "inf"),
     ],
 )
 def test_bad_arguments_write_no_output(sim_dir, tmp_path, capsys, command, flag, value):
@@ -441,8 +449,10 @@ def test_bad_arguments_write_no_output(sim_dir, tmp_path, capsys, command, flag,
         "simulate": ["--config", str(write_config(tmp_path, crackonosh=three_epoch))],
         "analyze": ["--csv", str(sim_dir / "traffic.csv"), "--labels", str(sim_dir / "labels.csv")],
         "population": ["--csv", str(sim_dir / "traffic.csv"), "--telescope", CONFIG["telescope"][0]],
+        "model table": [],
+        "model time-to-entropy": ["--size", "/22", "--hosts", "3000"],
     }[command]
-    assert main([command, *inputs, "--out", str(out), flag, value]) == 2
+    assert main([*command.split(), *inputs, "--out", str(out), flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("darkhunt: error: ") and err.count("\n") == 1
     assert not out.exists()
