@@ -80,6 +80,6 @@ for metric_id in METRIC_IDS:
 print("\ntop 8 ports by address count on the final day:")
 final = rank_ports(by_day[days[-1]], "address_count")
 label = dataset.labels[days[-1]]
-for entry in final.entries[:8]:
+for entry in final[:8]:
     marker = "  <- daily port" if entry.port == label else ""
     print(f"  rank {entry.rank:>2}  port {entry.port:>5}  {entry.value:>5.0f} sources{marker}")

@@ -20,7 +20,6 @@ from .population import (  # noqa: F401
 from .portgen import DailyPortOracle  # noqa: F401
 from .ranking import (  # noqa: F401
     DiscoverabilityReport,
-    RankedPortList,
     discoverability,
     rank_of_labeled_port,
     rank_ports,

@@ -32,7 +32,7 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import CsvFormatError, read_days
+from .records import _UINT_RE, CsvFormatError, read_days
 from .sim import load_config, read_labels_csv, sha256, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
@@ -69,6 +69,13 @@ class DataError(Exception):
     """Bad input data or config; mapped to exit code 2."""
 
 
+def _prefix_len(text: str) -> int:
+    """The N of a /N prefix: an unsigned decimal integer as in the CSV grammar, 0-32."""
+    if _UINT_RE.fullmatch(text) is None or int(text) > 32:
+        raise ValueError(f"bad prefix length {text!r}")
+    return int(text)
+
+
 def _parse_telescope(spec: str) -> TelescopeSpec:
     """Parse `--telescope`: comma-separated CIDRs, @file, or /N shorthand."""
     spec = spec.strip()
@@ -78,7 +85,7 @@ def _parse_telescope(spec: str) -> TelescopeSpec:
                 cidrs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
             return TelescopeSpec.from_cidrs(cidrs)
         if spec.startswith("/"):
-            return TelescopeSpec.from_prefix(int(spec[1:]))
+            return TelescopeSpec.from_prefix(_prefix_len(spec[1:]))
         return TelescopeSpec.from_cidrs(spec.split(","))
     except (ValueError, OSError) as exc:
         raise DataError(f"bad telescope spec {spec!r}: {exc}") from None
@@ -192,12 +199,7 @@ def _cmd_analyze(args) -> str:
 
 
 def _cmd_model_table(args) -> str:
-    prefixes = []
-    for tok in args.prefixes.split(","):
-        tok = tok.strip().lstrip("/")
-        if not tok.isdigit() or not 0 <= int(tok) <= 32:
-            raise DataError(f"bad prefix length {tok!r}")
-        prefixes.append(int(tok))
+    prefixes = [_prefix_len(tok.strip().removeprefix("/")) for tok in args.prefixes.split(",")]
     rows = observability_table(prefixes, rate_pps=args.rate, duration_s=args.duration)
     lines = [["size", "p_collision", "p_observe", "expected_packets"]]
     for r in rows:
@@ -223,7 +225,7 @@ def _cmd_model_tte(args) -> str:
     if args.packets < 1:
         raise DataError("--packets must be >= 1")
     sizes = args.sizes.split(",") if args.sizes else [args.size]
-    if not sizes or sizes == [None]:
+    if sizes == [None]:
         raise DataError("give --size or --sizes")
     rows = [["telescope_size", "visible_pps", "seconds", "hours"]]
     for size in sizes:
@@ -261,7 +263,7 @@ def _cmd_population(args) -> str:
     samples = []
     for report in reports:
         day_reports[report.day.isoformat()] = {
-            "always_on_count": len(report.always_on_ips),
+            "always_on_count": len(report.per_ip_daily_packets),
             "daily_packets": {str(ip): n for ip, n in report.per_ip_daily_packets.items()},
         }
         samples.extend(report.per_ip_daily_packets.values())

@@ -52,15 +52,18 @@ class AlwaysOnReport:
     """Sources covering all 144 bins of one day, with their daily packet counts."""
 
     day: date
-    always_on_ips: frozenset[int]
     per_ip_daily_packets: Mapping[int, int]
+
+    @property
+    def always_on_ips(self) -> frozenset[int]:
+        """The always-on sources: the keys of per_ip_daily_packets."""
+        return frozenset(self.per_ip_daily_packets)
 
 
 @dataclass(frozen=True)
 class DensityProfile:
     """Gaussian-kernel density of daily packet counts, with detected peaks."""
 
-    sample: tuple[float, ...]
     bandwidth: float
     grid: np.ndarray
     density: np.ndarray
@@ -105,11 +108,7 @@ def always_on(
     full = np.diff(np.append(src_starts, len(seen))) == BINS_PER_DAY
     ips = seen[src_starts][full].tolist()
     counts = np.diff(np.append(bin_starts[src_starts], len(keys)))[full].tolist()
-    return AlwaysOnReport(
-        day=day_of_ts(ts[0]),
-        always_on_ips=frozenset(ips),
-        per_ip_daily_packets=dict(zip(ips, counts)),
-    )
+    return AlwaysOnReport(day=day_of_ts(ts[0]), per_ip_daily_packets=dict(zip(ips, counts)))
 
 
 def estimate_rate(r: float, t: float, k_telescope: int) -> float:
@@ -210,7 +209,6 @@ def density_profile(
     density = sums / (x.size * bw * math.sqrt(2 * math.pi))
     idx = _local_maxima(density, _PEAK_FLOOR * float(density.max()))
     return DensityProfile(
-        sample=tuple(float(v) for v in x),
         bandwidth=bw,
         grid=grid,
         density=density,

@@ -36,7 +36,7 @@ class DailyPortOracle:
     def __post_init__(self) -> None:
         if not isinstance(self.secret, bytes):
             raise TypeError("secret must be bytes")
-        # Integers only, as sim._require_ints asks (sim imports this module).
+        # Integers only, as sim._require asks (sim imports this module).
         for port in (self.port_lo, self.port_hi):
             if isinstance(port, bool) or not isinstance(port, numbers.Integral):
                 raise ValueError(f"port range must be integers, got {port!r}")

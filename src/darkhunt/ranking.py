@@ -22,7 +22,6 @@ from .records import PortDayPartition, day_of_ts, run_starts, segment_by_window
 __all__ = [
     "DEFAULT_TOP_N",
     "RankEntry",
-    "RankedPortList",
     "DiscoverabilityReport",
     "ReportRow",
     "PeriodScores",
@@ -46,17 +45,6 @@ class RankEntry:
 
 
 @dataclass(frozen=True)
-class RankedPortList:
-    """Ports of one period ordered by descending metric value.
-
-    Ties are broken by ascending port number; ranks are the distinct
-    positions 1..len(entries).
-    """
-
-    entries: tuple[RankEntry, ...]
-
-
-@dataclass(frozen=True)
 class DiscoverabilityReport:
     """How often the labeled port surfaced within the top n."""
 
@@ -76,12 +64,12 @@ class ReportRow:
     rank: Optional[int]
 
 
-def rank_ports(
-    partitions: Mapping[int, PortDayPartition], metric_id: str
-) -> RankedPortList:
+def rank_ports(partitions: Mapping[int, PortDayPartition], metric_id: str) -> tuple[RankEntry, ...]:
     """Rank every port with traffic in one period by a metric: score_periods of their packets.
 
     `partitions` maps dst_port -> partition for one UTC day or a window in it.
+    The entries are ordered by value descending, ties by port ascending;
+    entry i has rank i + 1.
     """
     tables = [part.records for part in partitions.values() if len(part.records)]
     if not tables:
@@ -93,15 +81,12 @@ def rank_ports(
     entries = [None] * len(ranks)
     for port, value, rank in zip(scores.port.tolist(), values, ranks):
         entries[rank - 1] = RankEntry(rank=rank, port=port, value=value)
-    return RankedPortList(tuple(entries))
+    return tuple(entries)
 
 
-def rank_of_labeled_port(ranked: RankedPortList, labeled_port: int) -> Optional[int]:
-    """Rank of the ground-truth port, or None if it received no packets."""
-    for entry in ranked.entries:
-        if entry.port == labeled_port:
-            return entry.rank
-    return None
+def rank_of_labeled_port(ranked: Sequence[RankEntry], labeled_port: int) -> Optional[int]:
+    """Rank of the ground-truth port in rank_ports' entries, or None if it received no packets."""
+    return next((entry.rank for entry in ranked if entry.port == labeled_port), None)
 
 
 def discoverability(
@@ -148,9 +133,9 @@ def score_periods(
     """Score every (window start, port) segment of a table and rank it in its period.
 
     One segmentation and one score_segments call serve every metric; each
-    metric then ranks with one sort by (period, -value, port).  Windows
-    never cross 0000Z, so the results of a table's days, concatenated,
-    equal the whole table's.
+    metric then ranks with one sort by (period, -value), ties by port.
+    Windows never cross 0000Z, so the results of a table's days,
+    concatenated, equal the whole table's.
     """
     seg = segment_by_window(records, window)
     values = score_segments(records, seg.bounds, metric_ids, seg.order)
@@ -160,7 +145,9 @@ def score_periods(
     for v, r in zip(value, rank):
         # Periods stay in place (they are sorted), so a segment's rank is
         # its sorted position less its period's first position, plus one.
-        order = np.lexsort((seg.port, -v, period))
+        # Segments come port-ascending within each period and lexsort is
+        # stable, so tied values keep ascending port order without a port key.
+        order = np.lexsort((-v, period))
         r[order] = np.arange(len(order)) - firsts[period] + 1
     return PeriodScores(seg.start_us, seg.port, value, rank)
 

@@ -218,6 +218,9 @@ def _parse_block(block: bytes, work: np.ndarray, room) -> np.ndarray | None:
     n = (len(seps) - 1) // 13
     if b.max() > 57 or b[-1] != 10 or b[seps[1:]].tobytes() != _ROW_SEPARATORS * n:
         return None
+    # Rows of separators only (13 bytes) pass the check above, so a block
+    # can hold about twice the rows of a work area sized for the shortest
+    # canonical row (26 bytes); their empty fields fail only the check below.
     if len(work) < _WORK_WORDS * n:
         work = np.empty(_WORK_WORDS * n, dtype=np.int64)
     # One contiguous array of n per field, the 13 fields then ts_us's two
@@ -400,16 +403,16 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _TS_BOUNDS = np.array([[10**16], [10**12], [10**8], [10**4]], dtype=np.int64)
 
 
-def _render(t: np.ndarray, rows: np.ndarray | None = None) -> bytes:
+def _render(t: np.ndarray, rows: np.ndarray) -> bytes:
     """CSV bytes of a table chunk, gathered from the digit tables.
 
     Each row is eleven 8-byte words of a padded byte matrix: ts_us and its
     separator (3 words), src_ip (2), src_port, dst_ip (2), dst_port,
     proto, payload_len (1 each).  The matrix is the start of `rows`, a
-    uint64 array of at least len(t) rows of 11, or a fresh one if None.
+    uint64 array of at least len(t) rows of 11.
     """
     half, num, ts = _digit_tables()
-    rows = np.empty((len(t), 11), dtype=np.uint64) if rows is None else rows[: len(t)]
+    rows = rows[: len(t)]
     # ts_us's five four-digit groups, most significant first: 20 digits
     # hold 2**63 - 1.  Dividing by one scalar at a time lets numpy divide
     # by multiply and shift.

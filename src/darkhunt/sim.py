@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import re
 from contextlib import suppress
@@ -31,6 +30,7 @@ from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from functools import cached_property
 from itertools import accumulate
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -99,6 +99,11 @@ _K_NOISE = 4
 # The order of simulated rows, as np.lexsort keys: least significant first.
 _SORT_KEYS = ("payload_len", "dst_port", "src_port", "dst_ip", "src_ip", "ts_us")
 
+# The keys of a config; crackonosh, a population schedule and a background
+# scanner take those of the function or class they are passed to.
+_CONFIG_KEYS = ("seed", "start_day", "telescope", "secret", "port_range", "crackonosh", "background",
+                "noise_ports_per_day", "mode")
+
 # The one day form date.fromisoformat takes on every Python from 3.10.
 _DAY_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -109,11 +114,11 @@ def _parse_day(text: str, name: str) -> date:
     return date.fromisoformat(text)
 
 
-def _require_ints(name: str, *values) -> None:
-    """Raise ValueError unless every value of the named field is an integer; a bool is not."""
+def _require(kind: type, name: str, *values) -> None:
+    """Raise ValueError unless every value of the named field is of kind, Integral or Real; a bool is neither."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {'an integer' if kind is Integral else 'a number'}, got {value!r}")
 
 
 def _stream(seed: int, kind: int, a: int = 0, b: int = 0) -> np.random.Generator:
@@ -138,9 +143,11 @@ class BackgroundScanner:
     n_sources: int = 1
 
     def __post_init__(self) -> None:
-        _require_ints("service_port", self.service_port)
-        _require_ints("n_sources", self.n_sources)
-        _require_ints("sizes", *self.sizes)
+        _require(Integral, "service_port", self.service_port)
+        _require(Integral, "n_sources", self.n_sources)
+        _require(Integral, "sizes", *self.sizes)
+        _require(Real, "rate_pps", self.rate_pps)
+        _require(Real, "size_probs", *self.size_probs)
         if not 0 <= self.service_port <= 65535:
             raise ValueError(f"service_port out of range: {self.service_port}")
         if self.source_mode not in ("single", "block"):
@@ -188,11 +195,13 @@ class CrackonoshConfig:
     def __post_init__(self) -> None:
         if not self.population:
             raise ValueError("population schedule must cover at least one day")
-        _require_ints("population", *self.population)
+        _require(Integral, "population", *self.population)
         if any(n < 0 for n in self.population):
             raise ValueError("population counts must be >= 0")
         for name in ("padding_sizes", "payload_base", "per24_cap"):
-            _require_ints(name, getattr(self, name))
+            _require(Integral, name, getattr(self, name))
+        for name in ("rate_pps", "always_on_fraction"):
+            _require(Real, name, getattr(self, name))
         if not 0 <= self.rate_pps < math.inf:
             raise ValueError(f"rate_pps must be finite and >= 0, got {self.rate_pps}")
         if self.padding_sizes < 1:
@@ -219,8 +228,8 @@ class SimConfig:
     mode: str = "direct"  # "direct" | "naive"
 
     def __post_init__(self) -> None:
-        _require_ints("seed", self.seed)
-        _require_ints("noise_ports_per_day", self.noise_ports_per_day)
+        _require(Integral, "seed", self.seed)
+        _require(Integral, "noise_ports_per_day", self.noise_ports_per_day)
         if self.mode not in ("direct", "naive"):
             raise ValueError(f"mode must be 'direct' or 'naive': {self.mode}")
         if not 0 <= self.noise_ports_per_day <= _NOISE_PORTS:
@@ -254,7 +263,8 @@ def three_epoch_schedule(days_per_epoch: int, scale: float = 1.0) -> tuple[int, 
 
     Scale it down (e.g. 0.01) for desk-size runs; counts are rounded.
     """
-    _require_ints("days_per_epoch", days_per_epoch)
+    _require(Integral, "days_per_epoch", days_per_epoch)
+    _require(Real, "scale", scale)
     if days_per_epoch < 1:
         raise ValueError("days_per_epoch must be >= 1")
     if not 0 <= scale < math.inf:
@@ -295,21 +305,12 @@ def default_background() -> tuple[BackgroundScanner, ...]:
             n_sources=n,
         )
 
-    def single(port, pkts_per_day, dist):
-        return BackgroundScanner(
-            service_port=port,
-            source_mode="single",
-            rate_pps=pkts_per_day / SECONDS_PER_DAY,
-            sizes=dist[0],
-            size_probs=dist[1],
-        )
-
     return (
         # SIP: three campaign blocks plus one classic single-source sweeper.
         block(5060, 250, 1500, _SIP_SIZES),
         block(5060, 250, 1500, _SIP_SIZES),
         block(5060, 200, 1200, _SIP_SIZES),
-        single(5060, 3000, _SIP_SIZES),
+        BackgroundScanner(5060, "single", 3000 / SECONDS_PER_DAY, *_SIP_SIZES),
         # mDNS
         block(5353, 256, 1536, _MDNS_SIZES),
         block(5353, 256, 1536, _MDNS_SIZES),
@@ -625,6 +626,9 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     DARKHUNT_SECRET environment variable, a `{"env": "NAME"}` reference,
     or a plain string in the file.  Secrets are never logged.
     """
+    unknown = [key for key in d if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
     try:
         seed = d["seed"]
         start_day = _parse_day(d["start_day"], "start_day")
@@ -634,9 +638,12 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     cidrs = [tel_field] if isinstance(tel_field, str) else list(tel_field)
     telescope = TelescopeSpec.from_cidrs(cidrs)
 
+    raw = d.get("secret")
+    if not isinstance(raw, (str, dict, type(None))):
+        # The value is not echoed: it may be a secret in the wrong form.
+        raise ValueError(f'secret must be a string or {{"env": NAME}}, got {type(raw).__name__}')
     secret = secret_override if secret_override is not None else os.environ.get("DARKHUNT_SECRET")
     if secret is None:
-        raw = d.get("secret")
         if raw is None:
             raise ValueError("config has no secret and DARKHUNT_SECRET is unset")
         if isinstance(raw, dict):
@@ -645,7 +652,7 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
             if secret is None:
                 raise ValueError(f"secret environment variable {env_name!r} is unset")
         else:
-            secret = str(raw)
+            secret = raw
     port_lo, port_hi = d.get("port_range", (49108, 65535))
     oracle = DailyPortOracle(secret=secret.encode(), port_lo=port_lo, port_hi=port_hi)
 
@@ -654,11 +661,10 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     if pop_field is None:
         raise ValueError("config missing crackonosh.population")
     if isinstance(pop_field, dict):
-        if pop_field.get("schedule") != "three_epoch":
+        schedule = dict(pop_field)
+        if schedule.pop("schedule", None) != "three_epoch":
             raise ValueError(f"unknown population schedule: {pop_field.get('schedule')!r}")
-        population = three_epoch_schedule(
-            pop_field.get("days_per_epoch", 1), float(pop_field.get("scale", 1.0))
-        )
+        population = three_epoch_schedule(**{"days_per_epoch": 1, **schedule})
     else:
         population = tuple(pop_field)
     crackonosh = CrackonoshConfig(population=population, **ck_d)
@@ -669,14 +675,15 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     elif bg_field in ("none", None):
         background = ()
     else:
+        # A JSON integer rate or probability is the float it stands for;
+        # anything else goes as it is, for BackgroundScanner to check.
+        def real(v):
+            return float(v) if type(v) is int else v
+
         background = tuple(
             BackgroundScanner(
-                service_port=s["service_port"],
-                source_mode=s["source_mode"],
-                rate_pps=float(s["rate_pps"]),
-                sizes=tuple(s["sizes"]),
-                size_probs=tuple(float(v) for v in s["size_probs"]),
-                n_sources=s.get("n_sources", 1),
+                **dict(s, rate_pps=real(s["rate_pps"]), sizes=tuple(s["sizes"]),
+                       size_probs=tuple(map(real, s["size_probs"])))
             )
             for s in bg_field
         )

@@ -114,6 +114,21 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
         {"port_range": [49108.5, 65535]},
         {"crackonosh": {"population": [8.7, True]}},
         {"crackonosh": {"population": {"schedule": "three_epoch", "days_per_epoch": 1.5, "scale": 0.001}}},
+        # Real numbers that were coerced or taken: a string, or a bool (a
+        # scale of true ran the full 90k/40k/26k schedule).
+        {"crackonosh": {"population": {"schedule": "three_epoch", "scale": "0.001"}}},
+        {"crackonosh": {"population": {"schedule": "three_epoch", "scale": True}}},
+        {"crackonosh": {"population": [8], "rate_pps": True}},
+        {"crackonosh": {"population": [8], "always_on_fraction": True}},
+        {"background": [dict(SCANNER, rate_pps="0.5")]},
+        {"background": [dict(SCANNER, size_probs=["1"])]},
+        # Misspelled keys, once dropped without a word.
+        {"noise_port_per_day": 40},
+        {"background": [dict(SCANNER, n_source=1)]},
+        {"crackonosh": {"population": {"schedule": "three_epoch", "days_per_epoc": 2, "scale": 0.001}}},
+        # A secret that is not a string, once str()'d.
+        {"secret": 12345},
+        {"secret": True},
         # Days that only Python 3.11+ reads.
         {"start_day": "20240101"},
         {"start_day": "2024-W01-1"},
@@ -440,6 +455,15 @@ def test_rows_in_any_order_within_a_day_give_the_same_outputs(sim_dir, tmp_path)
         ("model table", "--rate", "nan"),
         ("model table", "--duration", "inf"),
         ("model time-to-entropy", "--rate", "inf"),
+        # /N is ASCII digits without a leading zero, as in the CSV grammar.
+        ("model time-to-entropy", "--size", "/+22"),
+        ("model time-to-entropy", "--size", "/ 22"),
+        ("model time-to-entropy", "--size", "/2_2"),
+        ("model time-to-entropy", "--size", "/\u0662\u0662"),  # Arabic-Indic 22
+        ("model time-to-entropy", "--size", "/022"),
+        ("model table", "--prefixes", "\u0662\u0662"),
+        ("model table", "--prefixes", "//22"),
+        ("model table", "--prefixes", "/022"),
     ],
 )
 def test_bad_arguments_write_no_output(sim_dir, tmp_path, capsys, command, flag, value):

@@ -378,7 +378,6 @@ def test_peaks_to_rates_published_anchor_needs_implied_k():
 def test_peaks_to_rates_requires_peaks():
     profile = density_profile([1.0, 2.0])
     empty = type(profile)(
-        sample=profile.sample,
         bandwidth=profile.bandwidth,
         grid=profile.grid,
         density=profile.density,

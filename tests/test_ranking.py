@@ -53,27 +53,27 @@ def burst(port, n_sources, ts0=0):
 def test_rank_ports_orders_by_value():
     parts = day_parts(burst(50000, 5) + burst(5060, 3))
     ranked = rank_ports(parts, "address_count")
-    assert [(e.rank, e.port) for e in ranked.entries] == [(1, 50000), (2, 5060)]
-    assert ranked.entries[0].value == 5
+    assert [(e.rank, e.port) for e in ranked] == [(1, 50000), (2, 5060)]
+    assert ranked[0].value == 5
 
 
 def test_rank_ports_tie_breaks_by_port():
     parts = day_parts(burst(5353, 4) + burst(5060, 4) + burst(50000, 9))
     ranked = rank_ports(parts, "address_count")
-    assert [(e.rank, e.port) for e in ranked.entries] == [(1, 50000), (2, 5060), (3, 5353)]
+    assert [(e.rank, e.port) for e in ranked] == [(1, 50000), (2, 5060), (3, 5353)]
 
 
 def test_rank_ports_every_active_port_once():
     parts = day_parts(burst(1, 2) + burst(2, 2) + burst(3, 2))
     ranked = rank_ports(parts, "size_entropy")
-    assert sorted(e.port for e in ranked.entries) == [1, 2, 3]
-    assert [e.rank for e in ranked.entries] == [1, 2, 3]
+    assert sorted(e.port for e in ranked) == [1, 2, 3]
+    assert [e.rank for e in ranked] == [1, 2, 3]
 
 
 def test_rank_ports_values_non_increasing():
     parts = day_parts(burst(1, 7) + burst(2, 3) + burst(3, 5))
     ranked = rank_ports(parts, "address_count")
-    values = [e.value for e in ranked.entries]
+    values = [e.value for e in ranked]
     assert values == sorted(values, reverse=True)
 
 
@@ -174,10 +174,10 @@ def test_strictly_increasing_transform_keeps_ranks(counts, a, b):
     ranked = rank_ports(parts, "address_count")
 
     transformed = sorted(
-        ((a * e.value + b, e.port) for e in ranked.entries),
+        ((a * e.value + b, e.port) for e in ranked),
         key=lambda sv: (-sv[0], sv[1]),
     )
-    assert [port for _, port in transformed] == [e.port for e in ranked.entries]
+    assert [port for _, port in transformed] == [e.port for e in ranked]
 
 
 # ---------------------------------------------------------- time series

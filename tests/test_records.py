@@ -551,7 +551,7 @@ def reference_parse_block(block):
         return None
     columns = [v[:, 0], v[:, 1:5] @ _REF_OCTETS, v[:, 5], v[:, 6:10] @ _REF_OCTETS, *v[:, 10:].T]
     rows = np.rec.fromarrays(columns, dtype=TRAFFIC_DTYPE)
-    return rows if records_module._render(rows) == block else None
+    return rows if records_module._render(rows, np.empty((len(rows), 11), dtype=np.uint64)) == block else None
 
 
 def outcome(reader, path):
@@ -650,6 +650,20 @@ def test_last_row_without_lf_at_the_default_block_size(tmp_path, past):
     [(_, table)] = read_days(p)
     assert table.shape == (len(ts),) and not table.flags.writeable
     assert table["ts_us"].tolist() == ts
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1024])
+def test_separator_only_rows_past_the_work_area_are_a_row_error(tmp_path, monkeypatch, block_bytes):
+    # 13-byte rows of separators only pass the decoder's separator check,
+    # and a block holds about twice the rows its work area has room for
+    # (that is sized for 26-byte rows); the first still raises as a row.
+    if block_bytes is not None:
+        monkeypatch.setattr(records_module, "_BLOCK_BYTES", block_bytes)
+    p = tmp_path / "t.csv"
+    p.write_text(CSV_HEADER + "\n" + ",...,,...,,,\n" * 12_000)
+    message = "line 2: ts_us: not an unsigned decimal integer: ''"
+    with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+        list(read_days(p))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 3, ROW_BYTES, ROW_BYTES + 2, 1 << 22])

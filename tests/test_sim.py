@@ -431,7 +431,7 @@ def test_coordinated_spread_beats_single_source_at_equal_budget():
     from darkhunt.records import partition_by_day_port
 
     def src_spread(part):
-        [entry] = rank_ports({part.dst_port: part}, "src_spread").entries
+        [entry] = rank_ports({part.dst_port: part}, "src_spread")
         return entry.value
 
     tel = TelescopeSpec.from_prefix(22)
@@ -675,6 +675,15 @@ def test_config_from_dict_schedule_and_default_background():
     cfg = config_from_dict(d)
     assert cfg.crackonosh.population == (90, 90, 40, 40, 26, 26)
     assert len(cfg.background) == len(default_background())
+
+
+def test_config_from_dict_hashes_integer_background_rates_as_floats():
+    scanner = {"service_port": 53, "source_mode": "single", "rate_pps": 1.0, "sizes": [70], "size_probs": [1.0]}
+    d = base_dict()
+    d["background"] = [scanner]
+    floats = config_digest(config_from_dict(d))
+    d["background"] = [dict(scanner, rate_pps=1, size_probs=[1])]
+    assert config_digest(config_from_dict(d)) == floats
 
 
 def test_config_from_dict_secret_sources(monkeypatch):
