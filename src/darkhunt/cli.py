@@ -32,12 +32,13 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import _UINT_RE, CsvFormatError, read_days
+from .records import CsvFormatError, read_days
 from .sim import load_config, read_labels_csv, sha256, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
     ScanPopulation,
     TelescopeSpec,
+    _prefix_len,
     days_to_coverage,
     observability_table,
     p_collision,
@@ -65,17 +66,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class DataError(Exception):
-    """Bad input data or config; mapped to exit code 2."""
-
-
-def _prefix_len(text: str) -> int:
-    """The N of a /N prefix: an unsigned decimal integer as in the CSV grammar, 0-32."""
-    if _UINT_RE.fullmatch(text) is None or int(text) > 32:
-        raise ValueError(f"bad prefix length {text!r}")
-    return int(text)
-
-
 def _parse_telescope(spec: str) -> TelescopeSpec:
     """Parse `--telescope`: comma-separated CIDRs, @file, or /N shorthand."""
     spec = spec.strip()
@@ -88,7 +78,7 @@ def _parse_telescope(spec: str) -> TelescopeSpec:
             return TelescopeSpec.from_prefix(_prefix_len(spec[1:]))
         return TelescopeSpec.from_cidrs(spec.split(","))
     except (ValueError, OSError) as exc:
-        raise DataError(f"bad telescope spec {spec!r}: {exc}") from None
+        raise ValueError(f"bad telescope spec {spec!r}: {exc}") from None
 
 
 def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> None:
@@ -103,13 +93,13 @@ def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> 
 
 
 def _read_days(path):
-    """read_days with an unreadable or malformed file mapped to DataError."""
+    """read_days with an unreadable or malformed file mapped to a ValueError naming it."""
     try:
         yield from read_days(path)
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     except CsvFormatError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_or_show(args, name: str, rows: list[list], command: str, params: dict) -> str:
@@ -126,7 +116,7 @@ def _write_or_show(args, name: str, rows: list[list], command: str, params: dict
 
 def _cmd_simulate(args) -> str:
     if not os.path.exists(args.config):
-        raise DataError(f"config file not found: {args.config}")
+        raise ValueError(f"config file not found: {args.config}")
     try:
         config = load_config(
             args.config,
@@ -135,7 +125,7 @@ def _cmd_simulate(args) -> str:
             scale_override=args.scale,
         )
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"bad config {args.config}: {exc}") from None
+        raise ValueError(f"bad config {args.config}: {exc}") from None
     manifest = write_dataset(config, args.out, inputs={"config": os.path.abspath(args.config)})
     return (
         f"wrote {manifest['records']} records over {manifest['days']} days to {args.out} "
@@ -145,29 +135,29 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_analyze(args) -> str:
     if args.top_n < 1:
-        raise DataError(f"--top-n must be >= 1, got {args.top_n}")
+        raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
     metrics = args.metrics.split(",") if args.metrics else list(METRIC_IDS)
     for i, m in enumerate(metrics):
         if m not in METRIC_IDS:
-            raise DataError(f"unknown metric {m!r}; choose from {','.join(METRIC_IDS)}")
+            raise ValueError(f"unknown metric {m!r}; choose from {','.join(METRIC_IDS)}")
         if m in metrics[:i]:
-            raise DataError(f"metric {m!r} given twice in --metrics")
+            raise ValueError(f"metric {m!r} given twice in --metrics")
     window = WINDOWS[args.window]
     # The labels first: a bad labels file should not cost a pass over the CSV.
     try:
         labels = read_labels_csv(args.labels)
     except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read labels {args.labels}: {exc}") from None
+        raise ValueError(f"cannot read labels {args.labels}: {exc}") from None
     parts = {}
     for day, records in _read_days(args.csv):
         parts[day] = score_periods(records, metrics, window)
         del records  # before the next day is read
     # Only UDP packets are ranked; without any there is no period to score.
     if not any(len(part.port) for part in parts.values()):
-        raise DataError(f"{args.csv}: no UDP traffic")
+        raise ValueError(f"{args.csv}: no UDP traffic")
     missing = [day.isoformat() for day in parts if day not in labels]
     if missing:
-        raise DataError("unlabeled days: " + ", ".join(missing))
+        raise ValueError("unlabeled days: " + ", ".join(missing))
     rows_by_metric = labeled_rows(list(parts.values()), metrics, labels, window)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -223,17 +213,17 @@ def _cmd_model_coverage(args) -> str:
 
 def _cmd_model_tte(args) -> str:
     if args.packets < 1:
-        raise DataError("--packets must be >= 1")
+        raise ValueError("--packets must be >= 1")
     sizes = args.sizes.split(",") if args.sizes else [args.size]
     if sizes == [None]:
-        raise DataError("give --size or --sizes")
+        raise ValueError("give --size or --sizes")
     rows = [["telescope_size", "visible_pps", "seconds", "hours"]]
     for size in sizes:
         tel = _parse_telescope(size)
         pop = ScanPopulation(host_count=args.hosts, rate_pps=args.rate)
         rate = visible_rate(tel, pop)
         if rate <= 0:
-            raise DataError("visible rate is zero; check --hosts/--rate/size")
+            raise ValueError("visible rate is zero; check --hosts/--rate/size")
         seconds = time_to_n_packets(rate, args.packets)
         rows.append([size, f"{rate:.6g}", f"{seconds:.6g}", f"{seconds / 3600:.4g}"])
     return _write_or_show(
@@ -247,7 +237,7 @@ def _cmd_model_tte(args) -> str:
 
 def _cmd_population(args) -> str:
     if args.bandwidth is not None and not 0 < args.bandwidth < math.inf:
-        raise DataError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
+        raise ValueError(f"--bandwidth must be finite and > 0, got {args.bandwidth}")
     tel = _parse_telescope(args.telescope)
     reports = []
     for _, table in _read_days(args.csv):
@@ -257,7 +247,7 @@ def _cmd_population(args) -> str:
             pass  # no UDP packet inside the telescope: nothing to report
         del table  # before the next day is read
     if not reports:
-        raise DataError(f"{args.csv}: no UDP traffic inside telescope {tel}")
+        raise ValueError(f"{args.csv}: no UDP traffic inside telescope {tel}")
     os.makedirs(args.out, exist_ok=True)
     day_reports = {}
     samples = []
@@ -359,7 +349,7 @@ def main(argv=None) -> int:
     try:
         text = args.func(args)
     # An output that cannot be written is, like bad data, not a usage error.
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"darkhunt: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     # A command returns its stdout text once every output is written, so a

@@ -19,7 +19,7 @@ invariant under packet reordering and under duplicating every packet.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,15 +31,11 @@ METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
 
 
 def score_segments(
-    records: np.ndarray,
-    bounds: np.ndarray,
-    metric_ids: Sequence[str] = METRIC_IDS,
-    order: Optional[np.ndarray] = None,
+    records: np.ndarray, bounds: np.ndarray, metric_ids: Sequence[str], order: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Metric values of every segment of a table, as float arrays by metric id.
 
-    Segment i is records[order[bounds[i]:bounds[i + 1]]], or
-    records[bounds[i]:bounds[i + 1]] if order is None; only the columns
+    Segment i is records[order[bounds[i]:bounds[i + 1]]]; only the columns
     the metrics read are gathered, one at a time.  Distinct counts are
     runs in one sort of (segment << 32 | value).  size_entropy sums the
     terms (c/n) * log2(c/n) of a segment's distinct sizes in ascending size
@@ -57,7 +53,7 @@ def score_segments(
     def sorted_keys(name, shift):
         # (segment << shift | value), built and sorted in place.
         keys = seg << shift
-        keys |= records[name] if order is None else np.take(records[name], order)
+        keys |= np.take(records[name], order)
         keys.sort()
         return keys
 
@@ -99,5 +95,6 @@ def size_entropy(part: PortDayPartition) -> float:
     are summed over distinct sizes in ascending order, so the value is
     exactly independent of packet order.
     """
-    [value] = score_segments(part.records, np.array([0, len(part.records)]), ["size_entropy"])["size_entropy"]
+    n = len(part.records)
+    [value] = score_segments(part.records, np.array([0, n]), ["size_entropy"], np.arange(n))["size_entropy"]
     return float(value)

@@ -173,7 +173,7 @@ def _local_maxima(y: np.ndarray, floor: float) -> np.ndarray:
     (start + end) // 2, and runs touching either end never count.  This is
     the rule of scipy.signal.find_peaks with a `height` floor.
     """
-    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    starts = run_starts(y)
     ends = np.r_[starts[1:], y.size] - 1
     vals = y[starts]
     inner = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:]) & (vals[1:-1] >= floor)

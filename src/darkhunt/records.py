@@ -131,10 +131,10 @@ class LabeledDataset:
 class CsvFormatError(ValueError):
     """Raised when a traffic CSV has the wrong schema or a malformed row."""
 
-    def __init__(self, message: str, line: int | None = None, field: str | None = None):
+    def __init__(self, message: str, line: int, field: str | None = None):
         self.line = line
         self.field = field
-        prefix = f"line {line}: " if line is not None else ""
+        prefix = f"line {line}: "
         if field:
             prefix += f"{field}: "
         super().__init__(prefix + message)
@@ -208,9 +208,9 @@ def _parse_block(block: bytes, work: np.ndarray, room) -> np.ndarray | None:
     TRAFFIC_DTYPE array the caller gives with room for the block's n
     rows, and that part of it is returned; room is called only once the
     whole block is canonical.  The temporaries go in `work`, a flat int64
-    array, if it holds _WORK_WORDS a row (else in a fresh one): a read
-    that passes the same one for every block touches the same pages,
-    where fresh arrays would be faulted in again each block.
+    array of at least _WORK_WORDS a row: a read that passes the same one
+    for every block touches the same pages, where fresh arrays would be
+    faulted in again each block.
     """
     data = _PAD + block
     b = np.frombuffer(data, dtype=np.uint8)
@@ -218,11 +218,6 @@ def _parse_block(block: bytes, work: np.ndarray, room) -> np.ndarray | None:
     n = (len(seps) - 1) // 13
     if b.max() > 57 or b[-1] != 10 or b[seps[1:]].tobytes() != _ROW_SEPARATORS * n:
         return None
-    # Rows of separators only (13 bytes) pass the check above, so a block
-    # can hold about twice the rows of a work area sized for the shortest
-    # canonical row (26 bytes); their empty fields fail only the check below.
-    if len(work) < _WORK_WORDS * n:
-        work = np.empty(_WORK_WORDS * n, dtype=np.int64)
     # One contiguous array of n per field, the 13 fields then ts_us's two
     # earlier words: digit counts (which may clip to 0), the word starts,
     # and the words.  Word i is bytes i to i + 7 of data, unaligned.
@@ -304,15 +299,18 @@ def read_days(path):
     break a rule, so the first bad line raises whatever the block size.
 
     The file is read in blocks of whole lines, each decoded straight into
-    its day's table with one work area for every block.  Each day's rows
-    are decoded into a table of its own, which starts with room for the
-    previous day's rows plus a block's most rows (days of a capture are
-    alike in size) and doubles past that; a block's rows of a later day
-    are copied into that day's new table.  The tail of a table that is
-    never written never becomes resident.
+    its day's table with one work area for every block.  That is sized for
+    a block of the shortest rows the decoder's separator check passes:
+    rows of separators only (13 bytes), whose empty fields fail only its
+    value check.  Each day's rows are decoded into a table of its own,
+    which starts with room for the previous day's rows plus a block's most
+    canonical rows (days of a capture are alike in size) and doubles past
+    that; a block's rows of a later day are copied into that day's new
+    table.  The tail of a work area or table that is never written never
+    becomes resident.
     """
     block_rows = _BLOCK_BYTES // _MIN_ROW_BYTES + 1
-    work = np.empty(_WORK_WORDS * block_rows, dtype=np.int64)
+    work = np.empty(_WORK_WORDS * (_BLOCK_BYTES // len(_ROW_SEPARATORS) + 1), dtype=np.int64)
 
     with open(path, "rb") as fh:
         header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
@@ -337,12 +335,8 @@ def read_days(path):
             if rows is None:
                 rows = _scan(block, line_no, day, work, room)
             days = rows["ts_us"] // US_PER_DAY
-            # Most blocks only continue the day, in place; a block of blank
-            # lines holds no row.
-            if (days == day).all():
-                n += len(rows)
-                continue
-            if not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
+            # A block of blank lines holds no row, and so no run.
+            if len(rows) and not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
                 _scan(block, line_no, day, work, room)
                 raise AssertionError(f"the block from line {line_no} breaks a day rule the scan passes")
             starts = run_starts(days).tolist()
@@ -462,7 +456,7 @@ def write_csv_tables(tables, path) -> int:
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in a sorted array.
+    """Index of the first element of each run of equal adjacent values.
 
     Distinct values and their counts come from np.sort and this, not from
     np.unique: numpy 2.x's np.unique without return_* flags hashes, which

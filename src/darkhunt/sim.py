@@ -25,6 +25,7 @@ import json
 import math
 import os
 import re
+import sys
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
@@ -43,6 +44,7 @@ from .records import (
     SECONDS_PER_DAY,
     TRAFFIC_DTYPE,
     US_PER_DAY,
+    _LAST_DAY,
     _UINT_RE,
     LabeledDataset,
     day_start_us,
@@ -115,10 +117,12 @@ def _parse_day(text: str, name: str) -> date:
 
 
 def _require(kind: type, name: str, *values) -> None:
-    """Raise ValueError unless every value of the named field is of kind, Integral or Real; a bool is neither."""
+    """Raise ValueError unless each value is of kind, Integral or Real (in a float's range); a bool is neither."""
     for value in values:
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {'an integer' if kind is Integral else 'a number'}, got {value!r}")
+        if kind is Real and isinstance(value, Integral) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{name} must be a number within the range of a float")
 
 
 def _stream(seed: int, kind: int, a: int = 0, b: int = 0) -> np.random.Generator:
@@ -265,8 +269,9 @@ def three_epoch_schedule(days_per_epoch: int, scale: float = 1.0) -> tuple[int, 
     """
     _require(Integral, "days_per_epoch", days_per_epoch)
     _require(Real, "scale", scale)
-    if days_per_epoch < 1:
-        raise ValueError("days_per_epoch must be >= 1")
+    # Three epochs must fit in 1970-01-01 to 9999-12-31.
+    if not 1 <= days_per_epoch <= (_LAST_DAY + 1) // 3:
+        raise ValueError(f"days_per_epoch must be within 1-{(_LAST_DAY + 1) // 3}, got {days_per_epoch}")
     if not 0 <= scale < math.inf:
         raise ValueError(f"scale must be finite and >= 0, got {scale}")
     schedule = []
@@ -675,10 +680,10 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     elif bg_field in ("none", None):
         background = ()
     else:
-        # A JSON integer rate or probability is the float it stands for;
-        # anything else goes as it is, for BackgroundScanner to check.
+        # A JSON integer rate or probability a float holds is the float it
+        # stands for; anything else goes as it is, for BackgroundScanner to check.
         def real(v):
-            return float(v) if type(v) is int else v
+            return float(v) if type(v) is int and abs(v) <= sys.float_info.max else v
 
         background = tuple(
             BackgroundScanner(

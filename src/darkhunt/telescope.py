@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .records import _UINT_RE
+
 __all__ = [
     "TelescopeSpec",
     "ScanPopulation",
@@ -40,6 +42,13 @@ IPV4_SPACE = 2**32
 # Classic reporting sizes: a single address, a /24, a small research
 # telescope (/22) and a large institutional one (/16).
 DEFAULT_TABLE_PREFIXES = (32, 24, 22, 16)
+
+
+def _prefix_len(text: str) -> int:
+    """The N of a /N prefix: an unsigned decimal integer as in the CSV grammar, 0-32."""
+    if _UINT_RE.fullmatch(text) is None or int(text) > 32:
+        raise ValueError(f"bad prefix length {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,10 @@ class TelescopeSpec:
     def from_cidrs(cls, cidrs: Iterable[str | ipaddress.IPv4Network]) -> "TelescopeSpec":
         nets = []
         for c in cidrs:
-            if isinstance(c, ipaddress.IPv4Network):
-                nets.append(c)
-            else:
-                nets.append(ipaddress.IPv4Network(str(c).strip(), strict=False))
+            text = str(c).strip()
+            if "/" in text:
+                _prefix_len(text.partition("/")[2])
+            nets.append(ipaddress.IPv4Network(text, strict=False))
         if not nets:
             raise ValueError("telescope needs at least one CIDR block")
         merged = tuple(ipaddress.collapse_addresses(nets))
@@ -83,8 +92,6 @@ class TelescopeSpec:
 
         The analytic model depends on k alone.
         """
-        if not 0 <= prefix_len <= 32:
-            raise ValueError(f"prefix length out of range: {prefix_len}")
         return cls.from_cidrs([f"10.0.0.0/{prefix_len}"])
 
     def contains_array(self, ips: np.ndarray) -> np.ndarray:

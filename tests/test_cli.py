@@ -132,6 +132,11 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
         # Days that only Python 3.11+ reads.
         {"start_day": "20240101"},
         {"start_day": "2024-W01-1"},
+        # Integers past the largest float or index, once an OverflowError
+        # mid-run (leaving a partial --out) or while loading.
+        {"crackonosh": {"population": [8], "rate_pps": 10**400}},
+        {"background": [dict(SCANNER, rate_pps=10**400)]},
+        {"crackonosh": {"population": {"schedule": "three_epoch", "days_per_epoch": 10**30, "scale": 0.001}}},
     ],
 )
 def test_simulate_config_type_error_exits_2(tmp_path, capsys, overrides):
@@ -141,6 +146,24 @@ def test_simulate_config_type_error_exits_2(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith(f"darkhunt: error: bad config {cfg_path}: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cidr", ["10.0.0.0/08", "10.0.0.0/+8", "10.0.0.0/255.0.0.0"])
+@pytest.mark.parametrize("command", ["simulate", "population", "model coverage"])
+def test_cidr_prefix_lengths_follow_the_slash_n_rule(sim_dir, tmp_path, capsys, command, cidr):
+    # A CIDR's /N is ASCII digits without a leading zero, 0-32, as in the
+    # /N shorthand: no netmask, sign or leading zero.
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--config", str(write_config(tmp_path, telescope=[cidr])), "--out", str(out)],
+        "population": ["--csv", str(sim_dir / "traffic.csv"), "--telescope", cidr, "--out", str(out)],
+        "model coverage": ["--size", cidr, "--target", "0.5"],
+    }[command]
+    assert main([*command.split(), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"bad prefix length '{cidr.partition('/')[2]}'" in captured.err
     assert not out.exists()
 
 

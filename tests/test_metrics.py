@@ -27,8 +27,8 @@ def score(metric_id):
     """One metric of one partition, scored as a single segment by score_segments."""
 
     def f(part):
-        bounds = np.array([0, len(part.records)])
-        [value] = score_segments(part.records, bounds, [metric_id])[metric_id].tolist()
+        n = len(part.records)
+        [value] = score_segments(part.records, np.array([0, n]), [metric_id], np.arange(n))[metric_id].tolist()
         return value
 
     return f

@@ -352,7 +352,7 @@ def test_segment_report_matches_per_partition_reference(window, rows, label_port
     # Every segment, not only the labeled ports', scores bit for bit.
     table = traffic_table(rows)
     seg = segment_by_window(table, window)
-    values = score_segments(table, seg.bounds, order=seg.order)
+    values = score_segments(table, seg.bounds, METRIC_IDS, seg.order)
     for i, key in enumerate(zip(seg.start_us.tolist(), seg.port.tolist())):
         for metric_id in METRIC_IDS:
             assert bits(float(values[metric_id][i])) == bits(ref_scores[key][metric_id])

@@ -652,11 +652,12 @@ def test_last_row_without_lf_at_the_default_block_size(tmp_path, past):
     assert table["ts_us"].tolist() == ts
 
 
-@pytest.mark.parametrize("block_bytes", [None, 1024])
+@pytest.mark.parametrize("block_bytes", [None, 1024, 13 * 80])
 def test_separator_only_rows_past_the_work_area_are_a_row_error(tmp_path, monkeypatch, block_bytes):
     # 13-byte rows of separators only pass the decoder's separator check,
-    # and a block holds about twice the rows its work area has room for
-    # (that is sized for 26-byte rows); the first still raises as a row.
+    # so a block of them holds the most rows any block can: the rows its
+    # work area is sized for, which a block size that is a multiple of 13
+    # fills exactly.  The first still raises as a row.
     if block_bytes is not None:
         monkeypatch.setattr(records_module, "_BLOCK_BYTES", block_bytes)
     p = tmp_path / "t.csv"
