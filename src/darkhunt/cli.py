@@ -16,6 +16,9 @@ import sys
 from datetime import timedelta
 
 from . import __version__
+
+# records first: it loads numpy, which a profile would otherwise charge to population.
+from .records import CsvFormatError, read_days, read_labels_csv, sha256, write_manifest
 from .population import (
     NoTrafficError,
     always_on,
@@ -32,8 +35,6 @@ from .ranking import (
     write_report_csv,
     write_report_json,
 )
-from .records import CsvFormatError, read_days
-from .sim import load_config, read_labels_csv, sha256, write_dataset, write_manifest
 from .telescope import (
     DEFAULT_TABLE_PREFIXES,
     ScanPopulation,
@@ -115,6 +116,8 @@ def _write_or_show(args, name: str, rows: list[list], command: str, params: dict
 
 
 def _cmd_simulate(args) -> str:
+    from .sim import load_config, write_dataset  # only simulate loads the simulator
+
     if not os.path.exists(args.config):
         raise ValueError(f"config file not found: {args.config}")
     try:

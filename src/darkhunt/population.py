@@ -19,9 +19,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,8 +46,7 @@ BINS_PER_DAY = 144
 _BIN_US = US_PER_DAY // BINS_PER_DAY
 
 
-@dataclass(frozen=True)
-class AlwaysOnReport:
+class AlwaysOnReport(NamedTuple):
     """Sources covering all 144 bins of one day, with their daily packet counts."""
 
     day: date
@@ -60,8 +58,7 @@ class AlwaysOnReport:
         return frozenset(self.per_ip_daily_packets)
 
 
-@dataclass(frozen=True)
-class DensityProfile:
+class DensityProfile(NamedTuple):
     """Gaussian-kernel density of daily packet counts, with detected peaks."""
 
     bandwidth: float

@@ -10,6 +10,7 @@ interoperability with any actual botnet.
 
 from __future__ import annotations
 
+import hmac
 import numbers
 from dataclasses import dataclass
 from datetime import date
@@ -47,8 +48,6 @@ class DailyPortOracle:
 
     def daily_port(self, day: date) -> int:
         """Port active on `day` (UTC)."""
-        import hmac  # here, not at import: hmac loads OpenSSL, which only simulate needs
-
         digest = hmac.digest(self.secret, day.isoformat().encode("ascii"), "sha256")
         span = self.port_hi - self.port_lo + 1
         return self.port_lo + int.from_bytes(digest, "big") % span

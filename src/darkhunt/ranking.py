@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -37,15 +36,13 @@ __all__ = [
 DEFAULT_TOP_N = 100
 
 
-@dataclass(frozen=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     rank: int
     port: int
     value: float
 
 
-@dataclass(frozen=True)
-class DiscoverabilityReport:
+class DiscoverabilityReport(NamedTuple):
     """How often the labeled port surfaced within the top n."""
 
     metric_id: str
@@ -54,8 +51,7 @@ class DiscoverabilityReport:
     score: float
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One plottable time-series point: the labeled port's score and rank."""
 
     period: datetime | date

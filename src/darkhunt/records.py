@@ -1,5 +1,9 @@
 """The traffic table, canonical CSV serialization, and window/port partitioning.
 
+Also the ground-truth labels CSV (`simulate` writes it, `analyze` reads
+it) and the manifest every artifact-producing command writes: they live
+here, not in the simulator, so that only `simulate` loads the simulator.
+
 Everything downstream (metrics, ranking, population analysis) consumes the
 types in this module.  Traffic is one read-only numpy record array over
 TRAFFIC_DTYPE, a row per packet and a column per CSV field; all operations
@@ -9,12 +13,26 @@ are pure functions, so partitions can be built and consumed concurrently.
 from __future__ import annotations
 
 import functools
+import json
+import os
 import re
-from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
+
+from . import __version__
+
+# The hash of run manifests (cli, sim.config_digest).  hashlib is heavy to load:
+# it brings in OpenSSL, several MB resident.  CPython's builtin sha256 gives
+# the same digests, as random.py does for sha512.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "TRAFFIC_DTYPE",
@@ -34,6 +52,9 @@ __all__ = [
     "Segments",
     "segment_by_window",
     "partition_by_day_port",
+    "write_labels_csv",
+    "read_labels_csv",
+    "write_manifest",
 ]
 
 CSV_HEADER = "ts_us,src_ip,src_port,dst_ip,dst_port,proto,payload_len"
@@ -72,6 +93,8 @@ _LAST_DAY = (date.max - _EPOCH).days  # 9999-12-31, the last day a date holds
 _UINT_RE = re.compile("0|[1-9][0-9]*")
 _OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9][0-9]|[0-9])"
 _IPV4_RE = re.compile(r"\.".join([_OCTET] * 4))
+# The one day form date.fromisoformat takes on every Python from 3.10.
+_DAY_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def day_of_ts(ts_us: int) -> date:
@@ -86,6 +109,12 @@ def day_of_ts(ts_us: int) -> date:
 def day_start_us(day: date) -> int:
     """Microsecond timestamp of a day's 0000Z boundary."""
     return (day - _EPOCH).days * US_PER_DAY
+
+
+def _parse_day(text: str, name: str) -> date:
+    if _DAY_RE.fullmatch(text) is None:
+        raise ValueError(f"{name}: not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
 def traffic_table(rows) -> np.recarray:
@@ -111,8 +140,7 @@ def traffic_table(rows) -> np.recarray:
     return table
 
 
-@dataclass(frozen=True)
-class PortDayPartition:
+class PortDayPartition(NamedTuple):
     """All packets for one (UTC day, destination port) cell, ordered by time."""
 
     day: date
@@ -120,8 +148,7 @@ class PortDayPartition:
     records: np.recarray
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(NamedTuple):
     """A traffic table plus the ground-truth daily port for every day spanned."""
 
     records: np.recarray
@@ -455,6 +482,53 @@ def write_csv_tables(tables, path) -> int:
     return n
 
 
+def write_labels_csv(labels, path) -> None:
+    """Write the ground-truth `day,port` CSV."""
+    with open(path, "w", newline="") as fh:
+        fh.write("day,port\n")
+        for day in sorted(labels):
+            fh.write(f"{day.isoformat()},{labels[day]}\n")
+
+
+def read_labels_csv(path) -> dict[date, int]:
+    """Read a `day,port` CSV back into a labels map."""
+    labels = {}
+    with open(path, "r", newline="") as fh:
+        header = fh.readline().strip()
+        if header != "day,port":
+            raise ValueError(f"bad labels header: expected 'day,port', got {header!r}")
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                day_s, port_s = line.split(",")
+                if _UINT_RE.fullmatch(port_s) is None:
+                    raise ValueError(f"port: not an unsigned decimal integer: {port_s!r}")
+                day, port = _parse_day(day_s, "day"), int(port_s)
+                if port > 65535:
+                    raise ValueError(f"port out of range 0-65535: {port}")
+                if day in labels:
+                    raise ValueError(f"day {day} listed twice")
+            except ValueError as exc:
+                raise ValueError(f"labels line {line_no}: {exc}") from None
+            labels[day] = port
+    return labels
+
+
+def write_manifest(out_dir, command: str, **fields) -> dict:
+    """Write a run's manifest.json: tool, version and command plus fields.
+
+    Keys are sorted and nothing time- or host-dependent is added, so equal
+    runs give byte-identical manifests.  Returns the manifest.
+    """
+    manifest = {"tool": "darkhunt", "version": __version__, "command": command, **fields}
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest
+
+
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal adjacent values.
 
@@ -467,8 +541,7 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-@dataclass(frozen=True)
-class Segments:
+class Segments(NamedTuple):
     """A table's UDP packets in (window start, destination port) segments.
 
     Segment i is records[order[bounds[i]:bounds[i + 1]]], every packet to

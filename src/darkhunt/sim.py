@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import sys
 from contextlib import suppress
 from dataclasses import asdict, dataclass
@@ -36,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
 from .portgen import DailyPortOracle
 from .records import (
     MAX_UDP_PAYLOAD,
@@ -45,23 +43,16 @@ from .records import (
     TRAFFIC_DTYPE,
     US_PER_DAY,
     _LAST_DAY,
-    _UINT_RE,
     LabeledDataset,
+    _parse_day,
     day_start_us,
+    sha256,
     traffic_table,
     write_csv_tables,
+    write_labels_csv,
+    write_manifest,
 )
 from .telescope import IPV4_SPACE, TelescopeSpec
-
-# hashlib is heavy to load: it brings in OpenSSL, several MB resident.
-# CPython's builtin sha256 gives the same digests, as random.py does for sha512.
-try:
-    from _sha2 import sha256  # CPython 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
 
 __all__ = [
     "BackgroundScanner",
@@ -72,9 +63,6 @@ __all__ = [
     "simulate",
     "simulate_days",
     "write_dataset",
-    "write_manifest",
-    "write_labels_csv",
-    "read_labels_csv",
     "config_digest",
 ]
 
@@ -105,15 +93,6 @@ _SORT_KEYS = ("payload_len", "dst_port", "src_port", "dst_ip", "src_ip", "ts_us"
 # scanner take those of the function or class they are passed to.
 _CONFIG_KEYS = ("seed", "start_day", "telescope", "secret", "port_range", "crackonosh", "background",
                 "noise_ports_per_day", "mode")
-
-# The one day form date.fromisoformat takes on every Python from 3.10.
-_DAY_RE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-def _parse_day(text: str, name: str) -> date:
-    if _DAY_RE.fullmatch(text) is None:
-        raise ValueError(f"{name}: not a YYYY-MM-DD date: {text!r}")
-    return date.fromisoformat(text)
 
 
 def _require(kind: type, name: str, *values) -> None:
@@ -590,40 +569,6 @@ def simulate(config: SimConfig) -> LabeledDataset:
     return LabeledDataset(records=records, labels={day: port for day, port, _ in days})
 
 
-def write_labels_csv(labels, path) -> None:
-    """Write the ground-truth `day,port` CSV."""
-    with open(path, "w", newline="") as fh:
-        fh.write("day,port\n")
-        for day in sorted(labels):
-            fh.write(f"{day.isoformat()},{labels[day]}\n")
-
-
-def read_labels_csv(path) -> dict[date, int]:
-    """Read a `day,port` CSV back into a labels map."""
-    labels = {}
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header != "day,port":
-            raise ValueError(f"bad labels header: expected 'day,port', got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                day_s, port_s = line.split(",")
-                if _UINT_RE.fullmatch(port_s) is None:
-                    raise ValueError(f"port: not an unsigned decimal integer: {port_s!r}")
-                day, port = _parse_day(day_s, "day"), int(port_s)
-                if port > 65535:
-                    raise ValueError(f"port out of range 0-65535: {port}")
-                if day in labels:
-                    raise ValueError(f"day {day} listed twice")
-            except ValueError as exc:
-                raise ValueError(f"labels line {line_no}: {exc}") from None
-            labels[day] = port
-    return labels
-
-
 def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfig:
     """Build a SimConfig from a parsed JSON config (see README for the format).
 
@@ -747,19 +692,6 @@ def config_digest(config: SimConfig) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return sha256(blob).hexdigest()
-
-
-def write_manifest(out_dir, command: str, **fields) -> dict:
-    """Write a run's manifest.json: tool, version and command plus fields.
-
-    Keys are sorted and nothing time- or host-dependent is added, so equal
-    runs give byte-identical manifests.  Returns the manifest.
-    """
-    manifest = {"tool": "darkhunt", "version": __version__, "command": command, **fields}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
 
 
 def write_dataset(config: SimConfig, out_dir, inputs: Optional[dict] = None) -> dict:

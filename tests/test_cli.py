@@ -813,17 +813,82 @@ def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path):
 
 # ------------------------------------------------------------------- imports
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, darkhunt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+# What a process has loaded once its code ran: every module name, and the
+# dataclasses the package's loaded modules define.
+_LOADED = """
+import dataclasses, json, sys
+print(json.dumps([
+    sorted(sys.modules),
+    sorted(
+        cls.__name__
+        for name, module in list(sys.modules.items())
+        if name.startswith("darkhunt.")
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == name
+    ),
+]))
+"""
 
 
-def test_cli_import_loads_no_openssl():
+@pytest.mark.parametrize("command", ["package", "cli", "analyze", "population"])
+def test_each_command_loads_only_what_it_runs(command, sim_dir, tmp_path):
+    run_main = "import sys\nfrom darkhunt.cli import main\nassert main(sys.argv[1:]) == 0"
+    code, args = {
+        "package": ("import darkhunt", []),
+        "cli": ("import darkhunt.cli", []),
+        "analyze": (run_main, ["analyze", "--labels", str(sim_dir / "labels.csv")]),
+        "population": (run_main, ["population", "--telescope", "10.0.0.0/18"]),
+    }[command]
+    if args:
+        args += ["--csv", str(sim_dir / "traffic.csv"), "--out", str(tmp_path)]
+    run = subprocess.run([sys.executable, "-c", code + _LOADED, *args], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    modules, data_classes = json.loads(run.stdout.splitlines()[-1])
+    # Only simulate needs the simulator and the oracle; scipy is a test
+    # dependency only.  (numpy's own submodules vary with its version.)
+    assert not [m for m in modules if m in ("darkhunt.sim", "darkhunt.portgen") or m.split(".")[0] == "scipy"]
     # Manifests hash with CPython's builtin sha256: hashlib's OpenSSL
     # module would add several MB to analyze's and population's RSS.
-    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
-        pytest.skip("this Python has no builtin sha256 module")
-    code = "import sys, darkhunt.cli; print('_hashlib' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        assert "_hashlib" not in modules
+    if command == "package":
+        assert not [m for m in modules if m.startswith("darkhunt.")]
+        assert data_classes == []
+    else:
+        assert data_classes == ["ScanPopulation", "TelescopeSpec"]
+
+
+# The package's public names, by defining module.
+EXPORTS = {
+    "metrics": ["METRIC_IDS", "size_entropy"],
+    "population": ["AlwaysOnReport", "DensityProfile", "always_on", "density_profile", "estimate_rate",
+                   "peaks_to_rates"],
+    "portgen": ["DailyPortOracle"],
+    "ranking": ["DiscoverabilityReport", "discoverability", "rank_of_labeled_port", "rank_ports"],
+    "records": ["TRAFFIC_DTYPE", "CsvFormatError", "LabeledDataset", "PortDayPartition", "partition_by_day_port",
+                "read_days", "traffic_table"],
+    "sim": ["BackgroundScanner", "CrackonoshConfig", "SimConfig", "default_background", "simulate",
+            "simulate_days", "three_epoch_schedule"],
+    "telescope": ["ScanPopulation", "TelescopeSpec", "days_to_coverage", "expected_observed_hosts",
+                  "expected_packets", "observability_table", "p_collision", "p_observe", "time_to_n_packets",
+                  "visible_rate"],
+}
+
+
+def test_package_resolves_each_public_name_from_its_module():
+    import darkhunt
+
+    assert sorted(darkhunt.__all__) == sorted(name for names in EXPORTS.values() for name in names)
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module(f"darkhunt.{module}")
+        for name in names:
+            assert getattr(darkhunt, name) is getattr(defining, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        darkhunt.no_such_name
+    # A submodule is still importable from the package, though no name loads it first.
+    code = (
+        "import sys, darkhunt\nloaded = 'darkhunt.sim' in sys.modules\n"
+        "from darkhunt import sim\nprint(loaded, sim.__name__)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.stdout.split() == ["False", "darkhunt.sim"], run.stderr

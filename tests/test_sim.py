@@ -13,7 +13,16 @@ from scipy.stats import chisquare, ks_2samp
 
 from darkhunt import sim as sim_module
 from darkhunt.portgen import DailyPortOracle
-from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, US_PER_DAY, day_of_ts, day_start_us, read_days
+from darkhunt.records import (
+    PROTO_UDP,
+    TRAFFIC_DTYPE,
+    US_PER_DAY,
+    day_of_ts,
+    day_start_us,
+    read_days,
+    read_labels_csv,
+    write_labels_csv,
+)
 from darkhunt.sim import (
     BackgroundScanner,
     CrackonoshConfig,
@@ -21,12 +30,10 @@ from darkhunt.sim import (
     config_digest,
     config_from_dict,
     default_background,
-    read_labels_csv,
     simulate,
     simulate_days,
     three_epoch_schedule,
     write_dataset,
-    write_labels_csv,
 )
 from darkhunt.telescope import TelescopeSpec, p_collision
 
