@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -365,5 +366,20 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run() -> int:
+    """main() on sys.argv, then the garbage collector frozen: the entry of
+    the `darkhunt` script and of `python -m darkhunt.cli`.
+
+    Frozen objects sit in the permanent generation, which the full
+    collections of interpreter shutdown skip; atexit handlers, stdio
+    flushing and module teardown still run.  main() has closed every
+    output by the time it returns.  A usage error (SystemExit) or an
+    uncaught exception leaves the collector as it is.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -85,27 +85,40 @@ def always_on(
     keep = records["proto"] == PROTO_UDP
     if telescope is not None:
         keep &= telescope.contains_array(records["dst_ip"])
+    # The (source, bin) keys are built in place from the gathered source
+    # and time columns: two int64 words a row beside the table.
+    keys = records["src_ip"][keep].astype(np.int64)
     ts = records["ts_us"][keep]
-    src = records["src_ip"][keep].astype(np.int64)
+    del keep
     if not len(ts):
         raise NoTrafficError("no records for the day")
-    days = ts // US_PER_DAY
-    other = days[days != days[0]]
-    if len(other):
+    start = int(ts[0]) // US_PER_DAY * US_PER_DAY
+    ts -= start
+    other = ts < 0
+    other |= ts >= US_PER_DAY
+    if other.any():
+        first = int(other.argmax())  # the first row, in row order, of another day
         raise ValueError(
-            f"records span multiple days: {day_of_ts(ts[0]).isoformat()} "
-            f"and {day_of_ts(other[0] * US_PER_DAY).isoformat()}"
+            f"records span multiple days: {day_of_ts(start).isoformat()} "
+            f"and {day_of_ts(start + int(ts[first])).isoformat()}"
         )
-    # One sort of (source, bin) keys: its runs are the bins each source
-    # was seen in, and runs of their sources are the sources.
-    keys = np.sort(src * BINS_PER_DAY + (ts % US_PER_DAY) // _BIN_US)
+    del other
+    keys *= BINS_PER_DAY
+    ts //= _BIN_US
+    keys += ts
+    del ts
+    # One sort of the keys: its runs are the bins each source was seen in,
+    # and once divided back to sources, its runs are the sources.  A new
+    # source always starts a new bin, so each source's first bin is found
+    # among the bins' starts.
+    keys.sort()
     bin_starts = run_starts(keys)
-    seen = keys[bin_starts] // BINS_PER_DAY
-    src_starts = run_starts(seen)
-    full = np.diff(np.append(src_starts, len(seen))) == BINS_PER_DAY
-    ips = seen[src_starts][full].tolist()
-    counts = np.diff(np.append(bin_starts[src_starts], len(keys)))[full].tolist()
-    return AlwaysOnReport(day=day_of_ts(ts[0]), per_ip_daily_packets=dict(zip(ips, counts)))
+    keys //= BINS_PER_DAY
+    src_starts = run_starts(keys)
+    full = np.diff(np.searchsorted(bin_starts, src_starts), append=len(bin_starts)) == BINS_PER_DAY
+    ips = keys[src_starts][full].tolist()
+    counts = np.diff(src_starts, append=len(keys))[full].tolist()
+    return AlwaysOnReport(day=day_of_ts(start), per_ip_daily_packets=dict(zip(ips, counts)))
 
 
 def estimate_rate(r: float, t: float, k_telescope: int) -> float:

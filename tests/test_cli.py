@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import ipaddress
 import json
@@ -275,10 +276,52 @@ def test_a_closed_stdout_leaves_out_complete(sim_dir, tmp_path, capsys, command,
         assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(monkeypatch):
     with pytest.raises(SystemExit) as exc_info:
         main(["simulate", "--out", "somewhere"])  # missing --config
     assert exc_info.value.code == 1
+    # The script's entry too, which then leaves the collector as it is.
+    monkeypatch.setattr(sys, "argv", ["darkhunt", "simulate", "--out", "somewhere"])
+    with pytest.raises(SystemExit) as exc_info:
+        cli.run()
+    assert exc_info.value.code == 1 and gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["model", "table"], 0), (["simulate", "--config", "missing.json", "--out", "out"], 2)]
+)
+def test_run_returns_mains_code_and_then_freezes_the_collector(tmp_path, monkeypatch, capsys, argv, code):
+    # The script's entry freezes the collector once main() has returned;
+    # main() itself leaves it as it is.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["darkhunt", *argv])
+    assert gc.get_freeze_count() == 0
+    try:
+        assert main(argv) == code and gc.get_freeze_count() == 0
+        assert cli.run() == code and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("command", ["analyze", "population"])
+def test_the_module_entry_writes_what_main_writes(sim_dir, tmp_path, capsys, command):
+    inputs = {
+        "analyze": ["--labels", str(sim_dir / "labels.csv")],
+        "population": ["--telescope", CONFIG["telescope"][0]],
+    }[command]
+
+    def argv(out):
+        return [command, "--csv", str(sim_dir / "traffic.csv"), *inputs, "--out", str(out)]
+
+    assert main(argv(tmp_path / "main")) == 0
+    out = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "darkhunt.cli", *argv(tmp_path / "module")],
+                          capture_output=True, timeout=300)
+    assert (proc.returncode, proc.stderr, proc.stdout.decode()) == (0, b"", out)
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert sorted(p.name for p in (tmp_path / "module").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
 
 # ------------------------------------------------------------------- analyze

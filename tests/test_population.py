@@ -21,7 +21,7 @@ from darkhunt.population import (
     write_peaks_json,
 )
 from darkhunt.portgen import DailyPortOracle
-from darkhunt.records import traffic_table
+from darkhunt.records import TRAFFIC_DTYPE, traffic_table
 from darkhunt.sim import CrackonoshConfig, SimConfig, simulate
 from darkhunt.telescope import TelescopeSpec, p_collision
 from conftest import make_record
@@ -65,6 +65,38 @@ def test_always_on_rejects_multi_day_input():
     recs = [make_record(ts_us=0), make_record(ts_us=US_PER_DAY)]
     with pytest.raises(ValueError):
         always_on(traffic_table(recs))
+    # The error names the first row's day and that of the first row, in
+    # row order, whose day differs, earlier or later.
+    recs = [make_record(ts_us=ts) for ts in (US_PER_DAY + 5, US_PER_DAY - 1, 2 * US_PER_DAY)]
+    with pytest.raises(ValueError, match="^records span multiple days: 1970-01-02 and 1970-01-01$"):
+        always_on(traffic_table(recs))
+
+
+def test_always_on_memory_is_three_int64_words_a_row():
+    # A paper-scale day at a /17: most sources send a few packets, so
+    # nearly every row is its own (source, bin) key; 20 sources send two
+    # packets a bin.  Beside the table, always_on holds its keys and the
+    # gathered timestamps (an int64 word a row each) and at most one more
+    # word a row of run starts.
+    rng = np.random.default_rng(47)
+    n = 200_000
+    few = n - 20 * 2 * BINS_PER_DAY
+    rows = np.zeros(n, TRAFFIC_DTYPE)
+    rows["ts_us"][:few] = rng.integers(0, US_PER_DAY, few)
+    rows["src_ip"][:few] = rng.integers(0, few // 6, few) * 7 + 1
+    rows["ts_us"][few:] = np.repeat(np.arange(2 * BINS_PER_DAY) * (BIN_US // 2), 20)
+    rows["src_ip"][few:] = np.tile(np.arange(20) * 7, 2 * BINS_PER_DAY)
+    rows["proto"] = 17
+    table = traffic_table(rows)
+    bound = 3 * np.dtype(np.int64).itemsize * n
+    tracemalloc.start()
+    try:
+        report = always_on(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.always_on_ips == frozenset(range(0, 140, 7))
+    assert peak <= bound
 
 
 def test_always_on_empty_errors():
