@@ -196,7 +196,7 @@ _SWAR_STEPS = ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF), (100 << 16 | 1, 16, 0x0000F
 _TS_WORD_SCALES = np.array([[10**8], [10**16]], dtype=np.uint64)
 _OCTET_SHIFTS = np.array([[24], [16], [8], [0]], dtype=np.uint64)
 _WORK_WORDS = 45  # int64 decoder work words per row: 15 digit counts, word starts and words
-_CHUNK_ROWS = 1 << 12  # rows per _render call: its byte matrix and temporaries stay cache-sized
+_CHUNK_ROWS = 1 << 11  # rows per _render call: its byte matrix and temporaries stay cache-sized
 _BLOCK_BYTES = 1 << 17  # bytes read per read_days block, rounded up to a whole line
 _MIN_ROW_BYTES = len("0,0.0.0.0,0,0.0.0.0,0,0,0\n")
 
@@ -388,32 +388,40 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every entry is a fixed-width ASCII field padded with NUL bytes, which
     no CSV row contains, so one bytes.translate drops all the padding:
 
-    - half (uint64): a 16-bit address half as two octets, "ddd.ddd.";
+    - octet (uint32): 0-255 as three right-aligned digits and ".";
     - num (uint64): 0-65535 as two NULs, five right-aligned digits, ",";
     - ts (uint32): three blocks of 10000 four-digit timestamp groups:
       zero-filled (for groups after the leading one), NUL-padded (the
       leading group) and all NUL (groups before the leading one).
 
-    They are built one digit column at a time, in uint32 and uint8.
+    The zero-filled groups are built one digit column at a time; the
+    rest are copied from them, so no temporary outgrows a 10000-entry
+    column.
     """
-    v = np.arange(65536, dtype=np.uint32)
+    ts = np.zeros((3, 10000, 4), dtype=np.uint8)
+    v = np.arange(10000, dtype=np.uint16)
+    for col, scale in enumerate((1000, 100, 10, 1)):
+        digit = v // scale
+        digit %= 10
+        digit += ord("0")
+        ts[0, :, col] = digit
+    # A leading zero is a NUL, but 0 itself prints as "0".
+    ts[1] = ts[0]
+    for col, scale in enumerate((1000, 100, 10)):
+        ts[1, :scale, col] = 0
+    octet = np.empty((256, 4), dtype=np.uint8)
+    octet[:, :3] = ts[1, :256, 1:]
+    octet[:, 3] = ord(".")
+    # Values with leading digit d are the block from d * 10000: d (a NUL
+    # for 0), then the four-digit group, NUL-padded only in the first.
     num = np.zeros((65536, 8), dtype=np.uint8)
     num[:, 7] = ord(",")
-    ts = np.zeros((3, 10000, 4), dtype=np.uint8)
-    for col, scale in enumerate((10000, 1000, 100, 10, 1)):
-        digit = (v // scale % 10).astype(np.uint8)
-        digit += ord("0")
-        if col:
-            ts[0, :, col - 1] = digit[:10000]
-        # A leading zero is a NUL, but 0 itself prints as "0".
-        num[:, 2 + col] = digit if scale == 1 else np.where(v >= scale, digit, np.uint8(0))
-    ts[1] = num[:10000, 3:7]
-    # Entry hi * 256 + lo is octet hi, ".", octet lo, ".".
-    half = np.empty((256, 256, 8), dtype=np.uint8)
-    half[:, :, :3] = num[:256, None, 4:7]
-    half[:, :, 4:7] = num[None, :256, 4:7]
-    half[:, :, [3, 7]] = ord(".")
-    tables = half.view(np.uint64).ravel(), num.view(np.uint64).ravel(), ts.view(np.uint32).ravel()
+    for lead, lo in enumerate(range(0, 65536, 10000)):
+        block = num[lo : lo + 10000]
+        block[:, 3:7] = ts[0 if lead else 1, : len(block)]
+        if lead:
+            block[:, 2] = ord("0") + lead
+    tables = octet.view(np.uint32).ravel(), num.view(np.uint64).ravel(), ts.view(np.uint32).ravel()
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -422,6 +430,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Where ts_us's leading four-digit group falls: a value below 10**16 has
 # nothing in its first group, below 10**12 nothing in its first two, ...
 _TS_BOUNDS = np.array([[10**16], [10**12], [10**8], [10**4]], dtype=np.int64)
+# The 4-byte slot after ts_us's last group: its comma and padding.
+_TS_END = np.frombuffer(b",\0\0\0", dtype=np.uint32)[0]
 
 
 def _render(t: np.ndarray, rows: np.ndarray) -> bytes:
@@ -432,7 +442,7 @@ def _render(t: np.ndarray, rows: np.ndarray) -> bytes:
     proto, payload_len (1 each).  The matrix is the start of `rows`, a
     uint64 array of at least len(t) rows of 11.
     """
-    half, num, ts = _digit_tables()
+    octet, num, ts = _digit_tables()
     rows = rows[: len(t)]
     # ts_us's five four-digit groups, most significant first: 20 digits
     # hold 2**63 - 1.  Dividing by one scalar at a time lets numpy divide
@@ -451,16 +461,19 @@ def _render(t: np.ndarray, rows: np.ndarray) -> bytes:
     groups[:4] += below
     groups[1:] += below
     del below
-    rows.view(np.uint32)[:, :5] = np.take(ts, groups).T
+    words = rows.view(np.uint32)
+    words[:, :5] = np.take(ts, groups).T
+    words[:, 5] = _TS_END
     del groups
-    for word, name in ((3, "src_ip"), (6, "dst_ip")):
-        rows[:, word] = np.take(half, t[name] >> 16)
-        rows[:, word + 1] = np.take(half, t[name] & 0xFFFF)
+    # An address's four octets, most significant first whatever the
+    # host's byte order, fill four 4-byte slots: words 3-4 or 6-7.
+    for slot, name in ((6, "src_ip"), (12, "dst_ip")):
+        words[:, slot : slot + 4] = np.take(octet, t[name].astype(">u4").view(np.uint8).reshape(-1, 4))
     for word, name in zip((5, 8, 9, 10), ("src_port", "dst_port", "proto", "payload_len")):
         rows[:, word] = np.take(num, t[name])
     out = rows.view(np.uint8)
-    out[:, 20:24] = np.frombuffer(b",\0\0\0", dtype=np.uint8)
-    out[:, [39, 63, 87]] = np.frombuffer(b",,\n", dtype=np.uint8)
+    out[:, 39] = out[:, 63] = ord(",")
+    out[:, 87] = ord("\n")
     return out.tobytes().translate(None, b"\0")
 
 
@@ -475,6 +488,8 @@ def write_csv_tables(tables, path) -> int:
     with open(path, "wb") as fh:
         fh.write(CSV_HEADER.encode() + b"\n")
         for records in tables:
+            # A plain array: a recarray slices and gets fields in Python.
+            records = np.asarray(records)
             for lo in range(0, len(records), _CHUNK_ROWS):
                 fh.write(_render(records[lo : lo + _CHUNK_ROWS], rows))
             n += len(records)

@@ -181,6 +181,10 @@ class CrackonoshConfig:
         _require(Integral, "population", *self.population)
         if any(n < 0 for n in self.population):
             raise ValueError("population counts must be >= 0")
+        # No more hosts a day than IPv4 has addresses, whatever room
+        # per24_cap leaves (SimConfig checks that room).
+        if any(n > IPV4_SPACE for n in self.population):
+            raise ValueError(f"population counts must be at most {IPV4_SPACE}, the IPv4 address count")
         for name in ("padding_sizes", "payload_base", "per24_cap"):
             _require(Integral, name, getattr(self, name))
         for name in ("rate_pps", "always_on_fraction"):
@@ -397,35 +401,40 @@ def _crackonosh_day(
     t0 = rng.uniform(0.0, SECONDS_PER_DAY - dur)
     n_sent = np.rint(ck.rate_pps * dur).astype(np.int64)
     if config.mode == "direct":
-        host = np.repeat(np.arange(n_hosts), rng.binomial(n_sent, tel.k / IPV4_SPACE))
-        rows = yield host.size
+        hits = rng.binomial(n_sent, tel.k / IPV4_SPACE)
+        del n_sent
+        n = int(hits.sum())
+        rows = yield n
         # Offsets into the telescope, below k <= 2**32, so they fit the
-        # column; they become addresses once `host` is gone (see below).
-        rows["dst_ip"] = rng.integers(0, tel.k, size=host.size)
+        # column; they become addresses once the rest is filled (see below).
+        rows["dst_ip"] = rng.integers(0, tel.k, size=n)
     else:
         # Every probe of one host at a time, so memory stays at one
         # host-day's probes.
-        hits = []
+        targets = []
         for sent in n_sent.tolist():
-            targets = rng.integers(0, IPV4_SPACE, size=sent, dtype=np.int64)
-            hits.append(targets[tel.contains_array(targets)])
-        host = np.repeat(np.arange(n_hosts), [h.size for h in hits])
-        rows = yield host.size
-        rows["dst_ip"] = np.concatenate([np.empty(0, dtype=np.int64), *hits])
-        del hits
-    offsets = rng.random(host.size)
-    offsets *= dur[host]
-    offsets += t0[host]
+            probes = rng.integers(0, IPV4_SPACE, size=sent, dtype=np.int64)
+            targets.append(probes[tel.contains_array(probes)])
+        del n_sent
+        hits = np.array([h.size for h in targets], dtype=np.int64)
+        n = int(hits.sum())
+        rows = yield n
+        rows["dst_ip"] = np.concatenate([np.empty(0, dtype=np.int64), *targets])
+        del targets
+    # Rows go host by host, each host's values repeated once per hit: no
+    # per-row host index is held.
+    offsets = rng.random(n)
+    offsets *= np.repeat(dur, hits)
+    offsets += np.repeat(t0, hits)
     _store_ts(rows, day_us, offsets)
     del offsets
-    rows["src_ip"] = host_ips[host]
-    rows["src_port"] = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=host.size)
+    rows["src_ip"] = np.repeat(host_ips[:n_hosts], hits)
+    rows["src_port"] = rng.integers(EPHEMERAL_LO, EPHEMERAL_HI + 1, size=n)
     rows["dst_port"] = port
     rows["proto"] = PROTO_UDP
-    rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=host.size)
+    rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=n)
     rows["payload_len"] += ck.payload_base
     if config.mode == "direct":
-        del host  # so it and the mapping's temporaries are never alive at once
         rows["dst_ip"] = tel.addresses_at_array(rows["dst_ip"])
 
 

@@ -184,6 +184,19 @@ def test_simulate_rejects_a_day_public_space_cannot_hold(tmp_path):
     assert not out.exists()
 
 
+def test_simulate_rejects_more_hosts_than_addresses_before_writing(tmp_path, capsys):
+    # per24_cap 10**20 gives room for any count: such a day once passed
+    # load and failed in numpy after a header-only traffic.csv was written.
+    cfg_path = write_config(tmp_path, crackonosh={"population": [10**20], "per24_cap": 10**20})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"darkhunt: error: bad config {cfg_path}: "
+        "population counts must be at most 4294967296, the IPv4 address count\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_rejects_more_noise_ports_than_exist(tmp_path, capsys):
     # Noise probes take distinct ports from 1-49107.
     cfg_path = write_config(tmp_path, noise_ports_per_day=49108)

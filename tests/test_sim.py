@@ -206,6 +206,35 @@ def test_drawing_a_day_holds_its_rows_about_once():
     assert peak < 2.2 * table.nbytes, peak / table.nbytes
 
 
+def test_a_coordinated_day_holds_each_host_draw_once():
+    # A paper-scale day on a /22: 90,000 hosts and about 15,000 hits.
+    # Beside the day's rows the draw holds at most four words a host (its
+    # window, start, send count and hit count) and no per-row host index:
+    # about 28 bytes a host, against 38 when the send counts and an int64
+    # host index lived through the whole fill.
+    n_hosts = 90_000
+    cfg = small_config(telescope=TelescopeSpec.from_prefix(22), crackonosh=CrackonoshConfig(population=(n_hosts,)))
+    host_ips = np.arange(n_hosts, dtype=np.int64)
+    always_on = np.arange(n_hosts) % 5 < 3
+
+    def draw():
+        part = sim_module._crackonosh_day(cfg, 0, 1234, host_ips, always_on)
+        rows = np.empty(next(part), dtype=TRAFFIC_DTYPE)
+        with pytest.raises(StopIteration):
+            part.send(rows)
+        return rows
+
+    draw()  # first-use imports are not counted
+    tracemalloc.start()
+    try:
+        rows = draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > 10_000
+    assert peak - rows.nbytes < 4 * 8 * n_hosts, (peak - rows.nbytes) / n_hosts
+
+
 @pytest.mark.parametrize("mode", ["direct", "naive"])
 def test_days_are_independent_substreams(mode):
     # Each day draws from its own (seed, kind, day) streams: appending a
@@ -769,6 +798,17 @@ def test_config_rejects_a_telescope_leaving_no_public_source():
     d["telescope"] = complement(RESERVED_CIDRS + ("1.2.3.4/32",))
     d["crackonosh"] = {"population": [2, 1]}
     assert config_from_dict(d).telescope.k == 2**32 - TelescopeSpec.from_cidrs(RESERVED_CIDRS).k - 1
+
+
+def test_config_bounds_a_days_hosts_by_the_address_space():
+    # Room grows with per24_cap, so only this bound refuses a day of more
+    # hosts than IPv4 has addresses.
+    d = base_dict()
+    d["crackonosh"] = {"population": [5, 2**32 + 1], "per24_cap": 10**20}
+    with pytest.raises(ValueError, match="population counts must be at most 4294967296, the IPv4 address count"):
+        config_from_dict(d)
+    d["crackonosh"] = {"population": [2**32], "per24_cap": 10**20}
+    assert config_from_dict(d).crackonosh.population == (2**32,)
 
 
 def test_config_rejects_a_day_that_public_space_cannot_hold():
