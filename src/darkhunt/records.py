@@ -279,8 +279,9 @@ def _parse_block(block: bytes, work: np.ndarray, room) -> np.ndarray | None:
     return rows
 
 
-def _scan(block: bytes, line_no: int, day: int, work: np.ndarray, room) -> np.ndarray:
-    """The rows of a block, line by line, decoded into room(n).
+def _scan(block: bytes, line_no: int, day: int, work: np.ndarray, room) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of a block, line by line, decoded into room(n), with their
+    day numbers and the block's line count.
 
     `day` is the day number of the row before the block (-1 if none).
     Blank lines, the one legal non-canonical form, are skipped; the first
@@ -302,10 +303,9 @@ def _scan(block: bytes, line_no: int, day: int, work: np.ndarray, room) -> np.nd
             this, prev = day_of_ts(ts), day_of_ts(day * US_PER_DAY)
             raise CsvFormatError(f"day {this} after day {prev}: days must not go back", line_no + i, "ts_us")
         day = ts // US_PER_DAY
-    lines = [raw + b"\n" for raw in lines if raw]
-    rows = _parse_block(b"".join(lines), work, room)
+    rows = _parse_block(b"".join(raw + b"\n" for raw in lines if raw), work, room)
     assert rows is not None, f"the block from line {line_no} passes the scan only"
-    return rows
+    return rows, rows["ts_us"] // US_PER_DAY, len(lines)
 
 
 def _line_blocks(fh):
@@ -357,15 +357,13 @@ def read_days(path):
         for block in _line_blocks(fh):
             line_no += lines
             rows = _parse_block(block, work, room)
-            # Only a block that falls back to _scan can hold a blank line.
-            lines = block.count(b"\n") if rows is None else len(rows)
-            if rows is None:
-                rows = _scan(block, line_no, day, work, room)
-            days = rows["ts_us"] // US_PER_DAY
-            # A block of blank lines holds no row, and so no run.
-            if len(rows) and not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
-                _scan(block, line_no, day, work, room)
-                raise AssertionError(f"the block from line {line_no} breaks a day rule the scan passes")
+            if rows is not None:
+                # A canonical block holds a row on every line.
+                days, lines = rows["ts_us"] // US_PER_DAY, len(rows)
+            if rows is None or not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
+                # _scan raises at the block's first bad line, so it returns
+                # only when every line the decoder refused is blank.
+                rows, days, lines = _scan(block, line_no, day, work, room)
             starts = run_starts(days).tolist()
             # A run is in place if it continues the table's day (only the
             # first run can) or the table is empty (the first block's first
@@ -509,11 +507,11 @@ def read_labels_csv(path) -> dict[date, int]:
     """Read a `day,port` CSV back into a labels map."""
     labels = {}
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
+        header = fh.readline().removesuffix("\n")
         if header != "day,port":
             raise ValueError(f"bad labels header: expected 'day,port', got {header!r}")
         for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = line.removesuffix("\n")
             if not line:
                 continue
             try:

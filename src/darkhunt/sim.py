@@ -15,8 +15,9 @@ target and is kept for cross-validating the shortcut on tiny runs.
 Output is deterministic for a fixed config: each simulated day draws all
 its coordinated hosts from one RNG substream keyed by (seed, kind, day),
 its noise from another, and each background campaign's packets from one
-keyed by (seed, kind, campaign, day), so results are byte-identical no
-matter how days are parallelized or reordered.
+keyed by (seed, kind, campaign, day), and every row of a day lies in that
+day, so results are byte-identical no matter how days are parallelized or
+reordered.
 """
 
 from __future__ import annotations
@@ -369,9 +370,11 @@ def _place_hosts(rng: np.random.Generator, n: int, blocked: TelescopeSpec, cap: 
 
 def _store_ts(rows: np.ndarray, day_us: int, offsets_s: np.ndarray) -> None:
     """Store offsets in seconds after day_us as rows' ts_us, floored to the
-    microsecond; offsets_s is overwritten."""
+    microsecond and capped at the day's last, so every row lies in its day;
+    offsets_s is overwritten."""
     offsets_s *= 1e6
     np.floor(offsets_s, out=offsets_s)
+    np.minimum(offsets_s, US_PER_DAY - 1, out=offsets_s)
     rows["ts_us"] = offsets_s
     rows["ts_us"] += day_us
 
@@ -516,10 +519,9 @@ def simulate_days(config: SimConfig):
 
     Hosts are placed and campaigns set up once, then each day is drawn and
     sorted on its own, in the order one lexsort of the whole run on (ts,
-    src, dst, sport, dport, size) gives: a row that rounding put at the
-    next day's start goes into that day's sort, ahead of its own rows.
-    A day's rows are drawn into one table, sized from the parts' counts,
-    and sorted in place a column at a time.
+    src, dst, sport, dport, size) gives, since every row of a day lies in
+    that day (_store_ts).  A day's rows are drawn into one table, sized
+    from the parts' counts, and sorted in place a column at a time.
     """
     ck = config.crackonosh
     max_pop = max(ck.population)
@@ -539,7 +541,6 @@ def simulate_days(config: SimConfig):
             sources = base + setup.choice(256, size=scanner.n_sources, replace=False)
         bg_sources.append(sources)
 
-    carry = np.empty(0, dtype=TRAFFIC_DTYPE)
     for day_idx in range(config.days):
         day = config.start_day + timedelta(days=day_idx)
         port = config.oracle.daily_port(day)
@@ -547,25 +548,19 @@ def simulate_days(config: SimConfig):
         for idx, scanner in enumerate(config.background):
             parts.append(_background_day(config, day_idx, idx, scanner, bg_sources[idx]))
         parts.append(_noise_day(config, day_idx))
-        bounds = list(accumulate([len(carry), *map(next, parts)]))
+        bounds = list(accumulate(map(next, parts), initial=0))
         rows = np.empty(bounds[-1], dtype=TRAFFIC_DTYPE)
-        rows[: len(carry)] = carry
         for part, lo, hi in zip(parts, bounds, bounds[1:]):
             with suppress(StopIteration):
                 part.send(rows[lo:hi])
         del parts
-        order, ts = _time_order([rows[name] for name in _SORT_KEYS])
-        end_us = day_start_us(day) + US_PER_DAY
-        keep = len(rows) if day_idx + 1 == config.days else int(np.searchsorted(ts, end_us))
-        carry = np.take(rows, order[keep:])
-        rows["ts_us"][:keep] = ts[:keep]
-        del ts
+        order, rows["ts_us"] = _time_order([rows[name] for name in _SORT_KEYS])
         # The other columns are at most 4 bytes wide: np.take's copy of
         # one and its result take no more than the timestamps did.
         for name in TRAFFIC_DTYPE.names[1:]:
-            rows[name][:keep] = np.take(rows[name], order[:keep])
+            rows[name] = np.take(rows[name], order)
         del order
-        table = traffic_table(rows[:keep])
+        table = traffic_table(rows)
         del rows  # hold only the table while the caller consumes it
         yield day, port, table
         del table  # so the day is gone before the next is drawn, once the caller drops it
@@ -615,7 +610,13 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     port_lo, port_hi = d.get("port_range", (49108, 65535))
     oracle = DailyPortOracle(secret=secret.encode(), port_lo=port_lo, port_hi=port_hi)
 
+    # A JSON integer rate or probability a float holds is the float it
+    # stands for; anything else goes as it is, for the config classes to check.
+    def real(v):
+        return float(v) if type(v) is int and abs(v) <= sys.float_info.max else v
+
     ck_d = dict(d.get("crackonosh", {}))
+    ck_d.update({key: real(ck_d[key]) for key in ("rate_pps", "always_on_fraction") if key in ck_d})
     pop_field = ck_d.pop("population", None)
     if pop_field is None:
         raise ValueError("config missing crackonosh.population")
@@ -634,11 +635,6 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     elif bg_field in ("none", None):
         background = ()
     else:
-        # A JSON integer rate or probability a float holds is the float it
-        # stands for; anything else goes as it is, for BackgroundScanner to check.
-        def real(v):
-            return float(v) if type(v) is int and abs(v) <= sys.float_info.max else v
-
         background = tuple(
             BackgroundScanner(
                 **dict(s, rate_pps=real(s["rate_pps"]), sizes=tuple(s["sizes"]),

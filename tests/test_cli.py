@@ -13,7 +13,7 @@ import pytest
 
 from darkhunt import cli, ranking
 from darkhunt.cli import main
-from darkhunt.records import CSV_HEADER, US_PER_DAY, read_days, traffic_table, write_csv_tables
+from darkhunt.records import CSV_HEADER, US_PER_DAY, day_start_us, read_days, traffic_table, write_csv_tables
 
 CONFIG = {
     "seed": 21,
@@ -577,6 +577,33 @@ def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
     assert "unlabeled days" in err and "2024-01-02" in err
 
 
+def test_simulate_then_analyze_with_a_row_at_the_last_days_end(tmp_path, monkeypatch):
+    # A last-day noise offset of exactly 86400 s floors to the next day's
+    # first microsecond; simulate keeps it in its own day, so analyze
+    # finds every day of simulate's own CSV labeled.
+    from darkhunt import sim
+
+    noise_day = sim._noise_day
+
+    def late_noise(config, day_idx):
+        part = noise_day(config, day_idx)
+        rows = yield next(part)
+        with pytest.raises(StopIteration):
+            part.send(rows)
+        if day_idx + 1 == config.days:
+            sim._store_ts(rows[:1], day_start_us(config.start_day + timedelta(days=day_idx)), np.array([86400.0]))
+
+    monkeypatch.setattr(sim, "_noise_day", late_noise)
+    cfg_path = write_config(tmp_path, crackonosh={"population": [8, 8], "always_on_fraction": 1.0},
+                            background="none", noise_ports_per_day=5)
+    run, rep = tmp_path / "run", tmp_path / "rep"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(run)]) == 0
+    argv = ["analyze", "--csv", str(run / "traffic.csv"), "--labels", str(run / "labels.csv"), "--out", str(rep)]
+    assert main(argv) == 0
+    *_, (last_day, last) = read_days(run / "traffic.csv")
+    assert last.ts_us.max() == day_start_us(last_day) + US_PER_DAY - 1
+
+
 @pytest.mark.parametrize(
     "extra,message",
     [
@@ -590,6 +617,11 @@ def test_analyze_unlabeled_days_listed(sim_dir, tmp_path, capsys):
         ("2024-01-03,05", "port: not an unsigned decimal integer: '05'"),
         ("20240103,5", "day: not a YYYY-MM-DD date: '20240103'"),
         ("2024-W01-3,5", "day: not a YYYY-MM-DD date: '2024-W01-3'"),
+        # Whitespace is not stripped: only the line's LF ends it.
+        ("2024-01-03,5\r", "port: not an unsigned decimal integer: '5\\r'"),
+        (" 2024-01-03,5", "day: not a YYYY-MM-DD date: ' 2024-01-03'"),
+        ("2024-01-03,5\t", "port: not an unsigned decimal integer: '5\\t'"),
+        ("  ", "not enough values to unpack"),
     ],
 )
 def test_analyze_rejects_a_bad_labels_line(sim_dir, tmp_path, monkeypatch, capsys, extra, message):

@@ -97,39 +97,28 @@ def test_time_order_is_the_six_key_lexsort(n, n_ts, n_values, seed):
     assert sorted_ts.tolist() == ts[order].tolist()
 
 
-def test_row_at_the_next_days_first_microsecond_sorts_as_in_one_run(monkeypatch):
-    # Day 0 has rows at offset 86400 s, day 1's first microsecond, where
-    # day 1 has rows of its own: smaller and larger sources, and one full
-    # duplicate.  Every other key is shared, so only src and the input
-    # order separate them.
-    day0_us = day_start_us(START)
-    src = {0: [7, 3, 5, 9, 5], 1: [4, 5, 8, 1]}
-    offsets = {0: [86400.0, 10.0, 86400.0, 86400.0, 20.0], 1: [0.0, 0.0, 0.0, 5.0]}
-
-    def hand_built(day_idx):
-        rows = np.empty(len(src[day_idx]), dtype=TRAFFIC_DTYPE)
-        for name in ("src_port", "dst_ip", "dst_port", "payload_len"):
-            rows[name] = 1
-        rows["src_ip"] = src[day_idx]
-        rows["proto"] = PROTO_UDP
-        day_us = day0_us + day_idx * US_PER_DAY
-        sim_module._store_ts(rows, day_us, np.array(offsets[day_idx]))
-        return rows
+def test_rows_at_a_days_end_stay_in_their_day(monkeypatch):
+    # Offsets of exactly 86400 s floor to the next day's first microsecond;
+    # on the first and the last day they are capped at the day's last.
+    offsets = {0: [86400.0, 10.0, 86400.0], 1: [0.0, 5.0], 2: [20.0, 86400.0]}
 
     def noise_part(config, day_idx):
         # A day part: yield the row count, then fill the rows it is sent.
-        rows = hand_built(day_idx)
-        out = yield len(rows)
-        out[:] = rows
+        rows = yield len(offsets[day_idx])
+        for name in ("src_port", "dst_ip", "dst_port", "payload_len"):
+            rows[name] = 1
+        rows["src_ip"] = np.arange(len(rows))
+        rows["proto"] = PROTO_UDP
+        sim_module._store_ts(rows, day_start_us(START + timedelta(days=day_idx)), np.array(offsets[day_idx]))
 
     monkeypatch.setattr(sim_module, "_noise_day", noise_part)
-    cfg = small_config(crackonosh=CrackonoshConfig(population=(0, 0)))
-    rows = np.concatenate([hand_built(0), hand_built(1)])
-    expected = rows[np.lexsort([rows[k] for k in sim_module._SORT_KEYS])]
-    assert simulate(cfg).records.tolist() == expected.tolist()
-    day0, day1 = [table for _, _, table in simulate_days(cfg)]
-    assert day0.ts_us.tolist() == [day0_us + 10_000_000, day0_us + 20_000_000]
-    assert len(day1) == 7 and (day1.ts_us >= day0_us + US_PER_DAY).all()
+    cfg = small_config(crackonosh=CrackonoshConfig(population=(0, 0, 0)))
+    days = list(simulate_days(cfg))
+    assert [day for day, _, _ in days] == [START + timedelta(days=i) for i in range(3)]
+    last = US_PER_DAY - 1
+    assert [(table.ts_us - day_start_us(day)).tolist() for day, _, table in days] == [
+        [10_000_000, last, last], [0, 5_000_000], [20_000_000, last]
+    ]
 
 
 def spy_on_drawing(monkeypatch, refs):
@@ -713,13 +702,24 @@ def test_config_from_dict_schedule_and_default_background():
     assert len(cfg.background) == len(default_background())
 
 
-def test_config_from_dict_hashes_integer_background_rates_as_floats():
-    scanner = {"service_port": 53, "source_mode": "single", "rate_pps": 1.0, "sizes": [70], "size_probs": [1.0]}
-    d = base_dict()
-    d["background"] = [scanner]
-    floats = config_digest(config_from_dict(d))
-    d["background"] = [dict(scanner, rate_pps=1, size_probs=[1])]
-    assert config_digest(config_from_dict(d)) == floats
+SCANNER = {"service_port": 53, "source_mode": "single", "sizes": [70]}
+CRACKONOSH = {"population": [5, 5]}
+
+
+# JSON integers that a float holds hash as that float: background
+# scanners' and crackonosh's rates and probabilities alike.
+@pytest.mark.parametrize(
+    "key,floats,ints",
+    [
+        ("background", [dict(SCANNER, rate_pps=1.0, size_probs=[1.0])], [dict(SCANNER, rate_pps=1, size_probs=[1])]),
+        ("crackonosh", dict(CRACKONOSH, rate_pps=10.0), dict(CRACKONOSH, rate_pps=10)),
+        ("crackonosh", dict(CRACKONOSH, always_on_fraction=1.0), dict(CRACKONOSH, always_on_fraction=1)),
+    ],
+)
+def test_config_from_dict_hashes_integer_background_rates_as_floats(key, floats, ints):
+    assert config_digest(config_from_dict(dict(base_dict(), **{key: floats}))) == config_digest(
+        config_from_dict(dict(base_dict(), **{key: ints}))
+    )
 
 
 def test_config_from_dict_secret_sources(monkeypatch):
