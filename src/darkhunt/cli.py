@@ -8,9 +8,7 @@ runs can be reproduced (manifests carry no timestamps and no secrets).
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import json
 import math
 import os
 import sys
@@ -19,7 +17,9 @@ from datetime import timedelta
 from . import __version__
 
 # records first: it loads numpy, which a profile would otherwise charge to population.
-from .records import CsvFormatError, read_days, read_labels_csv, sha256, write_manifest
+from .records import (
+    CsvFormatError, csv_text, json_digest, read_days, read_labels_csv, write_csv_rows, write_json, write_manifest,
+)
 from .population import (
     NoTrafficError,
     always_on,
@@ -84,14 +84,7 @@ def _parse_telescope(spec: str) -> TelescopeSpec:
 
 
 def _write_manifest(out_dir, command: str, params: dict, outputs: list[str]) -> None:
-    blob = json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
-    write_manifest(
-        out_dir,
-        command,
-        config_sha256=sha256(blob).hexdigest(),
-        params=params,
-        outputs=outputs,
-    )
+    write_manifest(out_dir, command, config_sha256=json_digest(params), params=params, outputs=outputs)
 
 
 def _read_days(path):
@@ -107,11 +100,10 @@ def _read_days(path):
 def _write_or_show(args, name: str, rows: list[list], command: str, params: dict) -> str:
     """Write rows as CSV plus a manifest under --out and say so, or return them as text."""
     if not args.out:
-        return "\n".join(",".join(str(v) for v in row) for row in rows)
+        return csv_text(rows).removesuffix("\n")  # print() ends the last line
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    write_csv_rows(rows, path)
     _write_manifest(args.out, command, params, [name])
     return f"wrote {path}"
 
@@ -218,11 +210,8 @@ def _cmd_model_coverage(args) -> str:
 def _cmd_model_tte(args) -> str:
     if args.packets < 1:
         raise ValueError("--packets must be >= 1")
-    sizes = args.sizes.split(",") if args.sizes else [args.size]
-    if sizes == [None]:
-        raise ValueError("give --size or --sizes")
     rows = [["telescope_size", "visible_pps", "seconds", "hours"]]
-    for size in sizes:
+    for size in args.size:
         tel = _parse_telescope(size)
         pop = ScanPopulation(host_count=args.hosts, rate_pps=args.rate)
         rate = visible_rate(tel, pop)
@@ -235,7 +224,7 @@ def _cmd_model_tte(args) -> str:
         "time_to_entropy.csv",
         rows,
         "model time-to-entropy",
-        {"sizes": sizes, "hosts": args.hosts, "rate": args.rate, "packets": args.packets},
+        {"sizes": args.size, "hosts": args.hosts, "rate": args.rate, "packets": args.packets},
     )
 
 
@@ -261,9 +250,7 @@ def _cmd_population(args) -> str:
             "daily_packets": {str(ip): n for ip, n in report.per_ip_daily_packets.items()},
         }
         samples.extend(report.per_ip_daily_packets.values())
-    with open(os.path.join(args.out, "always_on.json"), "w") as fh:
-        json.dump(day_reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(day_reports, os.path.join(args.out, "always_on.json"))
     outputs = ["always_on.json"]
     if len(samples) >= 2:
         profile = density_profile(samples, bandwidth=args.bandwidth)
@@ -329,8 +316,8 @@ def build_parser() -> _Parser:
     c.set_defaults(func=_cmd_model_coverage)
 
     e = msub.add_parser("time-to-entropy", help="collection time until n packets")
-    e.add_argument("--size", default=None, help="telescope: /N, CIDR list, or @file")
-    e.add_argument("--sizes", default=None, help="comma list of sizes for a curve")
+    e.add_argument("--size", action="append", required=True,
+                   help="telescope: /N, CIDR list, or @file; repeat for a curve")
     e.add_argument("--hosts", type=int, required=True, help="visible scanning hosts")
     e.add_argument("--rate", type=float, default=10.0, help="per-host pps")
     e.add_argument("--packets", type=int, default=128)

@@ -16,15 +16,13 @@ the population.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from datetime import date
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, day_of_ts, run_starts
+from .records import PROTO_UDP, SECONDS_PER_DAY, US_PER_DAY, day_of_ts, run_starts, write_csv_rows, write_json
 from .telescope import IPV4_SPACE, TelescopeSpec
 
 __all__ = [
@@ -235,11 +233,8 @@ def peaks_to_rates(profile: DensityProfile, k_telescope: int) -> list[float]:
 
 def write_density_csv(profile: DensityProfile, path) -> None:
     """Export the gridded density as `grid,density` CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["grid", "density"])
-        for g, d in zip(profile.grid, profile.density):
-            writer.writerow([f"{g:.6f}", f"{d:.10g}"])
+    rows = [(f"{g:.6f}", f"{d:.10g}") for g, d in zip(profile.grid, profile.density)]
+    write_csv_rows([("grid", "density"), *rows], path)
 
 
 def write_peaks_json(profile: DensityProfile, path, k_telescope: int) -> None:
@@ -251,6 +246,5 @@ def write_peaks_json(profile: DensityProfile, path, k_telescope: int) -> None:
     if profile.peaks:
         payload["k_telescope"] = k_telescope
         payload["peaks_pps"] = peaks_to_rates(profile, k_telescope)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    # Not sorted: peaks.json keeps the key order above, which the goldens pin.
+    write_json(payload, path, sort_keys=False)

@@ -8,15 +8,13 @@ periods in which the ground-truth port lands at rank <= n; n defaults to
 
 from __future__ import annotations
 
-import csv
-import json
 from datetime import date, datetime, timedelta, timezone
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .metrics import score_segments
-from .records import PortDayPartition, day_of_ts, run_starts, segment_by_window
+from .records import PortDayPartition, day_of_ts, run_starts, segment_by_window, write_csv_rows, write_json
 
 __all__ = [
     "DEFAULT_TOP_N",
@@ -182,31 +180,20 @@ def labeled_rows(
 
 def write_report_csv(rows: Sequence[ReportRow], path) -> None:
     """Emit the fixed `day,metric,score,rank` schema for plot tooling."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["day", "metric", "score", "rank"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.period.isoformat(),
-                    row.metric_id,
-                    "" if row.score is None else f"{row.score:.6g}",
-                    "" if row.rank is None else row.rank,
-                ]
-            )
+    body = [(r.period.isoformat(), r.metric_id, None if r.score is None else f"{r.score:.6g}", r.rank) for r in rows]
+    write_csv_rows([("day", "metric", "score", "rank"), *body], path)
 
 
 def write_report_json(reports: Sequence[DiscoverabilityReport], path) -> None:
     """Emit discoverability reports as JSON keyed by metric."""
-    payload = {}
-    for rep in reports:
-        payload[rep.metric_id] = {
-            "n": rep.n,
-            "score": rep.score,
-            "per_day_rank": {
-                d.isoformat(): rank for d, rank in sorted(rep.per_day_rank.items())
-            },
-        }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(
+        {
+            rep.metric_id: {
+                "n": rep.n,
+                "score": rep.score,
+                "per_day_rank": {d.isoformat(): rank for d, rank in rep.per_day_rank.items()},
+            }
+            for rep in reports
+        },
+        path,
+    )

@@ -3,6 +3,9 @@
 Also the ground-truth labels CSV (`simulate` writes it, `analyze` reads
 it) and the manifest every artifact-producing command writes: they live
 here, not in the simulator, so that only `simulate` loads the simulator.
+Every other output is written here too, so each format has one set of
+byte rules: CSV by `csv_text`, JSON by `write_json`, and a manifest's
+config digest by `json_digest`.
 
 Everything downstream (metrics, ranking, population analysis) consumes the
 types in this module.  Traffic is one read-only numpy record array over
@@ -12,7 +15,9 @@ are pure functions, so partitions can be built and consumed concurrently.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import os
 import re
@@ -23,8 +28,8 @@ import numpy as np
 
 from . import __version__
 
-# The hash of run manifests (cli, sim.config_digest).  hashlib is heavy to load:
-# it brings in OpenSSL, several MB resident.  CPython's builtin sha256 gives
+# The hash of run manifests (json_digest) and of the oracle secret.  hashlib is heavy
+# to load: it brings in OpenSSL, several MB resident.  CPython's builtin sha256 gives
 # the same digests, as random.py does for sha512.
 try:
     from _sha2 import sha256  # CPython 3.12+
@@ -497,10 +502,7 @@ def write_csv_tables(tables, path) -> int:
 
 def write_labels_csv(labels, path) -> None:
     """Write the ground-truth `day,port` CSV."""
-    with open(path, "w", newline="") as fh:
-        fh.write("day,port\n")
-        for day in sorted(labels):
-            fh.write(f"{day.isoformat()},{labels[day]}\n")
+    write_csv_rows([("day", "port"), *sorted(labels.items())], path)
 
 
 def read_labels_csv(path) -> dict[date, int]:
@@ -515,7 +517,10 @@ def read_labels_csv(path) -> dict[date, int]:
             if not line:
                 continue
             try:
-                day_s, port_s = line.split(",")
+                fields = line.split(",")
+                if len(fields) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(fields)}")
+                day_s, port_s = fields
                 if _UINT_RE.fullmatch(port_s) is None:
                     raise ValueError(f"port: not an unsigned decimal integer: {port_s!r}")
                 day, port = _parse_day(day_s, "day"), int(port_s)
@@ -536,10 +541,32 @@ def write_manifest(out_dir, command: str, **fields) -> dict:
     runs give byte-identical manifests.  Returns the manifest.
     """
     manifest = {"tool": "darkhunt", "version": __version__, "command": command, **fields}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, os.path.join(out_dir, "manifest.json"))
     return manifest
+
+
+def csv_text(rows) -> str:
+    """Rows as CSV text, each line ended by LF, a field quoted only where it must be and None empty."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def write_csv_rows(rows, path) -> None:
+    """Write rows to path as csv_text renders them."""
+    with open(path, "w", newline="") as fh:
+        fh.write(csv_text(rows))
+
+
+def write_json(obj, path, sort_keys: bool = True) -> None:
+    """Write obj to path as JSON indented by 2 and ended by LF, keys sorted unless sort_keys is false."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def json_digest(obj) -> str:
+    """sha256 hex digest of obj's compact, key-sorted JSON: a manifest's config_sha256."""
+    return sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .portgen import DailyPortOracle
+from .portgen import PORT_HI, PORT_LO, DailyPortOracle
 from .records import (
     MAX_UDP_PAYLOAD,
     PROTO_UDP,
@@ -47,6 +47,7 @@ from .records import (
     LabeledDataset,
     _parse_day,
     day_start_us,
+    json_digest,
     sha256,
     traffic_table,
     write_csv_tables,
@@ -72,7 +73,7 @@ EPHEMERAL_LO = 49152
 EPHEMERAL_HI = 65535
 
 # Noise probes go to ports 1-49107, below the default daily-port range.
-_NOISE_PORTS = 49107
+_NOISE_PORTS = PORT_LO - 1
 
 # Address space outside ordinary public unicast; no scanner sends from it.
 _RESERVED = TelescopeSpec.from_cidrs([
@@ -607,8 +608,10 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
                 raise ValueError(f"secret environment variable {env_name!r} is unset")
         else:
             secret = raw
-    port_lo, port_hi = d.get("port_range", (49108, 65535))
-    oracle = DailyPortOracle(secret=secret.encode(), port_lo=port_lo, port_hi=port_hi)
+    port_range = d.get("port_range", [PORT_LO, PORT_HI])
+    if type(port_range) is not list or len(port_range) != 2:
+        raise ValueError("port_range must be a [lo, hi] pair")
+    oracle = DailyPortOracle(secret.encode(), *port_range)
 
     # A JSON integer rate or probability a float holds is the float it
     # stands for; anything else goes as it is, for the config classes to check.
@@ -695,8 +698,7 @@ def config_digest(config: SimConfig) -> str:
         "noise_ports_per_day": config.noise_ports_per_day,
         "mode": config.mode,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return sha256(blob).hexdigest()
+    return json_digest(payload)
 
 
 def write_dataset(config: SimConfig, out_dir, inputs: Optional[dict] = None) -> dict:

@@ -150,6 +150,17 @@ def test_simulate_config_type_error_exits_2(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("port_range", [[1], 5, [1, 2, 3]])
+def test_simulate_port_range_must_be_a_pair(tmp_path, capsys, port_range):
+    cfg_path = write_config(tmp_path, port_range=port_range)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"darkhunt: error: bad config {cfg_path}: port_range must be a [lo, hi] pair\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cidr", ["10.0.0.0/08", "10.0.0.0/+8", "10.0.0.0/255.0.0.0"])
 @pytest.mark.parametrize("command", ["simulate", "population", "model coverage"])
 def test_cidr_prefix_lengths_follow_the_slash_n_rule(sim_dir, tmp_path, capsys, command, cidr):
@@ -621,7 +632,8 @@ def test_simulate_then_analyze_with_a_row_at_the_last_days_end(tmp_path, monkeyp
         ("2024-01-03,5\r", "port: not an unsigned decimal integer: '5\\r'"),
         (" 2024-01-03,5", "day: not a YYYY-MM-DD date: ' 2024-01-03'"),
         ("2024-01-03,5\t", "port: not an unsigned decimal integer: '5\\t'"),
-        ("  ", "not enough values to unpack"),
+        ("  ", "labels line 4: expected 2 fields, got 1"),
+        ("2024-01-03,5,6", "labels line 4: expected 2 fields, got 3"),
     ],
 )
 def test_analyze_rejects_a_bad_labels_line(sim_dir, tmp_path, monkeypatch, capsys, extra, message):
@@ -729,12 +741,38 @@ def test_model_time_to_entropy(capsys):
 
 def test_model_time_to_entropy_curve(capsys):
     assert main([
-        "model", "time-to-entropy", "--sizes", "/24,/22,/20", "--hosts", "1000",
+        "model", "time-to-entropy", "--size", "/24", "--size", "/22", "--size", "/20", "--hosts", "1000",
     ]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 4
     seconds = [float(r.split(",")[2]) for r in rows[1:]]
     assert seconds == sorted(seconds, reverse=True)  # bigger telescope, faster
+
+
+def test_model_time_to_entropy_needs_a_size(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["model", "time-to-entropy", "--hosts", "1000"])
+    assert exc_info.value.code == 1
+    assert "the following arguments are required: --size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["model", "table"], "table.csv"),
+        (["model", "time-to-entropy", "--hosts", "100", "--size", "/22"], "time_to_entropy.csv"),
+        # A CIDR list holds commas, so its field is quoted, on stdout too.
+        (["model", "time-to-entropy", "--hosts", "100", "--size", "10.0.0.0/24,10.0.1.0/24"], "time_to_entropy.csv"),
+        (["model", "time-to-entropy", "--hosts", "100", "--size", "/24", "--size", "/20"], "time_to_entropy.csv"),
+    ],
+)
+def test_model_stdout_is_the_out_file(tmp_path, capsys, argv, name):
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # print() ends the shown table with the file's final LF.
+    assert shown == (tmp_path / name).read_text()
 
 
 def test_model_bad_cidr_exits_2(capsys):
