@@ -132,7 +132,7 @@ def _cmd_simulate(args) -> str:
 def _cmd_analyze(args) -> str:
     if args.top_n < 1:
         raise ValueError(f"--top-n must be >= 1, got {args.top_n}")
-    metrics = args.metrics.split(",") if args.metrics else list(METRIC_IDS)
+    metrics = args.metrics.split(",") if args.metrics is not None else list(METRIC_IDS)
     for i, m in enumerate(metrics):
         if m not in METRIC_IDS:
             raise ValueError(f"unknown metric {m!r}; choose from {','.join(METRIC_IDS)}")

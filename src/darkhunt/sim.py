@@ -6,11 +6,10 @@ sizes) together with ordinary background scanners (modal packet sizes,
 block-concentrated sources) and a long tail of one-off noise probes.
 
 Scanning hosts probe uniform-random addresses, so per host and day the
-telescope hit count is Binomial(packets_sent, k/2^32).  The default
-"direct" mode samples that binomial and places the hits uniformly in time
-and across telescope addresses, which is statistically identical to
-drawing every target but runs at desk scale; the "naive" mode draws every
-target and is kept for cross-validating the shortcut on tiny runs.
+telescope hit count is Binomial(packets_sent, k/2^32).  The simulator
+samples that binomial and places the hits uniformly in time and across
+telescope addresses, which is statistically identical to drawing every
+target but runs at desk scale.
 
 Output is deterministic for a fixed config: each simulated day draws all
 its coordinated hosts from one RNG substream keyed by (seed, kind, day),
@@ -96,6 +95,10 @@ _SORT_KEYS = ("payload_len", "dst_port", "src_port", "dst_ip", "src_ip", "ts_us"
 _CONFIG_KEYS = ("seed", "start_day", "telescope", "secret", "port_range", "crackonosh", "background",
                 "noise_ports_per_day", "mode")
 
+# The largest rate_pps: a day's sends, rate_pps * 86400, stay within both
+# an int64 and Generator.poisson's domain.
+MAX_RATE_PPS = 2**62 / SECONDS_PER_DAY
+
 
 def _require(kind: type, name: str, *values) -> None:
     """Raise ValueError unless each value is of kind, Integral or Real (in a float's range); a bool is neither."""
@@ -137,8 +140,8 @@ class BackgroundScanner:
             raise ValueError(f"service_port out of range: {self.service_port}")
         if self.source_mode not in ("single", "block"):
             raise ValueError(f"source_mode must be 'single' or 'block': {self.source_mode}")
-        if not 0 < self.rate_pps < math.inf:
-            raise ValueError(f"rate_pps must be finite and > 0, got {self.rate_pps}")
+        if not 0 < self.rate_pps <= MAX_RATE_PPS:
+            raise ValueError(f"rate_pps must be > 0 and at most {MAX_RATE_PPS:g}, got {self.rate_pps}")
         if not 1 <= len(self.sizes) <= 4:
             raise ValueError("modal size distribution needs 1-4 distinct sizes")
         if len(self.sizes) != len(set(self.sizes)):
@@ -191,8 +194,8 @@ class CrackonoshConfig:
             _require(Integral, name, getattr(self, name))
         for name in ("rate_pps", "always_on_fraction"):
             _require(Real, name, getattr(self, name))
-        if not 0 <= self.rate_pps < math.inf:
-            raise ValueError(f"rate_pps must be finite and >= 0, got {self.rate_pps}")
+        if not 0 <= self.rate_pps <= MAX_RATE_PPS:
+            raise ValueError(f"rate_pps must be >= 0 and at most {MAX_RATE_PPS:g}, got {self.rate_pps}")
         if self.padding_sizes < 1:
             raise ValueError("padding_sizes must be >= 1")
         if self.payload_base < 0 or self.payload_base + self.padding_sizes - 1 > MAX_UDP_PAYLOAD:
@@ -214,13 +217,12 @@ class SimConfig:
     crackonosh: CrackonoshConfig
     background: tuple[BackgroundScanner, ...] = ()
     noise_ports_per_day: int = 0
-    mode: str = "direct"  # "direct" | "naive"
 
     def __post_init__(self) -> None:
         _require(Integral, "seed", self.seed)
         _require(Integral, "noise_ports_per_day", self.noise_ports_per_day)
-        if self.mode not in ("direct", "naive"):
-            raise ValueError(f"mode must be 'direct' or 'naive': {self.mode}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise_ports_per_day <= _NOISE_PORTS:
             raise ValueError(f"noise_ports_per_day must be within 0-{_NOISE_PORTS}")
         if day_start_us(self.start_day) < 0 or (date.max - self.start_day).days < self.days - 1:
@@ -403,28 +405,12 @@ def _crackonosh_day(
     dur = rng.uniform(8 * 3600.0, 16 * 3600.0, size=n_hosts)
     dur[host_always_on[:n_hosts]] = SECONDS_PER_DAY
     t0 = rng.uniform(0.0, SECONDS_PER_DAY - dur)
-    n_sent = np.rint(ck.rate_pps * dur).astype(np.int64)
-    if config.mode == "direct":
-        hits = rng.binomial(n_sent, tel.k / IPV4_SPACE)
-        del n_sent
-        n = int(hits.sum())
-        rows = yield n
-        # Offsets into the telescope, below k <= 2**32, so they fit the
-        # column; they become addresses once the rest is filled (see below).
-        rows["dst_ip"] = rng.integers(0, tel.k, size=n)
-    else:
-        # Every probe of one host at a time, so memory stays at one
-        # host-day's probes.
-        targets = []
-        for sent in n_sent.tolist():
-            probes = rng.integers(0, IPV4_SPACE, size=sent, dtype=np.int64)
-            targets.append(probes[tel.contains_array(probes)])
-        del n_sent
-        hits = np.array([h.size for h in targets], dtype=np.int64)
-        n = int(hits.sum())
-        rows = yield n
-        rows["dst_ip"] = np.concatenate([np.empty(0, dtype=np.int64), *targets])
-        del targets
+    hits = rng.binomial(np.rint(ck.rate_pps * dur).astype(np.int64), tel.k / IPV4_SPACE)
+    n = int(hits.sum())
+    rows = yield n
+    # Offsets into the telescope, below k <= 2**32, so they fit the
+    # column; they become addresses once the rest is filled (see below).
+    rows["dst_ip"] = rng.integers(0, tel.k, size=n)
     # Rows go host by host, each host's values repeated once per hit: no
     # per-row host index is held.
     offsets = rng.random(n)
@@ -438,8 +424,7 @@ def _crackonosh_day(
     rows["proto"] = PROTO_UDP
     rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=n)
     rows["payload_len"] += ck.payload_base
-    if config.mode == "direct":
-        rows["dst_ip"] = tel.addresses_at_array(rows["dst_ip"])
+    rows["dst_ip"] = tel.addresses_at_array(rows["dst_ip"])
 
 
 def _background_day(
@@ -584,6 +569,9 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
     unknown = [key for key in d if key not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
+    # The simulator has one draw; the key stays so that configs naming it still load.
+    if d.get("mode", "direct") != "direct":
+        raise ValueError(f"mode must be 'direct', got {d['mode']!r}")
     try:
         seed = d["seed"]
         start_day = _parse_day(d["start_day"], "start_day")
@@ -654,7 +642,6 @@ def config_from_dict(d: dict, secret_override: Optional[str] = None) -> SimConfi
         crackonosh=crackonosh,
         background=background,
         noise_ports_per_day=d.get("noise_ports_per_day", 0),
-        mode=d.get("mode", "direct"),
     )
 
 
@@ -696,7 +683,7 @@ def config_digest(config: SimConfig) -> str:
         "crackonosh": asdict(config.crackonosh),
         "background": [asdict(s) for s in config.background],
         "noise_ports_per_day": config.noise_ports_per_day,
-        "mode": config.mode,
+        "mode": "direct",
     }
     return json_digest(payload)
 

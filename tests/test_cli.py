@@ -14,6 +14,7 @@ import pytest
 from darkhunt import cli, ranking
 from darkhunt.cli import main
 from darkhunt.records import CSV_HEADER, US_PER_DAY, day_start_us, read_days, traffic_table, write_csv_tables
+from darkhunt.sim import MAX_RATE_PPS
 
 CONFIG = {
     "seed": 21,
@@ -65,6 +66,14 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_a)]) == 0
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out_b), "--seed", "99"]) == 0
     assert (out_a / "traffic.csv").read_bytes() != (out_b / "traffic.csv").read_bytes()
+
+
+def test_simulate_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == f"darkhunt: error: bad config {cfg_path}: seed must be >= 0, got -5\n"
+    assert not out.exists()
 
 
 def test_simulate_missing_config_exits_2(tmp_path, capsys):
@@ -138,6 +147,17 @@ def test_simulate_rejects_out_of_range_background_size(tmp_path, capsys):
         {"crackonosh": {"population": [8], "rate_pps": 10**400}},
         {"background": [dict(SCANNER, rate_pps=10**400)]},
         {"crackonosh": {"population": {"schedule": "three_epoch", "days_per_epoch": 10**30, "scale": 0.001}}},
+        # Values the draw refused mid-run, after a header-only traffic.csv:
+        # a negative seed, and day sends (rate_pps * 86400) past an int64
+        # or Generator.poisson's domain.
+        {"seed": -1},
+        {"crackonosh": {"population": [8], "rate_pps": 1e15}},
+        {"crackonosh": {"population": [8], "rate_pps": float(np.nextafter(MAX_RATE_PPS, np.inf))}},
+        {"background": [dict(SCANNER, rate_pps=1e15)]},
+        # The simulator has one draw, "direct"; no other mode loads.
+        {"mode": "naive"},
+        {"mode": "DIRECT"},
+        {"mode": None},
     ],
 )
 def test_simulate_config_type_error_exits_2(tmp_path, capsys, overrides):
@@ -680,14 +700,19 @@ def test_analyze_15m_denominator_counts_only_windows_with_traffic(tmp_path, caps
         assert len(rows) == 1 + 3 and rows[2].endswith(",,")
 
 
-def test_analyze_unknown_metric(sim_dir, tmp_path):
+# An empty --metrics names one empty metric, as "address_count," does;
+# it once ran all four.
+@pytest.mark.parametrize("metrics", ["nonsense", ""])
+def test_analyze_unknown_metric(sim_dir, tmp_path, capsys, metrics):
     assert main([
         "analyze",
         "--csv", str(sim_dir / "traffic.csv"),
         "--labels", str(sim_dir / "labels.csv"),
         "--out", str(tmp_path / "rep"),
-        "--metrics", "nonsense",
+        "--metrics", metrics,
     ]) == 2
+    assert f"unknown metric {metrics!r}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_analyze_repeated_metric_exits_2_before_reading_the_csv(tmp_path, capsys):

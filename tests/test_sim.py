@@ -15,6 +15,7 @@ from darkhunt import sim as sim_module
 from darkhunt.portgen import DailyPortOracle
 from darkhunt.records import (
     PROTO_UDP,
+    SECONDS_PER_DAY,
     TRAFFIC_DTYPE,
     US_PER_DAY,
     day_of_ts,
@@ -24,6 +25,7 @@ from darkhunt.records import (
     write_labels_csv,
 )
 from darkhunt.sim import (
+    MAX_RATE_PPS,
     BackgroundScanner,
     CrackonoshConfig,
     SimConfig,
@@ -224,8 +226,7 @@ def test_a_coordinated_day_holds_each_host_draw_once():
     assert peak - rows.nbytes < 4 * 8 * n_hosts, (peak - rows.nbytes) / n_hosts
 
 
-@pytest.mark.parametrize("mode", ["direct", "naive"])
-def test_days_are_independent_substreams(mode):
+def test_days_are_independent_substreams():
     # Each day draws from its own (seed, kind, day) streams: appending a
     # day to the schedule leaves every earlier day's packets as they were.
     def run(population):
@@ -233,7 +234,6 @@ def test_days_are_independent_substreams(mode):
             crackonosh=CrackonoshConfig(population=population, rate_pps=1.0, always_on_fraction=0.5),
             background=default_background(),
             noise_ports_per_day=20,
-            mode=mode,
         )).records
 
     one_day, two_days = run((30,)), run((30, 20))
@@ -483,59 +483,60 @@ def test_coordinated_spread_beats_single_source_at_equal_budget():
     assert src_spread(part_a) > 100 * src_spread(part_b)
 
 
-# ------------------------------------------------------------- direct vs naive
+# ------------------------------------------------- probe-by-probe reference
 
-def test_direct_hit_sampling_matches_naive_oracle():
-    # Tiny configuration: 1 host at 0.02 pps against a /8 (collision 1/256).
-    # Per-day telescope hits are Binomial(1728, 1/256) either way; compare
-    # means over seeds within 3 sigma.
+def probe_by_probe_hits(seed, telescope, rate_pps):
+    """Reference for one always-on host: every probe of its day is sent at a
+    uniform time to a uniform IPv4 address, and the telescope captures the
+    probes that hit it.  Returns their microsecond offsets into the day, sorted."""
+    rng = np.random.default_rng(seed)
+    n_sent = round(rate_pps * SECONDS_PER_DAY)
+    targets = rng.integers(0, 2**32, size=n_sent, dtype=np.int64)
+    sent_s = rng.uniform(0.0, SECONDS_PER_DAY, size=n_sent)
+    return np.sort(np.floor(sent_s[telescope.contains_array(targets)] * 1e6).astype(np.int64))
+
+
+def one_host_offsets(seed, telescope, rate_pps):
+    """The simulator's hits for the reference's host, as microsecond offsets in time order."""
+    cfg = SimConfig(
+        seed=seed,
+        start_day=START,
+        telescope=telescope,
+        oracle=ORACLE,
+        crackonosh=CrackonoshConfig(population=(1,), rate_pps=rate_pps, always_on_fraction=1.0),
+    )
+    return simulate(cfg).records.ts_us - day_start_us(START)
+
+
+def test_hit_counts_match_the_probe_by_probe_reference():
+    # 1 host at 0.02 pps against a /8 (collision 1/256): per-day telescope
+    # hits are Binomial(1728, 1/256) either way; compare means over seeds
+    # within 3 sigma.
     tel = TelescopeSpec.from_prefix(8)
-    counts = {"direct": [], "naive": []}
-    for mode in counts:
-        for seed in range(120):
-            cfg = SimConfig(
-                seed=seed,
-                start_day=START,
-                telescope=tel,
-                oracle=ORACLE,
-                crackonosh=CrackonoshConfig(
-                    population=(1,), rate_pps=0.02, always_on_fraction=1.0
-                ),
-                mode=mode,
-            )
-            counts[mode].append(len(simulate(cfg).records))
+    counts = {
+        "simulator": [one_host_offsets(seed, tel, 0.02).size for seed in range(120)],
+        "reference": [probe_by_probe_hits(seed, tel, 0.02).size for seed in range(120)],
+    }
     n_sent = round(0.02 * 86400)
     pc = p_collision(tel)
     sigma_single = (n_sent * pc * (1 - pc)) ** 0.5
     sigma_diff = sigma_single * (2 / 120) ** 0.5
-    assert abs(np.mean(counts["direct"]) - np.mean(counts["naive"])) <= 3 * sigma_diff
+    assert abs(np.mean(counts["simulator"]) - np.mean(counts["reference"])) <= 3 * sigma_diff
     # Both track the analytic expectation too.
     sigma_mean = sigma_single / 120**0.5
-    for mode in counts:
-        assert abs(np.mean(counts[mode]) - n_sent * pc) <= 3 * sigma_mean
+    for sample in counts.values():
+        assert abs(np.mean(sample) - n_sent * pc) <= 3 * sigma_mean
 
 
-def test_direct_and_naive_agree_on_time_to_128_packets():
+def test_time_to_128_packets_matches_the_probe_by_probe_reference():
     # One always-on 2 pps host on a /8 reaches 128 telescope packets after
-    # ~4.5 h.  The two modes must agree on the whole distribution of that
-    # time, not only on mean counts; disjoint seeds keep the samples
-    # independent.
+    # ~4.5 h.  The simulator places its hits in time after drawing their
+    # count; the reference times every probe, so the two must agree on the
+    # whole distribution of that time, not only on mean counts.
     tel = TelescopeSpec.from_prefix(8)
-    times = {}
-    for mode, seeds in (("direct", range(60)), ("naive", range(1000, 1060))):
-        times[mode] = []
-        for seed in seeds:
-            cfg = SimConfig(
-                seed=seed,
-                start_day=START,
-                telescope=tel,
-                oracle=ORACLE,
-                crackonosh=CrackonoshConfig(population=(1,), rate_pps=2.0, always_on_fraction=1.0),
-                mode=mode,
-            )
-            ts = np.sort(simulate(cfg).records.ts_us)
-            times[mode].append(int(ts[127]) - day_start_us(START))
-    assert ks_2samp(times["direct"], times["naive"]).pvalue > 0.01
+    simulator = [int(one_host_offsets(seed, tel, 2.0)[127]) for seed in range(60)]
+    reference = [int(probe_by_probe_hits(seed, tel, 2.0)[127]) for seed in range(60)]
+    assert ks_2samp(simulator, reference).pvalue > 0.01
 
 
 # ---------------------------------------------------------------- background
@@ -720,6 +721,23 @@ def test_config_from_dict_hashes_integer_background_rates_as_floats(key, floats,
     assert config_digest(config_from_dict(dict(base_dict(), **{key: floats}))) == config_digest(
         config_from_dict(dict(base_dict(), **{key: ints}))
     )
+
+
+def test_config_from_dict_takes_mode_direct_as_no_mode():
+    # A config that names the one draw keeps the config_sha256 it had.
+    assert config_digest(config_from_dict(dict(base_dict(), mode="direct"))) == config_digest(
+        config_from_dict(base_dict())
+    )
+
+
+def test_rate_bound_keeps_a_days_sends_in_int64_and_poisson():
+    # Configs at the bound are only built: simulating one would draw on the
+    # order of 2**62 rows.
+    assert CrackonoshConfig(population=(1,), rate_pps=MAX_RATE_PPS).rate_pps == MAX_RATE_PPS
+    assert BackgroundScanner(53, "single", MAX_RATE_PPS, (70,), (1.0,)).rate_pps == MAX_RATE_PPS
+    sends = MAX_RATE_PPS * SECONDS_PER_DAY
+    assert np.rint(np.array([sends])).astype(np.int64)[0] == 2**62
+    assert np.random.default_rng(0).poisson(sends) > 0
 
 
 def test_config_from_dict_secret_sources(monkeypatch):
