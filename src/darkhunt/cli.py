@@ -241,7 +241,6 @@ def _cmd_population(args) -> str:
         del table  # before the next day is read
     if not reports:
         raise ValueError(f"{args.csv}: no UDP traffic inside telescope {tel}")
-    os.makedirs(args.out, exist_ok=True)
     day_reports = {}
     samples = []
     for report in reports:
@@ -250,19 +249,25 @@ def _cmd_population(args) -> str:
             "daily_packets": {str(ip): n for ip, n in report.per_ip_daily_packets.items()},
         }
         samples.extend(report.per_ip_daily_packets.values())
+    profile = None
+    if len(samples) >= 2:
+        # Before --out is made: only a given --bandwidth can fail here.
+        try:
+            profile = density_profile(samples, bandwidth=args.bandwidth)
+            rates = peaks_to_rates(profile, tel.k) if profile.peaks else []
+        except ValueError as exc:
+            raise ValueError(f"--bandwidth {args.bandwidth}: {exc}") from None
+        peaks = ", ".join(f"{p:.1f} pkts/day ({r:.2f} pps)" for p, r in zip(profile.peaks, rates))
+        summary = f"peaks at {peaks}" if rates else "no density peak"
+    else:
+        summary = "too few for a density profile"
+    os.makedirs(args.out, exist_ok=True)
     write_json(day_reports, os.path.join(args.out, "always_on.json"))
     outputs = ["always_on.json"]
-    if len(samples) >= 2:
-        profile = density_profile(samples, bandwidth=args.bandwidth)
+    if profile is not None:
         write_density_csv(profile, os.path.join(args.out, "density.csv"))
         write_peaks_json(profile, os.path.join(args.out, "peaks.json"), k_telescope=tel.k)
         outputs += ["density.csv", "peaks.json"]
-        rates = peaks_to_rates(profile, tel.k) if profile.peaks else []
-        summary = f"{len(samples)} always-on host-days; peaks at " + ", ".join(
-            f"{p:.1f} pkts/day ({r:.2f} pps)" for p, r in zip(profile.peaks, rates)
-        )
-    else:
-        summary = f"{len(samples)} always-on host-days; too few for a density profile"
     _write_manifest(
         args.out,
         "population",
@@ -273,7 +278,7 @@ def _cmd_population(args) -> str:
         },
         outputs,
     )
-    return summary
+    return f"{len(samples)} always-on host-days; {summary}"
 
 
 def build_parser() -> _Parser:
@@ -353,16 +358,40 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-def run() -> int:
-    """main() on sys.argv, then the garbage collector frozen: the entry of
-    the `darkhunt` script and of `python -m darkhunt.cli`.
+def _block_openssl() -> None:
+    """Make `import _hashlib` fail, if CPython's builtin hashes can stand in.
 
-    Frozen objects sit in the permanent generation, which the full
-    collections of interpreter shutdown skip; atexit handlers, stdio
-    flushing and module teardown still run.  main() has closed every
-    output by the time it returns.  A usage error (SystemExit) or an
-    uncaught exception leaves the collector as it is.
+    numpy.random imports secrets, and through it hmac and hashlib, whose
+    _hashlib maps OpenSSL's libcrypto: about 3.5 MB resident that a run
+    hashing only with sha256 does not need.  With _hashlib blocked,
+    hashlib and hmac fall back to the builtins, which give the same
+    digests.  A build that lacks any of them keeps OpenSSL, so no
+    algorithm goes missing and hashlib logs no error for one.  numpy 2.0+
+    imports numpy.random on first use; numpy before 2.0 imports it with
+    numpy itself, so _hashlib is loaded before this runs and stays.
     """
+    from importlib.util import find_spec
+
+    # CPython 3.12 merged _sha256 and _sha512 into _sha2.
+    sha2 = find_spec("_sha2") or (find_spec("_sha256") and find_spec("_sha512"))
+    if sha2 and all(find_spec(name) for name in ("_md5", "_sha1", "_blake2", "_sha3")):
+        sys.modules.setdefault("_hashlib", None)  # the documented block; a loaded _hashlib stays
+
+
+def run() -> int:
+    """main() on sys.argv without OpenSSL, then the garbage collector
+    frozen: the entry of the `darkhunt` script and of `python -m darkhunt.cli`.
+
+    The process loads no OpenSSL when the builtin hashes are all there
+    (_block_openssl); main() itself, as a library call, leaves the
+    import system as it is.  Frozen objects sit in the permanent
+    generation, which the full collections of interpreter shutdown skip;
+    atexit handlers, stdio flushing and module teardown still run.
+    main() has closed every output by the time it returns.  A usage
+    error (SystemExit) or an uncaught exception leaves the collector as
+    it is.
+    """
+    _block_openssl()
     code = main()
     gc.freeze()
     return code

@@ -195,7 +195,9 @@ def density_profile(
 
     Bandwidth defaults to Silverman's rule.  Peaks are the local maxima of
     the gridded density (a flat top reports its middle point), discarding
-    any below 5% of the global maximum.
+    any below 5% of the global maximum.  A bandwidth too narrow or too
+    wide for the grid and the density to be finite floats is refused
+    before either is computed.
     """
     x = np.asarray(list(samples), dtype=float)
     if x.size < 2:
@@ -205,16 +207,24 @@ def density_profile(
         raise ValueError(f"bandwidth must be finite and > 0, got {bw}")
     lo = x.min() - _GRID_MARGIN_BW * bw
     hi = x.max() + _GRID_MARGIN_BW * bw
+    norm = x.size * bw * math.sqrt(2 * math.pi)
+    # In Python floats, which overflow to inf without a warning: the grid's
+    # span, the density's scale and its largest value (every kernel 1 at one
+    # grid point) must be finite.
+    if not (math.isfinite(float(hi) - float(lo)) and math.isfinite(norm) and math.isfinite(x.size / norm)):
+        raise ValueError(f"the density over samples {x.min():g} to {x.max():g} is not finite at this bandwidth")
     grid = np.linspace(lo, hi, _GRID_POINTS)
     # Blocks of grid rows, about 2^20 kernel values each, bound the memory.
     # Each row's sum is the same contiguous sum as in the whole matrix, so
-    # the density is bit-identical.
+    # the density is bit-identical.  A kernel far narrower than the grid's
+    # step overflows z or z * z to inf, and exp(-inf) = 0 is its value there.
     rows = max(1, _KDE_BLOCK_VALUES // x.size)
     sums = np.empty(_GRID_POINTS)
-    for i in range(0, _GRID_POINTS, rows):
-        z = (grid[i : i + rows, None] - x[None, :]) / bw
-        sums[i : i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
-    density = sums / (x.size * bw * math.sqrt(2 * math.pi))
+    with np.errstate(over="ignore"):
+        for i in range(0, _GRID_POINTS, rows):
+            z = (grid[i : i + rows, None] - x[None, :]) / bw
+            sums[i : i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density = sums / norm
     idx = _local_maxima(density, _PEAK_FLOOR * float(density.max()))
     return DensityProfile(
         bandwidth=bw,

@@ -28,9 +28,11 @@ import numpy as np
 
 from . import __version__
 
-# The hash of run manifests (json_digest) and of the oracle secret.  hashlib is heavy
-# to load: it brings in OpenSSL, several MB resident.  CPython's builtin sha256 gives
-# the same digests, as random.py does for sha512.
+# The hash of run manifests (json_digest) and of the oracle secret: CPython's builtin
+# sha256, as random.py takes its sha512.  It gives hashlib's digests without loading
+# hashlib, so importing the package, analyze and population load neither hashlib nor
+# OpenSSL (about 3.5 MB resident), in library use too.  For the rest of a CLI process,
+# where numpy.random imports hashlib, cli._block_openssl keeps OpenSSL out.
 try:
     from _sha2 import sha256  # CPython 3.12+
 except ImportError:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ipaddress
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -139,6 +139,24 @@ class ScanPopulation:
             )
 
 
+def _finite(what: str, answer: Callable[[], float], **inputs: float) -> float:
+    """answer(), if it is a finite float, or a ValueError naming `inputs`.
+
+    Finite inputs can overflow: 3000 hosts at 1e308 pps have an infinite
+    visible rate, 128 packets at 5e-324 pps take infinite seconds, and an
+    int host count can be too large for a float at all.  An answer made
+    from such a value (inf packets, 0 s, a day count) would be wrong.
+    """
+    try:
+        value = answer()
+    except OverflowError:  # an int that no float holds
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    named = ", ".join(f"{name} {v}" for name, v in inputs.items())
+    raise ValueError(f"the {what} from {named} is not a finite number")
+
+
 def p_collision(telescope: TelescopeSpec) -> float:
     """Probability that one uniform-random probe lands in the telescope."""
     return telescope.k / IPV4_SPACE
@@ -149,23 +167,34 @@ def p_observe(telescope: TelescopeSpec, pop: ScanPopulation) -> float:
     pc = p_collision(telescope)
     if pc >= 1.0:
         return 1.0
-    # 1 - (1 - pc)^(s*d), via expm1/log1p to keep precision at tiny pc.
+    # 1 - (1 - pc)^(s*d), via expm1/log1p to keep precision at tiny pc; an
+    # overflowed exponent (-inf) gives 1.0, which is right.
     return -math.expm1(pop.rate_pps * pop.duration_s * math.log1p(-pc))
 
 
 def expected_packets(telescope: TelescopeSpec, pop: ScanPopulation) -> float:
     """Expected telescope-observed packets from one host over its port period."""
-    return p_collision(telescope) * pop.rate_pps * pop.duration_s
+    return _finite(
+        "expected packets",
+        lambda: p_collision(telescope) * pop.rate_pps * pop.duration_s,
+        rate_pps=pop.rate_pps,
+        duration_s=pop.duration_s,
+    )
 
 
 def expected_observed_hosts(telescope: TelescopeSpec, pop: ScanPopulation) -> float:
     """Expected number of distinct hosts seen: host_count * p_observe."""
-    return pop.host_count * p_observe(telescope, pop)
+    return _finite("observed hosts", lambda: pop.host_count * p_observe(telescope, pop), host_count=pop.host_count)
 
 
 def visible_rate(telescope: TelescopeSpec, pop: ScanPopulation) -> float:
     """Aggregate packet arrival rate (pps) at the telescope from all hosts."""
-    return pop.host_count * pop.rate_pps * p_collision(telescope)
+    return _finite(
+        "visible rate",
+        lambda: pop.host_count * pop.rate_pps * p_collision(telescope),
+        host_count=pop.host_count,
+        rate_pps=pop.rate_pps,
+    )
 
 
 def days_to_coverage(
@@ -180,13 +209,19 @@ def days_to_coverage(
     if not 0 < target_fraction < 1:
         raise ValueError(f"target_fraction must be in (0, 1), got {target_fraction}")
     pc = p_collision(telescope)
-    sd = pop.rate_pps * pop.duration_s
+    sd = pop.rate_pps * pop.duration_s  # inf when it overflows: then 1 day is the answer
     if pc * sd == 0:
         raise ValueError("zero collision rate: coverage target unreachable")
     if pc >= 1.0:
         return 1
     # 1 - (1-pc)^(sd * D) >= target  <=>  D >= log(1-target) / (sd * log(1-pc))
-    days = math.log1p(-target_fraction) / (sd * math.log1p(-pc))
+    days = _finite(
+        "day count",
+        lambda: math.log1p(-target_fraction) / (sd * math.log1p(-pc)),
+        target_fraction=target_fraction,
+        rate_pps=pop.rate_pps,
+        duration_s=pop.duration_s,
+    )
     d = max(1, math.ceil(days))
     # Guard against float edge cases around the ceiling.
     while d > 1 and -math.expm1(sd * (d - 1) * math.log1p(-pc)) >= target_fraction:
@@ -207,7 +242,12 @@ def time_to_n_packets(visible_rate_pps: float, n_packets: int) -> float:
         return 0.0
     if visible_rate_pps <= 0:
         raise ValueError("visible rate must be > 0 to accumulate packets")
-    return n_packets / visible_rate_pps
+    return _finite(
+        "collection time",
+        lambda: n_packets / visible_rate_pps,
+        n_packets=n_packets,
+        visible_rate_pps=visible_rate_pps,
+    )
 
 
 def observability_table(

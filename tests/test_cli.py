@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import ipaddress
 import json
@@ -804,6 +805,44 @@ def test_model_bad_cidr_exits_2(capsys):
     assert main(["model", "coverage", "--size", "not-a-cidr", "--target", "0.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # Finite inputs whose products overflow a float: no answer is made from inf.
+        ("time-to-entropy --size /22 --hosts 3000 --rate 1e308", "host_count 3000, rate_pps 1e+308"),
+        ("time-to-entropy --size /22 --hosts 3000 --rate 1e-320", "visible_rate_pps 5e-324"),
+        (f"time-to-entropy --size /22 --hosts {10**400}", f"host_count {10**400}"),
+        ("coverage --size /22 --target 0.5 --rate 1e-320", "rate_pps 1e-320"),
+        ("table --rate 1e308 --duration 1e10", "rate_pps 1e+308, duration_s 10000000000.0"),
+    ],
+    ids=["tte-huge-rate", "tte-tiny-rate", "tte-huge-hosts", "coverage-tiny-rate", "table-huge-rate"],
+)
+def test_model_refuses_an_answer_that_is_not_finite(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "out"] if argv.split()[0] != "coverage" else []  # coverage has no --out
+    assert main(["model", *argv.split(), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("darkhunt: error: ") and captured.err.count("\n") == 1
+    assert named in captured.err and "is not a finite number" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        # rate * duration overflows, but the answers saturate: seen for certain, in 1 day.
+        ("table --rate 1e300 --duration 1e10", "/16,1.53e-05,1,1.53e+305\n"),
+        ("coverage --size /22 --target 0.5 --rate 1e304", "1\n"),
+    ],
+    ids=["table", "coverage"],
+)
+def test_model_keeps_answers_that_saturate(capsys, argv, shown):
+    assert main(["model", *argv.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith(shown) and captured.err == ""
+
+
 # ---------------------------------------------------------------- population
 
 @pytest.fixture(scope="module")
@@ -838,6 +877,37 @@ def test_population_round_trip_rate(always_on_run, tmp_path):
     assert (out / "density.csv").exists()
     always = json.loads((out / "always_on.json").read_text())
     assert always["2024-01-01"]["always_on_count"] == 60
+
+
+@pytest.mark.parametrize(
+    "bandwidth, message",
+    [
+        ("1e-320", "--bandwidth 1e-320: the density over samples 1586 to 1797 is not finite at this bandwidth"),
+        # A kernel far wider than the samples has its flat top's middle below zero.
+        ("1e300", "--bandwidth 1e+300: r must be >= 0, got -1.17416829745"),
+    ],
+    ids=["narrow", "wide"],
+)
+def test_population_refuses_a_bandwidth_the_density_cannot_take(always_on_run, tmp_path, capsys, bandwidth, message):
+    # Under the suite's warnings-as-errors, a numpy warning would fail the
+    # test before any exit code.
+    out = tmp_path / "pop"
+    argv = ["population", "--csv", str(always_on_run / "traffic.csv"), "--telescope", "10.0.0.0/9"]
+    assert main([*argv, "--out", str(out), "--bandwidth", bandwidth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"darkhunt: error: {message}")
+    assert captured.err.count("\n") == 1 and not out.exists()
+
+
+def test_population_says_when_the_density_has_no_peak(always_on_run, tmp_path, capsys):
+    # 1e-5 packets/day puts every kernel between grid points: the density
+    # is finite but nowhere above its floor.
+    out = tmp_path / "pop"
+    argv = ["population", "--csv", str(always_on_run / "traffic.csv"), "--telescope", "10.0.0.0/9"]
+    assert main([*argv, "--out", str(out), "--bandwidth", "1e-5"]) == 0
+    assert capsys.readouterr().out == "60 always-on host-days; no density peak\n"
+    assert json.loads((out / "peaks.json").read_text())["peaks_packets_per_day"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["always_on.json", "density.csv", "manifest.json", "peaks.json"]
 
 
 def test_population_does_not_import_numpy_ma(always_on_run, tmp_path):
@@ -964,12 +1034,13 @@ def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path):
 
 # ------------------------------------------------------------------- imports
 
-# What a process has loaded once its code ran: every module name, and the
-# dataclasses the package's loaded modules define.
+# What a process has loaded once its code ran: every module name (not an
+# import that a None in sys.modules blocks), and the dataclasses the
+# package's loaded modules define.
 _LOADED = """
 import dataclasses, json, sys
 print(json.dumps([
-    sorted(sys.modules),
+    sorted(name for name, module in sys.modules.items() if module is not None),
     sorted(
         cls.__name__
         for name, module in list(sys.modules.items())
@@ -981,32 +1052,150 @@ print(json.dumps([
 """
 
 
-@pytest.mark.parametrize("command", ["package", "cli", "analyze", "population"])
-def test_each_command_loads_only_what_it_runs(command, sim_dir, tmp_path):
-    run_main = "import sys\nfrom darkhunt.cli import main\nassert main(sys.argv[1:]) == 0"
-    code, args = {
-        "package": ("import darkhunt", []),
-        "cli": ("import darkhunt.cli", []),
-        "analyze": (run_main, ["analyze", "--labels", str(sim_dir / "labels.csv")]),
-        "population": (run_main, ["population", "--telescope", "10.0.0.0/18"]),
-    }[command]
-    if args:
-        args += ["--csv", str(sim_dir / "traffic.csv"), "--out", str(tmp_path)]
+# hashlib's builtin fallbacks; _sha2 (CPython 3.12+) holds what _sha256 and _sha512 did.
+HASH_MODULES = ("_md5", "_sha1", "_sha2", "_sha256", "_sha512", "_blake2", "_sha3")
+
+
+def run_blocks_openssl() -> bool:
+    """Whether cli.run() keeps OpenSSL out here.
+
+    It does when this build has every module hashlib falls back to without
+    OpenSSL, and numpy (2.0+) imports numpy.random, which loads hashlib,
+    only on first use, after run() has started.  numpy before 2.0 imports
+    it with numpy itself, so with darkhunt.cli.
+    """
+    found = {name for name in HASH_MODULES if importlib.util.find_spec(name)}
+    builtins = {"_md5", "_sha1", "_blake2", "_sha3"} <= found and ("_sha2" in found or {"_sha256", "_sha512"} <= found)
+    return builtins and np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+
+
+ENTRIES = {
+    "main": "import sys\nfrom darkhunt.cli import main\nassert main(sys.argv[1:]) == 0",
+    "run": "from darkhunt import cli\nassert cli.run() == 0",
+}
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    [("package", None), ("cli", None)]
+    + [(command, entry) for command in ("simulate", "analyze", "population") for entry in ENTRIES],
+)
+def test_each_command_loads_only_what_it_runs(command, entry, sim_dir, tmp_path):
+    if entry is None:
+        code, args = f"import {'darkhunt' if command == 'package' else 'darkhunt.cli'}", []
+    else:
+        code, args = ENTRIES[entry], {
+            "simulate": ["--config", str(write_config(tmp_path))],
+            "analyze": ["--csv", str(sim_dir / "traffic.csv"), "--labels", str(sim_dir / "labels.csv")],
+            "population": ["--csv", str(sim_dir / "traffic.csv"), "--telescope", "10.0.0.0/18"],
+        }[command]
+        args = [command, *args, "--out", str(tmp_path / "out")]
     run = subprocess.run([sys.executable, "-c", code + _LOADED, *args], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     modules, data_classes = json.loads(run.stdout.splitlines()[-1])
-    # Only simulate needs the simulator and the oracle; scipy is a test
-    # dependency only.  (numpy's own submodules vary with its version.)
-    assert not [m for m in modules if m in ("darkhunt.sim", "darkhunt.portgen") or m.split(".")[0] == "scipy"]
-    # Manifests hash with CPython's builtin sha256: hashlib's OpenSSL
-    # module would add several MB to analyze's and population's RSS.
-    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+    # scipy is a test dependency only.  (numpy's own submodules vary with its version.)
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    # Manifests hash with CPython's builtin sha256, so no command loads
+    # hashlib's OpenSSL module (several MB resident) for them.  simulate's
+    # numpy.random imports hashlib, whose OpenSSL only run() keeps out.
+    if command == "simulate":
+        builtin = entry == "run" and run_blocks_openssl()
+    else:
+        builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    if builtin:
         assert "_hashlib" not in modules
     if command == "package":
         assert not [m for m in modules if m.startswith("darkhunt.")]
         assert data_classes == []
+    elif command == "simulate":
+        assert {"darkhunt.sim", "darkhunt.portgen"} <= set(modules)
+        assert data_classes == [
+            "BackgroundScanner", "CrackonoshConfig", "DailyPortOracle", "ScanPopulation", "SimConfig", "TelescopeSpec",
+        ]
     else:
+        # Only simulate needs the simulator and the oracle.
+        assert not [m for m in modules if m in ("darkhunt.sim", "darkhunt.portgen")]
         assert data_classes == ["ScanPopulation", "TelescopeSpec"]
+
+
+# A fresh process that hides one module from every import, runs the CLI's
+# script entry on argv or not at all, and then tries every hash hashlib
+# guarantees: it prints whether OpenSSL's _hashlib is loaded and the
+# hashes that work.
+_HIDDEN = """
+import json, sys
+
+hidden, entry = sys.argv.pop(1), sys.argv.pop(1)
+
+
+class Hiding:
+    \"\"\"Finds what the interpreter's finders find, but the hidden module.\"\"\"
+
+    def __init__(self, finders):
+        self.finders = finders
+
+    def find_spec(self, name, path=None, target=None):
+        if name == hidden:
+            return None
+        return next(filter(None, (f.find_spec(name, path, target) for f in self.finders)), None)
+
+
+sys.meta_path = [Hiding(list(sys.meta_path))]
+sys.modules.pop(hidden, None)  # random, loaded at start-up, imports _sha512
+if entry == "run":
+    from darkhunt import cli
+
+    assert cli.run() == 0
+import hashlib
+
+working = []
+for name in sorted(hashlib.algorithms_guaranteed):
+    try:
+        hashlib.new(name, b"darkhunt")
+    except ValueError:
+        continue
+    working.append(name)
+print(json.dumps([sys.modules.get("_hashlib") is not None, working]))
+"""
+
+
+@pytest.mark.parametrize("hidden", [name for name in HASH_MODULES if importlib.util.find_spec(name)] + [None])
+def test_run_keeps_openssl_only_for_a_missing_builtin_hash(hidden, tmp_path):
+    # With every builtin there, run() blocks _hashlib and hashlib runs on
+    # the builtins alone.  Hide one, and run() must leave _hashlib
+    # importable: hashlib keeps every hash it has without the CLI, and
+    # logs no "code for hash ... was not found" that it does not log
+    # without the CLI (it logs one for blake2 whenever _blake2 is missing).
+    def loaded(entry):
+        argv = [sys.executable, "-c", _HIDDEN, str(hidden), entry, "model", "table", "--out", str(tmp_path)]
+        run = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return run.stderr, *json.loads(run.stdout.splitlines()[-1])
+
+    alone_err, alone_openssl, alone_working = loaded("none")
+    err, openssl, working = loaded("run")
+    assert (err, working) == (alone_err, alone_working)
+    assert openssl == (alone_openssl and not (hidden is None and run_blocks_openssl()))
+    if hidden is None:
+        assert err == "" and working == sorted(hashlib.algorithms_guaranteed)
+
+
+def test_simulate_writes_the_same_bytes_without_openssl(tmp_path):
+    # The script entry hashes with the builtins; main() in a process that
+    # has imported hashlib first computes the oracle's HMAC with OpenSSL.
+    cfg = write_config(tmp_path)
+    openssl = importlib.util.find_spec("_hashlib") is not None
+    entries = {
+        "run": ("import sys\nfrom darkhunt import cli\ncode = cli.run()", openssl and not run_blocks_openssl()),
+        "main": ("import hashlib, sys\nfrom darkhunt.cli import main\ncode = main(sys.argv[1:])", openssl),
+    }
+    for entry, (script, loads_openssl) in entries.items():
+        script += "\nprint(code, sys.modules.get('_hashlib') is not None)"
+        argv = [sys.executable, "-c", script, "simulate", "--config", str(cfg), "--out", str(tmp_path / entry)]
+        run = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+        assert (run.stderr, run.stdout.splitlines()[-1]) == ("", f"0 {loads_openssl}")
+    for name in ("traffic.csv", "labels.csv", "manifest.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
 
 # The package's public names, by defining module.

@@ -437,3 +437,22 @@ def test_density_exports(tmp_path):
     assert payload["peaks_packets_per_day"] == list(profile.peaks)
     assert payload["k_telescope"] == 2**20
     assert payload["peaks_pps"] == peaks_to_rates(profile, 2**20)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-320, 1e307, 3e307, 1e308])
+def test_density_refuses_a_bandwidth_beyond_finite_floats(bandwidth):
+    # Too narrow, the density's largest value overflows; too wide, its scale
+    # or the grid does.  Either is refused before numpy computes it, so no
+    # RuntimeWarning is raised (the suite makes one an error).
+    samples = np.random.default_rng(48).normal(2000, 100, 50)
+    with pytest.raises(ValueError, match="is not finite at this bandwidth"):
+        density_profile(samples, bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-150, 1e-160, 1e-307])
+def test_density_at_a_tiny_bandwidth_is_finite_without_peaks(bandwidth):
+    # Kernels far narrower than the grid's step are 0 between samples, with
+    # no overflow warning for the kernel arguments that pass the float range.
+    samples = np.random.default_rng(48).normal(2000, 100, 50)
+    profile = density_profile(samples, bandwidth=bandwidth)
+    assert np.isfinite(profile.density).all() and profile.peaks == ()

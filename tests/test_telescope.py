@@ -259,3 +259,45 @@ def test_time_to_n_packets_edge_cases():
         time_to_n_packets(0.0, 128)
     with pytest.raises(ValueError):
         time_to_n_packets(1.0, -1)
+
+
+# ---------------------------------------------------------- finite answers
+
+@pytest.mark.parametrize(
+    "answer, named",
+    [
+        (lambda tel: visible_rate(tel, ScanPopulation(host_count=3000, rate_pps=1e308)), "rate_pps 1e+308"),
+        (lambda tel: visible_rate(tel, ScanPopulation(host_count=10**400)), f"host_count {10**400}"),
+        (lambda tel: expected_observed_hosts(tel, ScanPopulation(host_count=10**400)), f"host_count {10**400}"),
+        (lambda tel: expected_packets(tel, ScanPopulation(1, 1e308, 1e10)), "duration_s 10000000000.0"),
+        (lambda tel: days_to_coverage(tel, ScanPopulation(1, 1e-320), 0.5), "rate_pps 1e-320"),
+        (lambda tel: time_to_n_packets(5e-324, 128), "n_packets 128, visible_rate_pps 5e-324"),
+        (lambda tel: time_to_n_packets(1.0, 10**400), f"n_packets {10**400}"),
+    ],
+    ids=[
+        "visible-rate", "visible-rate-int", "observed-hosts-int", "expected-packets", "coverage-tiny-rate",
+        "tte-tiny-rate", "tte-huge-packets",
+    ],
+)
+def test_an_answer_that_overflows_names_its_inputs(answer, named):
+    # Finite inputs, but an answer beyond any float: no answer (inf packets,
+    # 0 s, a day count) is made from it.
+    with pytest.raises(ValueError, match="is not a finite number") as exc_info:
+        answer(TelescopeSpec.from_prefix(22))
+    assert named in str(exc_info.value)
+
+
+def test_answers_near_the_float_limits_are_kept():
+    tel = TelescopeSpec.from_prefix(22)
+    assert visible_rate(tel, ScanPopulation(host_count=3000, rate_pps=1e300)) == 3000 * 1e300 * p_collision(tel)
+    assert time_to_n_packets(1e-300, 128) == 128 / 1e-300
+    # log(1 - 1e-300) / (1e-300 pps * 86400 s * log(1 - 2^-22)) = 48.5 days
+    assert days_to_coverage(tel, ScanPopulation(1, 1e-300), 1e-300) == 49
+    # rate * duration overflows, but only inside answers that saturate: a
+    # host seen for certain, in 1 day.
+    assert p_observe(tel, ScanPopulation(1, 1e308, 1e10)) == 1.0
+    assert days_to_coverage(tel, ScanPopulation(1, 1e308, 1e10), 0.5) == 1
+    assert days_to_coverage(tel, ScanPopulation(1, 1e304), 0.5) == 1
+    rows = observability_table(rate_pps=1e300, duration_s=1e10)
+    assert [row["p_observe"] for row in rows] == [1.0] * len(rows)
+    assert rows[-1]["size"] == "/16" and rows[-1]["expected_packets"] == 2.0**-16 * 1e300 * 1e10
