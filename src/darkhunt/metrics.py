@@ -48,11 +48,10 @@ def score_segments(
             raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
         if metric_id in ("src_spread", "size_entropy") and not n.all():
             raise ValueError(f"{metric_id} is undefined on an empty partition")
-    seg = np.repeat(np.arange(len(n), dtype=np.int64), n)
 
     def sorted_keys(name, shift):
         # (segment << shift | value), built and sorted in place.
-        keys = seg << shift
+        keys = np.repeat(np.arange(len(n), dtype=np.int64) << shift, n)
         keys |= np.take(records[name], order)
         keys.sort()
         return keys
@@ -77,9 +76,13 @@ def score_segments(
         starts = run_starts(sizes)
         run_seg = sizes[starts] >> 16
         p = np.diff(np.append(starts, len(sizes))) / n[run_seg]
-        terms = p * np.fromiter(map(math.log2, p.tolist()), dtype=float, count=len(p))
+        del sizes, starts
+        # Runs share few probabilities: one math.log2 call for each.
+        distinct, inverse = np.unique(p, return_inverse=True)
+        p *= np.fromiter(map(math.log2, distinct.tolist()), dtype=float, count=len(distinct))[inverse]
+        del inverse
         # bincount adds each segment's weights in input order, one at a time.
-        total = np.bincount(run_seg, weights=terms, minlength=len(n))
+        total = np.bincount(run_seg, weights=p, minlength=len(n))
         out["size_entropy"] = np.where(total < 0, -total, 0.0)  # max(0.0, -total): never -0.0
     return {metric_id: out[metric_id] for metric_id in metric_ids}
 

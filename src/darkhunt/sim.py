@@ -87,6 +87,11 @@ _K_BG_SETUP = 2
 _K_BG_DAY = 3
 _K_NOISE = 4
 
+# Per-host draws and temporaries are made this many hosts at a time, so
+# that a host holds only its placed address, its always-on flag and, on a
+# day it is live, its hit count.
+_CHUNK = 8192
+
 # The order of simulated rows, as np.lexsort keys: least significant first.
 _SORT_KEYS = ("payload_len", "dst_port", "src_port", "dst_ip", "src_ip", "ts_us")
 
@@ -326,38 +331,49 @@ def default_background() -> tuple[BackgroundScanner, ...]:
 
 
 def _draw_public_ips(rng: np.random.Generator, n: int, blocked: TelescopeSpec) -> np.ndarray:
-    """n uniform addresses outside blocked, with replacement (no cap)."""
+    """n uniform addresses outside blocked, with replacement (no cap).
+
+    Each batch is drawn _CHUNK addresses at a time, which gives the same
+    stream as one draw of the whole batch and leaves rng in the same state.
+    """
     out = np.empty(n, dtype=np.int64)
     filled = 0
     while filled < n:
-        batch = rng.integers(0, IPV4_SPACE, size=max(1024, 2 * (n - filled)), dtype=np.int64)
-        good = batch[~blocked.contains_array(batch)]
-        take = min(n - filled, good.size)
-        out[filled : filled + take] = good[:take]
-        filled += take
+        batch = max(1024, 2 * (n - filled))
+        for lo in range(0, batch, _CHUNK):
+            chunk = rng.integers(0, IPV4_SPACE, size=min(_CHUNK, batch - lo), dtype=np.int64)
+            if filled < n:  # the rest of the batch is still drawn, for rng's state
+                good = chunk[~blocked.contains_array(chunk)][: n - filled]
+                out[filled : filled + good.size] = good
+                filled += good.size
     return out
 
 
-def _under_cap(ips: np.ndarray, cap: int) -> np.ndarray:
-    """Mask of the addresses that find fewer than cap addresses before them in their /24.
+def _under_cap(placed: np.ndarray, ips: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the addresses of ips that find fewer than cap addresses before
+    them in their /24, the placed ones coming before all of ips.
 
     One sort of (/24, position) keys puts each /24's addresses together in
-    position order; an address's rank is its distance from its run's start.
+    position order, so an address has cap or more before it in its /24
+    exactly when the key cap places before its own is in the same /24.
     """
-    keys = ips >> 8
+    size = placed.size + ips.size
+    keys = np.empty(size, dtype=np.int64)
+    np.right_shift(placed, 8, out=keys[: placed.size])
+    np.right_shift(ips, 8, out=keys[placed.size :])
     keys <<= 32
-    keys |= np.arange(ips.size)
+    for lo in range(0, size, _CHUNK):
+        keys[lo : lo + _CHUNK] |= np.arange(lo, min(lo + _CHUNK, size))
     keys.sort()
-    first = np.ones(ips.size, dtype=bool)
-    first[1:] = keys[1:] >> 32 != keys[:-1] >> 32
-    rank = np.arange(ips.size)
-    run_start = np.where(first, rank, 0)
-    np.maximum.accumulate(run_start, out=run_start)
-    rank -= run_start
-    keys &= 0xFFFFFFFF
-    kept = np.empty(ips.size, dtype=bool)
-    kept[keys] = rank < cap
-    return kept
+    kept = np.empty(size, dtype=bool)
+    for lo in range(0, size, _CHUNK):
+        hi = min(lo + _CHUNK, size)
+        # The first cap keys have fewer than cap keys before them.
+        first = min(max(lo, cap), hi)
+        full = np.zeros(hi - lo, dtype=bool)
+        full[first - lo :] = keys[first:hi] >> 32 == keys[first - cap : hi - cap] >> 32
+        kept[keys[lo:hi] & 0xFFFFFFFF] = ~full
+    return kept[placed.size :]
 
 
 def _place_hosts(rng: np.random.Generator, n: int, blocked: TelescopeSpec, cap: int) -> np.ndarray:
@@ -365,9 +381,10 @@ def _place_hosts(rng: np.random.Generator, n: int, blocked: TelescopeSpec, cap: 
     finds fewer than cap hosts before it in its /24."""
     placed = np.empty(0, dtype=np.int64)
     while placed.size < n:
-        ips = np.concatenate([placed, _draw_public_ips(rng, max(256, n - placed.size), blocked)])
-        drawn = ips[placed.size :][_under_cap(ips, cap)[placed.size :]]
-        placed = np.concatenate([placed, drawn[: n - placed.size]])
+        ips = _draw_public_ips(rng, max(256, n - placed.size), blocked)
+        ips = ips[_under_cap(placed, ips, cap)]
+        placed = np.concatenate([placed, ips[: n - placed.size]])
+        del ips
     return placed
 
 
@@ -382,6 +399,20 @@ def _store_ts(rows: np.ndarray, day_us: int, offsets_s: np.ndarray) -> None:
     rows["ts_us"] += day_us
 
 
+def _host_windows(config: SimConfig, day_idx: int, n_hosts: int, host_always_on: np.ndarray):
+    """Each _CHUNK of the day's live hosts as (first host, window lengths in
+    seconds): the first draws of the day's host stream.
+
+    Part-time hosts are up for one 8-16 h window; always-on hosts get the
+    whole day.
+    """
+    rng = _stream(config.seed, _K_HOST, day_idx)
+    for lo in range(0, n_hosts, _CHUNK):
+        dur = rng.uniform(8 * 3600.0, 16 * 3600.0, size=min(_CHUNK, n_hosts - lo))
+        dur[host_always_on[lo : lo + dur.size]] = SECONDS_PER_DAY
+        yield lo, dur
+
+
 # A day is drawn in parts, each a generator: it draws up to its row count
 # and yields it, is sent its slice of the day's one TRAFFIC_DTYPE table,
 # and then fills every column as soon as it is drawn, so no full-width
@@ -394,18 +425,24 @@ def _crackonosh_day(
     host_ips: np.ndarray,
     host_always_on: np.ndarray,
 ):
-    """Telescope hits of the day's live hosts 0..population[day]-1."""
+    """Telescope hits of the day's live hosts 0..population[day]-1.
+
+    The day's host stream holds every host's window (_host_windows), then
+    every host's start, uniform over the day's time left after its window
+    (0 for an always-on host), then the hit counts and the rows.  Of those,
+    only the hit counts are held for the whole day: the windows are drawn
+    twice, and the starts once, a chunk at a time, from copies of the stream
+    moved to where each begins.
+    """
     ck = config.crackonosh
     tel = config.telescope
     day_us = day_start_us(config.start_day + timedelta(days=day_idx))
     n_hosts = ck.population[day_idx]
     rng = _stream(config.seed, _K_HOST, day_idx)
-    # Part-time hosts are up for one 8-16 h window; always-on hosts get
-    # the whole day, and their start draw is uniform(0, 0) = 0.
-    dur = rng.uniform(8 * 3600.0, 16 * 3600.0, size=n_hosts)
-    dur[host_always_on[:n_hosts]] = SECONDS_PER_DAY
-    t0 = rng.uniform(0.0, SECONDS_PER_DAY - dur)
-    hits = rng.binomial(np.rint(ck.rate_pps * dur).astype(np.int64), tel.k / IPV4_SPACE)
+    rng.bit_generator.advance(2 * n_hosts)  # each window and start is one double
+    hits = np.empty(n_hosts, dtype=np.int64)
+    for lo, dur in _host_windows(config, day_idx, n_hosts, host_always_on):
+        hits[lo : lo + dur.size] = rng.binomial(np.rint(ck.rate_pps * dur).astype(np.int64), tel.k / IPV4_SPACE)
     n = int(hits.sum())
     rows = yield n
     # Offsets into the telescope, below k <= 2**32, so they fit the
@@ -414,8 +451,16 @@ def _crackonosh_day(
     # Rows go host by host, each host's values repeated once per hit: no
     # per-row host index is held.
     offsets = rng.random(n)
-    offsets *= np.repeat(dur, hits)
-    offsets += np.repeat(t0, hits)
+    starts = _stream(config.seed, _K_HOST, day_idx)
+    starts.bit_generator.advance(n_hosts)
+    row = 0
+    for lo, dur in _host_windows(config, day_idx, n_hosts, host_always_on):
+        t0 = starts.uniform(0.0, SECONDS_PER_DAY - dur)
+        chunk_hits = hits[lo : lo + dur.size]
+        part = offsets[row : row + int(chunk_hits.sum())]
+        part *= np.repeat(dur, chunk_hits)
+        part += np.repeat(t0, chunk_hits)
+        row += part.size
     _store_ts(rows, day_us, offsets)
     del offsets
     rows["src_ip"] = np.repeat(host_ips[:n_hosts], hits)
@@ -513,7 +558,10 @@ def simulate_days(config: SimConfig):
     max_pop = max(ck.population)
     place_rng = _stream(config.seed, _K_PLACE)
     host_ips = _place_hosts(place_rng, max_pop, config.blocked, ck.per24_cap)
-    host_always_on = place_rng.random(max_pop) < ck.always_on_fraction
+    host_always_on = np.empty(max_pop, dtype=bool)
+    for lo in range(0, max_pop, _CHUNK):
+        chunk = host_always_on[lo : lo + _CHUNK]
+        np.less(place_rng.random(chunk.size), ck.always_on_fraction, out=chunk)
 
     # Background infrastructure is fixed for the whole run: each campaign
     # keeps the same source block across days.

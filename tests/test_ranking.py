@@ -263,6 +263,51 @@ def test_scoring_a_day_gathers_columns_not_rows():
     assert peak < 2.0 * table.nbytes, peak / table.nbytes
 
 
+def test_size_entropy_of_many_small_segments_takes_one_log2_per_probability(monkeypatch):
+    # 500 ports and 1,500 sizes in 15-minute windows: about 27,000 segments
+    # of one or two rows, so nearly every row is its own (segment, size)
+    # run, but only a few dozen probabilities occur.  The values are those
+    # of the per-run loop; the peak was 4.6 times the table's bytes when
+    # each run's probability became a Python float for its own math.log2.
+    rng = np.random.default_rng(5)
+    rows = np.zeros(40_000, dtype=TRAFFIC_DTYPE)
+    rows["ts_us"] = rng.integers(0, US_PER_DAY, len(rows))
+    rows["src_ip"] = rng.integers(0, 2**32, 3000)[rng.integers(0, 3000, len(rows))]
+    rows["dst_ip"] = rng.integers(0, 2**32, len(rows))
+    rows["dst_port"] = rng.integers(0, 500, len(rows))
+    rows["payload_len"] = rng.integers(0, 1500, len(rows))
+    rows["proto"] = PROTO_UDP
+    table = traffic_table(rows)
+    window = timedelta(minutes=15)
+    segments = defaultdict(Counter)
+    for ts, port, size in zip(rows["ts_us"].tolist(), rows["dst_port"].tolist(), rows["payload_len"].tolist()):
+        segments[ts - ts % 900_000_000, port][size] += 1
+    expected, probabilities = {}, set()
+    for key, sizes in segments.items():
+        n = sum(sizes.values())
+        total = 0.0
+        for size in sorted(sizes):
+            total += (sizes[size] / n) * math.log2(sizes[size] / n)
+            probabilities.add(sizes[size] / n)
+        expected[key] = max(0.0, -total)
+
+    log2, calls = math.log2, []
+    monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or log2(x))
+    score_periods(table, ["size_entropy"], window)  # also keeps first-use allocations out of the peak
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(probabilities) and len(probabilities) < 100
+    tracemalloc.start()
+    try:
+        scores = score_periods(table, ["size_entropy"], window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scores.port) == len(expected) > 25_000
+    got = dict(zip(zip(scores.start_us.tolist(), scores.port.tolist()), scores.value[0].tolist()))
+    assert got == expected
+    assert peak < 4.2 * table.nbytes, peak / table.nbytes
+
+
 # ------------------------------------------- segment report vs reference
 
 def reference_scores(packets):

@@ -197,33 +197,109 @@ def test_drawing_a_day_holds_its_rows_about_once():
     assert peak < 2.2 * table.nbytes, peak / table.nbytes
 
 
-def test_a_coordinated_day_holds_each_host_draw_once():
-    # A paper-scale day on a /22: 90,000 hosts and about 15,000 hits.
-    # Beside the day's rows the draw holds at most four words a host (its
-    # window, start, send count and hit count) and no per-row host index:
-    # about 28 bytes a host, against 38 when the send counts and an int64
-    # host index lived through the whole fill.
-    n_hosts = 90_000
-    cfg = small_config(telescope=TelescopeSpec.from_prefix(22), crackonosh=CrackonoshConfig(population=(n_hosts,)))
+def draw_coordinated_day(part, *args):
+    """The table a _crackonosh_day-like generator fills for its row count."""
+    part = part(*args)
+    rows = np.empty(next(part), dtype=TRAFFIC_DTYPE)
+    with pytest.raises(StopIteration):
+        part.send(rows)
+    return rows
+
+
+def traced_coordinated_day(cfg, n_hosts):
+    """A coordinated day of n_hosts and the peak bytes tracemalloc saw while drawing it."""
     host_ips = np.arange(n_hosts, dtype=np.int64)
     always_on = np.arange(n_hosts) % 5 < 3
-
-    def draw():
-        part = sim_module._crackonosh_day(cfg, 0, 1234, host_ips, always_on)
-        rows = np.empty(next(part), dtype=TRAFFIC_DTYPE)
-        with pytest.raises(StopIteration):
-            part.send(rows)
-        return rows
-
-    draw()  # first-use imports are not counted
+    args = (sim_module._crackonosh_day, cfg, 0, 1234, host_ips, always_on)
+    draw_coordinated_day(*args)  # first-use imports are not counted
     tracemalloc.start()
     try:
-        rows = draw()
+        rows = draw_coordinated_day(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rows, peak
+
+
+def test_a_coordinated_day_holds_each_host_draw_once():
+    # A paper-scale day on a /22: 90,000 hosts and about 15,000 hits.
+    # Beside the day's rows the draw holds one word a host (its hit count),
+    # up to three words a row while the telescope offsets become addresses,
+    # and one chunk's temporaries: about 13 bytes a host, against 28 when
+    # every host's window, start and send count lived as long as its hits.
+    n_hosts = 90_000
+    cfg = small_config(telescope=TelescopeSpec.from_prefix(22), crackonosh=CrackonoshConfig(population=(n_hosts,)))
+    rows, peak = traced_coordinated_day(cfg, n_hosts)
     assert len(rows) > 10_000
-    assert peak - rows.nbytes < 4 * 8 * n_hosts, (peak - rows.nbytes) / n_hosts
+    bound = 8 * n_hosts + 3 * 8 * len(rows) + 4 * 8 * sim_module._CHUNK
+    assert peak - rows.nbytes < bound, (peak - rows.nbytes) / n_hosts
+
+
+def test_a_coordinated_days_memory_per_host_is_flat():
+    # On a /24 at 0.01 pps almost no host is seen, so the rows cost nothing
+    # and a host costs its hit count: going from 90k to 900k hosts adds
+    # about 8 bytes a host, against 32 when every host's window, start and
+    # send count were drawn at once.
+    per_host = {}
+    for n_hosts in (90_000, 900_000):
+        cfg = small_config(telescope=TelescopeSpec.from_prefix(24),
+                           crackonosh=CrackonoshConfig(population=(n_hosts,), rate_pps=0.01))
+        rows, peak = traced_coordinated_day(cfg, n_hosts)
+        per_host[n_hosts] = (peak - rows.nbytes) / n_hosts
+    assert per_host[900_000] <= per_host[90_000], per_host
+    added = (900_000 * per_host[900_000] - 90_000 * per_host[90_000]) / 810_000
+    assert added < 9, added
+
+
+def crackonosh_day_reference(config, day_idx, port, host_ips, host_always_on):
+    """The one-shot draw sim._crackonosh_day replaced: every host's window,
+    start and send count drawn at once and held through the fill."""
+    ck = config.crackonosh
+    tel = config.telescope
+    day_us = day_start_us(config.start_day + timedelta(days=day_idx))
+    n_hosts = ck.population[day_idx]
+    rng = sim_module._stream(config.seed, sim_module._K_HOST, day_idx)
+    dur = rng.uniform(8 * 3600.0, 16 * 3600.0, size=n_hosts)
+    dur[host_always_on[:n_hosts]] = SECONDS_PER_DAY
+    t0 = rng.uniform(0.0, SECONDS_PER_DAY - dur)
+    hits = rng.binomial(np.rint(ck.rate_pps * dur).astype(np.int64), tel.k / 2**32)
+    n = int(hits.sum())
+    rows = yield n
+    rows["dst_ip"] = rng.integers(0, tel.k, size=n)
+    offsets = rng.random(n)
+    offsets *= np.repeat(dur, hits)
+    offsets += np.repeat(t0, hits)
+    sim_module._store_ts(rows, day_us, offsets)
+    rows["src_ip"] = np.repeat(host_ips[:n_hosts], hits)
+    rows["src_port"] = rng.integers(sim_module.EPHEMERAL_LO, sim_module.EPHEMERAL_HI + 1, size=n)
+    rows["dst_port"] = port
+    rows["proto"] = PROTO_UDP
+    rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=n)
+    rows["payload_len"] += ck.payload_base
+    rows["dst_ip"] = tel.addresses_at_array(rows["dst_ip"])
+
+
+CHUNK = sim_module._CHUNK
+
+
+@pytest.mark.parametrize("n_hosts", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 90_000])
+def test_a_coordinated_day_matches_the_one_shot_reference(n_hosts):
+    # The same rows, byte for byte, whether a chunk bound falls inside the
+    # population or not.  Day 1 of a run whose largest day has more hosts,
+    # as in the paper's later epochs; on a /24 at 0.01 pps most hosts get
+    # no hits.
+    rng = np.random.default_rng(n_hosts)
+    host_ips = rng.integers(0, 2**32, size=n_hosts + 7)
+    for fraction in (0.0, 0.6, 1.0):
+        always_on = rng.random(n_hosts + 7) < fraction
+        for prefix, rate_pps in ((22, 10.0), (24, 0.01)):
+            cfg = small_config(telescope=TelescopeSpec.from_prefix(prefix),
+                               crackonosh=CrackonoshConfig(population=(3, n_hosts), rate_pps=rate_pps))
+            args = (cfg, 1, 50_000, host_ips, always_on)
+            rows = draw_coordinated_day(sim_module._crackonosh_day, *args)
+            assert rows.tobytes() == draw_coordinated_day(crackonosh_day_reference, *args).tobytes()
+            if n_hosts == 90_000:
+                assert len(rows) > 5_000 if prefix == 22 else len(rows) < 100
 
 
 def test_days_are_independent_substreams():
@@ -388,6 +464,25 @@ def test_placement_matches_the_reference_loop_at_200k_hosts(cidrs, cap):
         assert np.unique(placed >> 8, return_counts=True)[1].max() <= cap
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_placing_the_papers_hosts_holds_under_three_words_a_host(cap):
+    # The first epoch's 90k hosts on CI's /22.  Beside the placed hosts,
+    # placement holds the sort keys and one chunk's draw: about 2.3 words
+    # a host, against 5.3 when each batch was drawn whole beside its mask
+    # and the addresses it kept.  At cap 1 about 280 draws are refused,
+    # so a second batch is ranked against the 90k placed ones.
+    blocked = small_config(telescope=TelescopeSpec.from_prefix(22)).blocked
+    sim_module._place_hosts(np.random.default_rng(1), 1000, blocked, cap)  # first-use allocations
+    tracemalloc.start()
+    try:
+        placed = sim_module._place_hosts(np.random.default_rng(1), 90_000, blocked, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert placed.size == 90_000
+    assert peak < 3 * 8 * placed.size, peak / placed.nbytes
+
+
 def under_cap_reference(ips, cap):
     """The rule sim._under_cap replaced: a stable argsort by /24 and each
     address's distance from its /24's first sorted position."""
@@ -405,13 +500,20 @@ def under_cap_reference(ips, cap):
     n_blocks=st.integers(min_value=1, max_value=50),
     cap=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    chunk=st.sampled_from([1, 2, 7, sim_module._CHUNK]),
 )
-def test_under_cap_matches_the_stable_argsort_rule(size, n_blocks, cap, seed):
-    # Addresses from a few /24s anywhere in IPv4, so most share a /24.
+def test_under_cap_matches_the_stable_argsort_rule(size, n_blocks, cap, seed, chunk):
+    # Addresses from a few /24s anywhere in IPv4, so most share a /24; the
+    # first ones stand for hosts already placed.  Small chunks put chunk
+    # bounds among each /24's first cap addresses.
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, 2**24, size=n_blocks)
     ips = rng.choice(blocks, size=size) << 8 | rng.integers(0, 256, size=size)
-    assert sim_module._under_cap(ips, cap).tolist() == under_cap_reference(ips, cap).tolist()
+    placed = int(rng.integers(0, size + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module, "_CHUNK", chunk)
+        kept = sim_module._under_cap(ips[:placed], ips[placed:], cap)
+    assert kept.tolist() == under_cap_reference(ips, cap)[placed:].tolist()
 
 
 # ----------------------------------------------------- cross-module examples
