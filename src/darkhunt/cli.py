@@ -281,12 +281,7 @@ def _cmd_population(args) -> str:
     return f"{len(samples)} always-on host-days; {summary}"
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="darkhunt", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"darkhunt {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate labeled telescope traffic")
+def _simulate_arguments(p, wanted) -> None:
     p.add_argument("--config", required=True, help="JSON simulator config")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -294,7 +289,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=None, help="override population scale")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("analyze", help="rank ports per period and score discoverability")
+
+def _analyze_arguments(p, wanted) -> None:
     p.add_argument("--csv", required=True, help="canonical traffic CSV")
     p.add_argument("--labels", required=True, help="day,port ground-truth CSV")
     p.add_argument("--out", required=True, help="output directory")
@@ -303,24 +299,28 @@ def build_parser() -> _Parser:
     p.add_argument("--window", choices=sorted(WINDOWS), default="1d", help="ranking window")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("model", help="analytic observability model")
-    msub = p.add_subparsers(dest="model_command", required=True)
 
-    t = msub.add_parser("table", help="observability vs telescope size")
+def _model_arguments(p, wanted) -> None:
+    _add_commands(p.add_subparsers(dest="model_command", required=True), _MODEL_COMMANDS, wanted)
+
+
+def _model_table_arguments(t, wanted) -> None:
     t.add_argument("--prefixes", default=",".join(f"/{n}" for n in DEFAULT_TABLE_PREFIXES))
     t.add_argument("--rate", type=float, default=10.0, help="per-host pps")
     t.add_argument("--duration", type=float, default=86400.0, help="seconds on one port")
     t.add_argument("--out", default=None, help="write table.csv + manifest here")
     t.set_defaults(func=_cmd_model_table)
 
-    c = msub.add_parser("coverage", help="days until a host is seen w.p. >= target")
+
+def _model_coverage_arguments(c, wanted) -> None:
     c.add_argument("--size", required=True, help="telescope: /N, CIDR list, or @file")
     c.add_argument("--target", type=float, required=True)
     c.add_argument("--rate", type=float, default=10.0)
     c.add_argument("--duration", type=float, default=86400.0)
     c.set_defaults(func=_cmd_model_coverage)
 
-    e = msub.add_parser("time-to-entropy", help="collection time until n packets")
+
+def _model_tte_arguments(e, wanted) -> None:
     e.add_argument("--size", action="append", required=True,
                    help="telescope: /N, CIDR list, or @file; repeat for a curve")
     e.add_argument("--hosts", type=int, required=True, help="visible scanning hosts")
@@ -329,19 +329,55 @@ def build_parser() -> _Parser:
     e.add_argument("--out", default=None, help="write time_to_entropy.csv + manifest here")
     e.set_defaults(func=_cmd_model_tte)
 
-    p = sub.add_parser("population", help="always-on hosts and scan-rate density")
+
+def _population_arguments(p, wanted) -> None:
     p.add_argument("--csv", required=True, help="canonical traffic CSV")
     p.add_argument("--telescope", required=True, help="telescope: /N, CIDR list, or @file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--bandwidth", type=float, default=None, help="KDE bandwidth override")
     p.set_defaults(func=_cmd_population)
 
+
+# Each command's name, help and the function that adds its arguments.
+_COMMANDS = {
+    "simulate": ("generate labeled telescope traffic", _simulate_arguments),
+    "analyze": ("rank ports per period and score discoverability", _analyze_arguments),
+    "model": ("analytic observability model", _model_arguments),
+    "population": ("always-on hosts and scan-rate density", _population_arguments),
+}
+_MODEL_COMMANDS = {
+    "table": ("observability vs telescope size", _model_table_arguments),
+    "coverage": ("days until a host is seen w.p. >= target", _model_coverage_arguments),
+    "time-to-entropy": ("collection time until n packets", _model_tte_arguments),
+}
+
+
+def _add_commands(sub, commands: dict, wanted) -> None:
+    """A sub-parser per command, with its arguments if its name is in `wanted` (or `wanted` is None)."""
+    for name, (text, add_arguments) in commands.items():
+        p = sub.add_parser(name, help=text)
+        if wanted is None or name in wanted:
+            add_arguments(p, wanted)
+
+
+def build_parser(argv=None) -> _Parser:
+    """The command line's parser; given argv, only the commands it names get their arguments.
+
+    argparse reads a command's arguments only once the command is
+    invoked, and a command is invoked only by its name as one of argv's
+    words, so every help text, usage line and error is the full parser's.
+    Every command is still added, for the top-level help and choices.
+    """
+    wanted = None if argv is None else set(argv)
+    parser = _Parser(prog="darkhunt", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"darkhunt {__version__}")
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, wanted)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         text = args.func(args)
     # An output that cannot be written is, like bad data, not a usage error.

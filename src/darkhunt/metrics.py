@@ -30,22 +30,23 @@ __all__ = ["METRIC_IDS", "size_entropy", "score_segments"]
 METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
 
 
-def score_segments(
-    records: np.ndarray, bounds: np.ndarray, metric_ids: Sequence[str], order: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Metric values of every segment of a table, as float arrays by metric id.
+def score_segments(records: np.ndarray, bounds: np.ndarray, metric_ids: Sequence[str], order: np.ndarray) -> np.ndarray:
+    """Metric values of every segment of a table: a float array with a row per metric id, in order.
 
     Segment i is records[order[bounds[i]:bounds[i + 1]]]; only the columns
     the metrics read are gathered, one at a time.  Distinct counts are
-    runs in one sort of (segment << 32 | value).  size_entropy sums the
-    terms (c/n) * log2(c/n) of a segment's distinct sizes in ascending size
-    order, one after another from 0.0, with math.log2, so every value is
-    bit-identical to that sum written as a Python loop.
+    runs in one sort of (segment << 32 | value), filled straight into the
+    metric's row.  size_entropy sums the terms (c/n) * log2(c/n) of a
+    segment's distinct sizes in ascending size order, one after another
+    from 0.0, with math.log2, so every value is bit-identical to that sum
+    written as a Python loop.
     """
     n = np.diff(bounds)
-    for metric_id in metric_ids:
+    for i, metric_id in enumerate(metric_ids):
         if metric_id not in METRIC_IDS:
             raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
+        if metric_id in metric_ids[:i]:
+            raise ValueError(f"metric {metric_id!r} given twice")
         if metric_id in ("src_spread", "size_entropy") and not n.all():
             raise ValueError(f"{metric_id} is undefined on an empty partition")
 
@@ -62,15 +63,8 @@ def score_segments(
         firsts >>= shift
         return np.bincount(firsts, minlength=len(n))
 
-    out = {}
-    if {"address_count", "block_count", "src_spread"} & set(metric_ids):
-        src = sorted_keys("src_ip", 32)
-        out["address_count"] = distinct(src, 32).astype(float)
-        src >>= 8
-        out["block_count"] = distinct(src, 24).astype(float)
-        del src
-    if "src_spread" in metric_ids:
-        out["src_spread"] = out["address_count"] / distinct(sorted_keys("dst_ip", 32), 32)
+    # The entropy first, before the values are allocated: its temporaries
+    # set the call's peak.
     if "size_entropy" in metric_ids:
         sizes = sorted_keys("payload_len", 16)
         starts = run_starts(sizes)
@@ -78,13 +72,29 @@ def score_segments(
         p = np.diff(np.append(starts, len(sizes))) / n[run_seg]
         del sizes, starts
         # Runs share few probabilities: one math.log2 call for each.
-        distinct, inverse = np.unique(p, return_inverse=True)
-        p *= np.fromiter(map(math.log2, distinct.tolist()), dtype=float, count=len(distinct))[inverse]
+        probabilities, inverse = np.unique(p, return_inverse=True)
+        p *= np.fromiter(map(math.log2, probabilities.tolist()), dtype=float, count=len(probabilities))[inverse]
         del inverse
         # bincount adds each segment's weights in input order, one at a time.
         total = np.bincount(run_seg, weights=p, minlength=len(n))
-        out["size_entropy"] = np.where(total < 0, -total, 0.0)  # max(0.0, -total): never -0.0
-    return {metric_id: out[metric_id] for metric_id in metric_ids}
+        del run_seg, p
+    values = np.empty((len(metric_ids), len(n)))
+    row = dict(zip(metric_ids, values))
+    if "size_entropy" in row:
+        row["size_entropy"][:] = np.where(total < 0, -total, 0.0)  # max(0.0, -total): never -0.0
+        del total
+    if {"address_count", "block_count", "src_spread"} & row.keys():
+        src = sorted_keys("src_ip", 32)
+        addresses = distinct(src, 32)
+        if "block_count" in row:
+            src >>= 8
+            row["block_count"][:] = distinct(src, 24)
+        del src
+        if "address_count" in row:
+            row["address_count"][:] = addresses
+    if "src_spread" in row:
+        np.divide(addresses, distinct(sorted_keys("dst_ip", 32), 32), out=row["src_spread"])
+    return values
 
 
 def size_entropy(part: PortDayPartition) -> float:
@@ -99,5 +109,5 @@ def size_entropy(part: PortDayPartition) -> float:
     exactly independent of packet order.
     """
     n = len(part.records)
-    [value] = score_segments(part.records, np.array([0, n]), ["size_entropy"], np.arange(n))["size_entropy"]
+    [[value]] = score_segments(part.records, np.array([0, n]), ["size_entropy"], np.arange(n))
     return float(value)

@@ -132,9 +132,8 @@ def score_periods(
     concatenated, equal the whole table's.
     """
     seg = segment_by_window(records, window)
-    values = score_segments(records, seg.bounds, metric_ids, seg.order)
+    value = score_segments(records, seg.bounds, metric_ids, seg.order)
     firsts, period = _periods(seg.start_us)
-    value = np.array([values[m] for m in metric_ids], dtype=float).reshape(len(metric_ids), len(seg.port))
     rank = np.empty(value.shape, dtype=np.int64)
     for v, r in zip(value, rank):
         # Periods stay in place (they are sorted), so a segment's rank is

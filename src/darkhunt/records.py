@@ -21,6 +21,8 @@ import io
 import json
 import os
 import re
+import stat
+import zlib
 from datetime import date, timedelta
 from typing import Mapping, NamedTuple
 
@@ -316,9 +318,208 @@ def _scan(block: bytes, line_no: int, day: int, work: np.ndarray, room) -> tuple
 
 
 def _line_blocks(fh):
-    """About _BLOCK_BYTES of whole lines at a time, each block ending in LF."""
+    """About _BLOCK_BYTES of whole lines at a time; only the file's last line may lack its LF."""
     while block := fh.read(_BLOCK_BYTES) + fh.readline():
-        yield block if block.endswith(b"\n") else block + b"\n"
+        yield block
+
+
+def _decode_days(fh, seen):
+    """Yield (day number, traffic table) per day of the CSV open in fh: read_days' decoder.
+
+    seen(raw) is called on the file's bytes as they are read, header first.
+    """
+    block_rows = _BLOCK_BYTES // _MIN_ROW_BYTES + 1
+    work = np.empty(_WORK_WORDS * (_BLOCK_BYTES // len(_ROW_SEPARATORS) + 1), dtype=np.int64)
+
+    raw = fh.readline()
+    seen(raw)
+    header = raw.decode("utf-8", errors="replace").removesuffix("\n")
+    if header != CSV_HEADER:
+        raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
+    day, table, n = -1, np.empty(block_rows, dtype=TRAFFIC_DTYPE), 0
+    line_no, lines = 2, 0  # line_no + lines is the next block's first line
+
+    def room(k):
+        nonlocal table
+        if n + k > len(table):
+            grown = np.empty(max(2 * len(table), n + k), dtype=TRAFFIC_DTYPE)
+            grown[:n] = table[:n]
+            table = grown
+        return table[n:]
+
+    for block in _line_blocks(fh):
+        seen(block)
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        line_no += lines
+        rows = _parse_block(block, work, room)
+        if rows is not None:
+            # A canonical block holds a row on every line.
+            days, lines = rows["ts_us"] // US_PER_DAY, len(rows)
+        if rows is None or not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
+            # _scan raises at the block's first bad line, so it returns
+            # only when every line the decoder refused is blank.
+            rows, days, lines = _scan(block, line_no, day, work, room)
+        starts = run_starts(days).tolist()
+        # A run is in place if it continues the table's day (only the
+        # first run can) or the table is empty (the first block's first
+        # run); any other starts a new day, in a fresh table of its own.
+        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+            if days[lo] != day and n:
+                yield day, traffic_table(table[:n])
+                table, n = np.empty(n + block_rows, dtype=TRAFFIC_DTYPE), 0
+                table[: hi - lo] = rows[lo:hi]
+            day = int(days[lo])
+            n += hi - lo
+    if n:
+        yield day, traffic_table(table[:n])
+
+
+# The day cache beside a CSV, `.<name>.days`: every day's rows in
+# TRAFFIC_DTYPE bytes, day after day; an index entry per day (its day
+# number, row count and the CRC-32 of its rows); then the footer.  The
+# footer's crc covers the index and the footer fields before it; its tag
+# names the format, and a change to TRAFFIC_DTYPE or the layout needs a
+# new one.
+_CACHE_INDEX = np.dtype([("day", "<i8"), ("rows", "<i8"), ("crc", "<u4")])
+_CACHE_FOOTER = np.dtype([("tag", "S8"), ("days", "<i8"), ("csv_size", "<i8"), ("csv_crc", "<u4"), ("crc", "<u4")])
+_CACHE_TAG = b"dhdays1\n"
+_CHECK_BYTES = 1 << 18  # bytes per read while a cache is checked
+
+
+def _cache_path(path) -> str:
+    head, tail = os.path.split(os.fsdecode(path))
+    return os.path.join(head, f".{tail}.days")
+
+
+def _crc_of_next(fh, size: int, buf: bytearray) -> int | None:
+    """CRC-32 of fh's next `size` bytes, read through buf; None if fewer are left."""
+    crc, view = 0, memoryview(buf)
+    while size:
+        got = fh.readinto(view[: min(size, len(view))])
+        if not got:
+            return None
+        crc = zlib.crc32(view[:got], crc)
+        size -= got
+    return crc
+
+
+def _open_cache(cache: str, csv_fh):
+    """The open cache file and its index, if the cache at `cache` holds
+    exactly the days of the CSV open in csv_fh; else None.
+
+    Everything is checked before any day is read: the footer's tag and
+    CRC, that the index fits the file's size, that the footer gives the
+    CSV's size and CRC-32 (read through csv_fh, which is left at the
+    start), and the CRC-32 of every day's rows.  A cache is only ever
+    replaced whole (by rename), so the open file reads the checked bytes.
+    """
+    try:
+        fh = open(cache, "rb")
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fh.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode) or size < _CACHE_FOOTER.itemsize:
+            raise ValueError
+        fh.seek(size - _CACHE_FOOTER.itemsize)
+        footer_bytes = fh.read(_CACHE_FOOTER.itemsize)
+        footer = np.frombuffer(footer_bytes, _CACHE_FOOTER)[0]
+        days = int(footer["days"])
+        if footer["tag"] != _CACHE_TAG or int(footer["csv_size"]) != os.fstat(csv_fh.fileno()).st_size:
+            raise ValueError
+        body = size - _CACHE_FOOTER.itemsize - days * _CACHE_INDEX.itemsize
+        if days < 0 or body < 0:
+            raise ValueError
+        fh.seek(body)
+        index_bytes = fh.read(days * _CACHE_INDEX.itemsize)
+        if zlib.crc32(footer_bytes[:-4], zlib.crc32(index_bytes)) != footer["crc"]:
+            raise ValueError
+        index = np.frombuffer(index_bytes, _CACHE_INDEX)
+        day, rows = index["day"], index["rows"]
+        in_order = days == 0 or (0 <= day[0] and day[-1] <= _LAST_DAY and (day[1:] > day[:-1]).all())
+        if not (in_order and (rows > 0).all() and int(rows.sum()) * TRAFFIC_DTYPE.itemsize == body):
+            raise ValueError
+        buf = bytearray(_CHECK_BYTES)
+        csv_fh.seek(0)
+        csv_crc = _crc_of_next(csv_fh, int(footer["csv_size"]), buf)
+        if csv_crc != footer["csv_crc"] or csv_fh.read(1):
+            raise ValueError
+        fh.seek(0)
+        for n, crc in zip(rows.tolist(), index["crc"].tolist()):
+            if _crc_of_next(fh, n * TRAFFIC_DTYPE.itemsize, buf) != crc:
+                raise ValueError
+        fh.seek(0)
+        return fh, index
+    except (OSError, ValueError):
+        fh.close()
+        csv_fh.seek(0)
+        return None
+
+
+class _CacheWriter:
+    """A read's days streamed into a temporary file beside the CSV, renamed
+    to its cache once the read is complete.
+
+    Any OSError drops the file, so a cache that cannot be written is
+    skipped.  The CSV's size and CRC-32 are summed from the bytes the
+    decoder reads, so the cache matches exactly the bytes it decoded.
+    """
+
+    def __init__(self, cache: str, temp: str, fh):
+        self.cache, self.temp, self.fh = cache, temp, fh
+        self.index, self.csv_size, self.csv_crc = [], 0, 0
+
+    @classmethod
+    def create(cls, cache: str) -> _CacheWriter | None:
+        """A writer to a new temporary file beside `cache`, or None if none can be made."""
+        temp = f"{cache}.{os.urandom(4).hex()}.tmp"
+        try:
+            return cls(cache, temp, open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb"))
+        except OSError:
+            return None
+
+    def seen(self, raw: bytes) -> None:
+        self.csv_size += len(raw)
+        self.csv_crc = zlib.crc32(raw, self.csv_crc)
+
+    def add(self, day: int, table: np.ndarray) -> None:
+        if self.fh is None:
+            return
+        self.index.append((day, len(table), zlib.crc32(table)))
+        try:
+            self.fh.write(table)
+        except OSError:
+            self.discard()
+
+    def commit(self) -> None:
+        if self.fh is None:
+            return
+        index = np.array(self.index, dtype=_CACHE_INDEX).tobytes()
+        footer = np.array([(_CACHE_TAG, len(self.index), self.csv_size, self.csv_crc, 0)], dtype=_CACHE_FOOTER)
+        footer["crc"] = zlib.crc32(footer.tobytes()[:-4], zlib.crc32(index))
+        try:
+            self.fh.write(index + footer.tobytes())
+            self.fh.close()
+            os.replace(self.temp, self.cache)
+        except OSError:
+            self.discard()
+        self.fh = None
+
+    def discard(self) -> None:
+        """Close and remove the temporary file, unless commit renamed it."""
+        if self.fh is None:
+            return
+        fh, self.fh = self.fh, None
+        try:
+            fh.close()
+        except OSError:
+            pass
+        try:
+            os.unlink(self.temp)
+        except OSError:
+            pass
 
 
 def read_days(path):
@@ -342,48 +543,34 @@ def read_days(path):
     that; a block's rows of a later day are copied into that day's new
     table.  The tail of a work area or table that is never written never
     becomes resident.
+
+    A CSV is decoded once: a complete read of a regular file leaves its
+    tables in `.<name>.days` beside it (_CacheWriter), and a later read
+    whose CSV still has the size and CRC-32 it had yields the same tables
+    from there (_open_cache), one np.fromfile per day.  A cache that is
+    missing, stale or corrupt, or cannot be written, changes no table and
+    no error; a read that raises or stops early leaves no file.
     """
-    block_rows = _BLOCK_BYTES // _MIN_ROW_BYTES + 1
-    work = np.empty(_WORK_WORDS * (_BLOCK_BYTES // len(_ROW_SEPARATORS) + 1), dtype=np.int64)
-
     with open(path, "rb") as fh:
-        header = fh.readline().decode("utf-8", errors="replace").removesuffix("\n")
-        if header != CSV_HEADER:
-            raise CsvFormatError(f"bad header: expected {CSV_HEADER!r}, got {header!r}", line=1)
-        day, table, n = -1, np.empty(block_rows, dtype=TRAFFIC_DTYPE), 0
-        line_no, lines = 2, 0  # line_no + lines is the next block's first line
-
-        def room(k):
-            nonlocal table
-            if n + k > len(table):
-                grown = np.empty(max(2 * len(table), n + k), dtype=TRAFFIC_DTYPE)
-                grown[:n] = table[:n]
-                table = grown
-            return table[n:]
-
-        for block in _line_blocks(fh):
-            line_no += lines
-            rows = _parse_block(block, work, room)
-            if rows is not None:
-                # A canonical block holds a row on every line.
-                days, lines = rows["ts_us"] // US_PER_DAY, len(rows)
-            if rows is None or not (day <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()):
-                # _scan raises at the block's first bad line, so it returns
-                # only when every line the decoder refused is blank.
-                rows, days, lines = _scan(block, line_no, day, work, room)
-            starts = run_starts(days).tolist()
-            # A run is in place if it continues the table's day (only the
-            # first run can) or the table is empty (the first block's first
-            # run); any other starts a new day, in a fresh table of its own.
-            for lo, hi in zip(starts, starts[1:] + [len(rows)]):
-                if days[lo] != day and n:
-                    yield day_of_ts(day * US_PER_DAY), traffic_table(table[:n])
-                    table, n = np.empty(n + block_rows, dtype=TRAFFIC_DTYPE), 0
-                    table[: hi - lo] = rows[lo:hi]
-                day = int(days[lo])
-                n += hi - lo
-        if n:
-            yield day_of_ts(day * US_PER_DAY), traffic_table(table[:n])
+        cache = _cache_path(path) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+        cached = _open_cache(cache, fh) if cache else None
+        if cached:
+            cache_fh, index = cached
+            with cache_fh:
+                for day, n in zip(index["day"].tolist(), index["rows"].tolist()):
+                    yield day_of_ts(day * US_PER_DAY), traffic_table(np.fromfile(cache_fh, TRAFFIC_DTYPE, n))
+            return
+        writer = _CacheWriter.create(cache) if cache else None
+        try:
+            for day, table in _decode_days(fh, writer.seen if writer else lambda raw: None):
+                if writer:
+                    writer.add(day, table)
+                yield day_of_ts(day * US_PER_DAY), table
+            if writer:
+                writer.commit()
+        finally:
+            if writer:
+                writer.discard()
 
 
 @functools.cache

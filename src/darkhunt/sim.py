@@ -469,7 +469,10 @@ def _crackonosh_day(
     rows["proto"] = PROTO_UDP
     rows["payload_len"] = rng.integers(0, ck.padding_sizes, size=n)
     rows["payload_len"] += ck.payload_base
-    rows["dst_ip"] = tel.addresses_at_array(rows["dst_ip"])
+    # A chunk at a time: the conversion's int64 temporaries stay chunk-sized.
+    dst_ip = rows["dst_ip"]
+    for lo in range(0, n, _CHUNK):
+        dst_ip[lo : lo + _CHUNK] = tel.addresses_at_array(dst_ip[lo : lo + _CHUNK])
 
 
 def _background_day(

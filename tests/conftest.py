@@ -1,4 +1,5 @@
 import ipaddress
+import os
 
 import pytest
 
@@ -27,3 +28,18 @@ def make_record(
 @pytest.fixture
 def rec():
     return make_record
+
+
+def refuse_the_temporary_file(monkeypatch, directory):
+    """Make the directory unwritable; as root, which ignores that, refuse the file's creation instead."""
+    if os.geteuid() == 0:
+        os_open = os.open
+
+        def refuse(path, *args, **kwargs):
+            if str(path).endswith(".tmp"):
+                raise PermissionError(13, "Permission denied", path)
+            return os_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refuse)
+    else:
+        directory.chmod(0o555)

@@ -1,9 +1,11 @@
+import argparse
 import gc
 import hashlib
 import importlib.util
 import ipaddress
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 
 from darkhunt import cli, ranking
+from darkhunt import records as records_module
 from darkhunt.cli import main
 from darkhunt.records import CSV_HEADER, US_PER_DAY, day_start_us, read_days, traffic_table, write_csv_tables
 from darkhunt.sim import MAX_RATE_PPS
+from conftest import refuse_the_temporary_file
 
 CONFIG = {
     "seed": 21,
@@ -998,6 +1002,53 @@ def test_population_ignores_tcp_only_sources(tmp_path, capsys):
     assert day == {"always_on_count": 1, "daily_packets": {str(0x01020304): 144}}
 
 
+# ----------------------------------------------------------------- day cache
+
+def run_outputs(argv, capsys):
+    """Exit code, stdout and every output file of one command."""
+    code = main(argv)
+    out = pathlib.Path(argv[argv.index("--out") + 1])
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+def test_cold_warm_and_uncached_reads_give_the_same_outputs(sim_dir, tmp_path, monkeypatch, capsys):
+    # Cold: no cache beside the CSV, so the read decodes it and leaves one.
+    # Warm: the read takes that cache.  Uncached: a copy in a directory
+    # that cannot be written, read and left as it is.
+    cache = sim_dir / ".traffic.csv.days"
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for name in ("traffic.csv", "labels.csv"):
+        (copy / name).write_bytes((sim_dir / name).read_bytes())
+    inputs = {
+        "analyze": lambda run: ["--labels", str(run / "labels.csv"), "--window", "3h"],
+        "population": lambda run: ["--telescope", CONFIG["telescope"][0]],
+    }
+    for command, more in inputs.items():
+        def argv(run, out):
+            return [command, "--csv", str(run / "traffic.csv"), *more(run), "--out", str(tmp_path / command / out)]
+
+        cache.unlink(missing_ok=True)
+        cold = run_outputs(argv(sim_dir, "cold"), capsys)
+        assert cold[0] == 0 and cache.exists()
+        with monkeypatch.context() as m:
+            m.setattr(records_module, "_decode_days", None)  # a warm read never decodes
+            assert run_outputs(argv(sim_dir, "warm"), capsys) == cold
+        with monkeypatch.context() as m:
+            refuse_the_temporary_file(m, copy)
+            try:
+                code, out, files = run_outputs(argv(copy, "uncached"), capsys)
+            finally:
+                copy.chmod(0o755)
+        assert sorted(copy.iterdir()) == [copy / "labels.csv", copy / "traffic.csv"]
+        # The manifests name the input file.
+        assert (code, out) == cold[:2] and files.keys() == cold[2].keys()
+        assert {k: v for k, v in files.items() if k != "manifest.json"} == {
+            k: v for k, v in cold[2].items() if k != "manifest.json"
+        }
+
+
 # -------------------------------------------------------------------- memory
 
 @pytest.fixture(scope="module")
@@ -1018,7 +1069,13 @@ def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path):
         inputs = {"analyze": ["--labels", str(run / "labels.csv")], "population": ["--telescope", "10.0.0.0/18"]}
         return [command, "--csv", str(run / "traffic.csv"), *inputs[command], "--out", str(tmp_path / "out")]
 
-    def peak(command, run):
+    def peak(command, run, warm):
+        # A cold read decodes the CSV and writes its day cache; a warm one reads that cache.
+        cache = run / ".traffic.csv.days"
+        if warm:
+            assert cache.exists()
+        else:
+            cache.unlink(missing_ok=True)
         tracemalloc.start()
         try:
             assert main(argv(command, run)) == 0
@@ -1028,8 +1085,9 @@ def test_analyze_and_population_memory_is_flat_in_days(day_runs, tmp_path):
 
     for command in ("analyze", "population"):
         main(argv(command, day_runs[2]))  # first-use imports and tables are not counted
-        two, eight = peak(command, day_runs[2]), peak(command, day_runs[8])
-        assert eight <= 1.25 * two, (command, two, eight)
+        for warm in (False, True):
+            two, eight = peak(command, day_runs[2], warm), peak(command, day_runs[8], warm)
+            assert eight <= 1.25 * two, (command, warm, two, eight)
 
 
 # ------------------------------------------------------------------- imports
@@ -1232,3 +1290,41 @@ def test_package_resolves_each_public_name_from_its_module():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.stdout.split() == ["False", "darkhunt.sim"], run.stderr
+
+
+# -------------------------------------------------------------------- parser
+
+# Help, version and usage-error outputs at 80 columns, recorded under
+# CPython 3.11 from the parser that gave every command its arguments in
+# every process.  Other versions word some argparse messages differently.
+USAGE = json.loads((pathlib.Path(__file__).with_name("cli_usage.json")).read_text())
+
+
+def usage_outputs(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    return {"code": exit_info.value.code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE))
+def test_help_version_and_usage_errors_are_the_full_parsers(case, monkeypatch, capsys):
+    # The parser with only the invoked command's arguments against one with every command's.
+    got = usage_outputs(case.split(), monkeypatch, capsys)
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: build())
+    assert got == usage_outputs(case.split(), monkeypatch, capsys)
+    if sys.version_info[:2] == (3, 11):
+        assert got == USAGE[case]
+
+
+def test_a_process_adds_only_the_invoked_commands_arguments():
+    parser = cli.build_parser(["model", "table", "--out", "analyze"])
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: len(p._actions) for name, p in commands.choices.items()}
+    assert options == {"simulate": 1, "analyze": 7, "model": 2, "population": 1}
+    [models] = [a for a in commands.choices["model"]._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: len(p._actions) for name, p in models.choices.items()} == {
+        "table": 5, "coverage": 1, "time-to-entropy": 1,
+    }

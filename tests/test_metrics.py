@@ -28,7 +28,7 @@ def score(metric_id):
 
     def f(part):
         n = len(part.records)
-        [value] = score_segments(part.records, np.array([0, n]), [metric_id], np.arange(n))[metric_id].tolist()
+        [[value]] = score_segments(part.records, np.array([0, n]), [metric_id], np.arange(n)).tolist()
         return value
 
     return f

@@ -1,9 +1,12 @@
 import ipaddress
+import os
 import random
 import re
+import threading
 import tracemalloc
 import warnings
 import weakref
+import zlib
 from datetime import date, timedelta
 from unittest import mock
 
@@ -25,7 +28,7 @@ from darkhunt.records import (
     traffic_table,
     write_csv_tables,
 )
-from conftest import make_record
+from conftest import make_record, refuse_the_temporary_file
 
 US_PER_DAY = 86_400_000_000
 LAST_DAY = date(9999, 12, 31)  # the last day a date holds, and the last read_days takes
@@ -939,12 +942,37 @@ def split_by_day(rows):
     return list(days.items())
 
 
+def day_cache(path):
+    """The day cache read_days keeps beside a CSV."""
+    return path.with_name(f".{path.name}.days")
+
+
+def read_days_tables(path):
+    """read_days' (day, read-only table) pairs of a CSV."""
+    days = list(read_days(path))
+    assert not any(table.flags.writeable for _, table in days)
+    return days
+
+
 def read_days_list(path):
-    out = []
-    for day, table in read_days(path):
-        assert not table.flags.writeable
-        out.append((day, table.tolist()))
-    return out
+    """read_days' (day, row tuples) pairs from a cold read of a CSV, checked against a warm one.
+
+    The cold read has no day cache to take.  If it raises, it must leave
+    no file beside the CSV; if it ends, it must leave only the cache, from
+    which a warm read gives the same days and table bytes.
+    """
+    day_cache(path).unlink(missing_ok=True)
+    before = set(path.parent.iterdir())
+    try:
+        cold = read_days_tables(path)
+    except CsvFormatError:
+        assert set(path.parent.iterdir()) == before
+        raise
+    assert set(path.parent.iterdir()) == before | {day_cache(path)}
+    with mock.patch.object(records_module, "_decode_days", side_effect=AssertionError("the warm read decoded")):
+        warm = read_days_tables(path)
+    assert [(day, table.tobytes()) for day, table in warm] == [(day, table.tobytes()) for day, table in cold]
+    return [(day, table.tolist()) for day, table in cold]
 
 
 DAY0 = 19000  # a UTC day number, 2022-01-08
@@ -1142,3 +1170,210 @@ def test_a_day_after_9999_12_31_names_its_first_line(tmp_path, block_bytes):
     assert (error.line, error.field) == (4, "ts_us")
     assert str(error) == "line 4: ts_us: 253402300800000000 is after 9999-12-31, the last day"
     assert expected == ("error", 4, "ts_us", str(error))
+
+
+# ---------------------------------------------------------- day cache
+
+def cached_csv(tmp_path):
+    """A CSV of THREE_DAYS, its cache left by one complete read, and its (day, rows) pairs."""
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS))
+    expected = read_days_list(p)
+    return p, expected
+
+
+def decodes(path):
+    """Whether reading path runs the CSV decoder, and the (day, rows) pairs read."""
+    calls = []
+    decode = records_module._decode_days
+
+    def spy(*args):
+        calls.append(args)
+        return decode(*args)
+
+    with mock.patch.object(records_module, "_decode_days", spy):
+        days = [(day, table.tolist()) for day, table in read_days_tables(path)]
+    return bool(calls), days
+
+
+def test_a_complete_read_caches_its_days_in_23_bytes_a_row(tmp_path):
+    p, expected = cached_csv(tmp_path)
+    rows = sum(len(rows) for _, rows in expected)
+    index, footer = records_module._CACHE_INDEX.itemsize, records_module._CACHE_FOOTER.itemsize
+    assert day_cache(p).stat().st_size == 23 * rows + index * len(expected) + footer
+    assert decodes(p) == (False, expected)
+
+
+def test_a_multi_block_read_comes_back_from_its_cache(tmp_path):
+    # Days of a few thousand rows over many blocks, a day edge inside one.
+    rng = np.random.default_rng(3)
+    rows = np.zeros(6000, dtype=TRAFFIC_DTYPE)
+    rows["ts_us"] = np.sort(rng.integers(DAY0 * US_PER_DAY, (DAY0 + 4) * US_PER_DAY, len(rows)))
+    rows["src_ip"] = rng.integers(0, 2**32, len(rows))
+    rows["payload_len"] = rng.integers(0, 1500, len(rows))
+    p = tmp_path / "t.csv"
+    write_csv_tables([traffic_table(rows)], p)
+    with mock.patch.object(records_module, "_BLOCK_BYTES", 1000):
+        expected = read_days_list(p)
+    assert [day for day, _ in expected] == [day_of_ts((DAY0 + d) * US_PER_DAY) for d in range(4)]
+    assert decodes(p) == (False, expected)
+
+
+def edit_the_csv(p):
+    # The same size: one digit of a row's payload_len goes up by one.
+    data = p.read_bytes()
+    at = data.rindex(b",") + 1
+    p.write_bytes(data[:at] + bytes([data[at] + 1]) + data[at + 1 :])
+
+
+def edit_the_csv_keeping_its_mtime(p):
+    before = p.stat()
+    edit_the_csv(p)
+    os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert p.stat().st_mtime_ns == before.st_mtime_ns and p.stat().st_size == before.st_size
+
+
+def flip_byte(at):
+    def spoil(p):
+        cache = day_cache(p)
+        data = bytearray(cache.read_bytes())
+        data[at] ^= 0x01
+        cache.write_bytes(bytes(data))
+
+    return spoil
+
+
+def truncate_the_cache(p):
+    cache = day_cache(p)
+    cache.write_bytes(cache.read_bytes()[:-1])
+
+
+def other_csv_cache(p):
+    # The cache of another CSV of the same size, in its place.
+    other = p.with_name("other.csv")
+    other.write_bytes(p.read_bytes())
+    edit_the_csv(other)
+    read_days_list(other)
+    day_cache(other).replace(day_cache(p))
+
+
+def foreign_tag(p):
+    # Another format's tag, with a footer CRC that matches it.
+    cache = day_cache(p)
+    data = cache.read_bytes()
+    footer_size = records_module._CACHE_FOOTER.itemsize
+    footer = np.frombuffer(data[-footer_size:], records_module._CACHE_FOOTER).copy()
+    footer["tag"] = b"dhdays0\n"
+    index = data[-footer_size - len(THREE_DAYS) * records_module._CACHE_INDEX.itemsize : -footer_size]
+    footer["crc"] = zlib.crc32(footer.tobytes()[:-4], zlib.crc32(index))
+    cache.write_bytes(data[:-footer_size] + footer.tobytes())
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        edit_the_csv,
+        edit_the_csv_keeping_its_mtime,
+        flip_byte(5),  # a row of the first day
+        flip_byte(-records_module._CACHE_FOOTER.itemsize - 1),  # the last day's CRC in the index
+        flip_byte(-records_module._CACHE_FOOTER.itemsize - records_module._CACHE_INDEX.itemsize),  # a day number
+        flip_byte(-1),  # the footer's CRC
+        truncate_the_cache,
+        other_csv_cache,
+        foreign_tag,
+    ],
+    ids=["same-size-edit", "same-size-edit-old-mtime", "row-byte", "day-crc", "day-number", "footer-crc",
+         "truncated", "other-csv", "foreign-tag"],
+)
+def test_a_stale_or_corrupt_cache_is_missed_and_replaced(tmp_path, spoil):
+    p, _ = cached_csv(tmp_path)
+    spoil(p)
+    expected = reference_read_days(p)
+    assert decodes(p) == (True, expected)
+    assert decodes(p) == (False, expected)
+
+
+def test_an_error_raises_as_without_a_cache_and_leaves_no_file(tmp_path):
+    # A row the cached CSV did not have: its error is the decoder's, and
+    # the stale cache stays as it was.
+    p, _ = cached_csv(tmp_path)
+    cache = day_cache(p).read_bytes()
+    p.write_text(p.read_text() + with_field("proto", "256") + "\n")
+    error = error_of(read_days_tables, p)
+    assert (error.line, error.field, str(error)) == outcome(reference_read_days, p)[1:]
+    assert sorted(tmp_path.iterdir()) == [day_cache(p), p] and day_cache(p).read_bytes() == cache
+
+
+def test_a_read_that_stops_early_leaves_no_file(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS))
+    days = read_days(p)
+    next(days)
+    assert len(list(tmp_path.iterdir())) == 2  # the CSV and the cache's temporary file
+    days.close()
+    assert list(tmp_path.iterdir()) == [p]
+    for stop in (StopIteration, KeyError):
+        with pytest.raises(stop):
+            for _ in read_days(p):
+                raise stop
+        assert list(tmp_path.iterdir()) == [p]
+
+
+def test_an_unwritable_directory_is_read_and_left_as_it_is(tmp_path, monkeypatch):
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS))
+    expected = reference_read_days(p)
+    refuse_the_temporary_file(monkeypatch, tmp_path)
+    try:
+        assert decodes(p) == (True, expected)
+        assert decodes(p) == (True, expected)
+        assert list(tmp_path.iterdir()) == [p]
+    finally:
+        tmp_path.chmod(0o755)
+
+
+def test_a_cache_that_cannot_be_written_whole_is_dropped(tmp_path, monkeypatch):
+    # The disk fills after the first day's rows.
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS))
+    expected = reference_read_days(p)
+    create = records_module._CacheWriter.create
+
+    class Full:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def close(self):
+            self.fh.close()
+
+    def filling(cache):
+        writer = create(cache)
+        writer.fh = Full(writer.fh)
+        return writer
+
+    monkeypatch.setattr(records_module._CacheWriter, "create", filling)
+    assert decodes(p) == (True, expected)
+    assert list(tmp_path.iterdir()) == [p]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_is_decoded_and_nothing_is_written_beside_it(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS))
+    expected = reference_read_days(p)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    for _ in range(2):
+        writer = threading.Thread(target=fifo.write_bytes, args=(p.read_bytes(),))
+        writer.start()
+        try:
+            assert decodes(fifo) == (True, expected)
+        finally:
+            writer.join()
+    assert sorted(tmp_path.iterdir()) == [fifo, p]

@@ -222,17 +222,21 @@ def traced_coordinated_day(cfg, n_hosts):
 
 
 def test_a_coordinated_day_holds_each_host_draw_once():
-    # A paper-scale day on a /22: 90,000 hosts and about 15,000 hits.
-    # Beside the day's rows the draw holds one word a host (its hit count),
-    # up to three words a row while the telescope offsets become addresses,
-    # and one chunk's temporaries: about 13 bytes a host, against 28 when
-    # every host's window, start and send count lived as long as its hits.
-    n_hosts = 90_000
-    cfg = small_config(telescope=TelescopeSpec.from_prefix(22), crackonosh=CrackonoshConfig(population=(n_hosts,)))
-    rows, peak = traced_coordinated_day(cfg, n_hosts)
-    assert len(rows) > 10_000
-    bound = 8 * n_hosts + 3 * 8 * len(rows) + 4 * 8 * sim_module._CHUNK
-    assert peak - rows.nbytes < bound, (peak - rows.nbytes) / n_hosts
+    # A paper-scale day on a /22, 90,000 hosts and about 15,000 hits, and
+    # one ten times its size.  Beside the day's rows the draw holds one
+    # word a host (its hit count), up to two words a row while a drawn
+    # column is stored, and one chunk's temporaries (the telescope offsets
+    # become addresses a chunk at a time): about 13 bytes a host at 90k,
+    # against 28 when every host's window, start and send count lived as
+    # long as its hits.  Beyond the rows and hit counts the 900k-host day
+    # takes 2.50 MB, against 3.69 MB when the offsets became addresses all
+    # at once: three words a row.
+    for n_hosts in (90_000, 900_000):
+        cfg = small_config(telescope=TelescopeSpec.from_prefix(22), crackonosh=CrackonoshConfig(population=(n_hosts,)))
+        rows, peak = traced_coordinated_day(cfg, n_hosts)
+        assert len(rows) > n_hosts / 9
+        bound = 8 * n_hosts + 2 * 8 * len(rows) + 4 * 8 * sim_module._CHUNK
+        assert peak - rows.nbytes < bound, (n_hosts, (peak - rows.nbytes) / n_hosts)
 
 
 def test_a_coordinated_days_memory_per_host_is_flat():
