@@ -459,12 +459,14 @@ def _open_cache(cache: str, csv_fh):
 
 
 class _CacheWriter:
-    """A read's days streamed into a temporary file beside the CSV, renamed
-    to its cache once the read is complete.
+    """Days streamed into a temporary file beside a CSV, renamed to its
+    cache once the CSV is whole: read_days' as it decodes the CSV, and
+    write_csv_tables' as it writes it.
 
     Any OSError drops the file, so a cache that cannot be written is
     skipped.  The CSV's size and CRC-32 are summed from the bytes the
-    decoder reads, so the cache matches exactly the bytes it decoded.
+    decoder reads or the writer writes, so the cache matches exactly those
+    bytes.
     """
 
     def __init__(self, cache: str, temp: str, fh):
@@ -484,14 +486,41 @@ class _CacheWriter:
         self.csv_size += len(raw)
         self.csv_crc = zlib.crc32(raw, self.csv_crc)
 
-    def add(self, day: int, table: np.ndarray) -> None:
+    def add(self, day: int, rows: np.ndarray) -> None:
+        """Append contiguous TRAFFIC_DTYPE rows of `day`, no day before the
+        last one added: that day's index entry is extended (its CRC-32
+        chained), a later one starts its own."""
         if self.fh is None:
             return
-        self.index.append((day, len(table), zlib.crc32(table)))
+        if self.index and self.index[-1][0] == day:
+            _, n, crc = self.index[-1]
+            self.index[-1] = (day, n + len(rows), zlib.crc32(rows, crc))
+        else:
+            self.index.append((day, len(rows), zlib.crc32(rows)))
         try:
-            self.fh.write(table)
+            self.fh.write(rows)
         except OSError:
             self.discard()
+
+    def add_written(self, rows: np.ndarray) -> None:
+        """Add a chunk of a table write_csv_tables checked, split at its
+        days, if the decoder reads it back as it is: every value within its
+        field's range, and days from 1970-01-01 to 9999-12-31 that never go
+        back.  Else the cache is discarded."""
+        if self.fh is None:
+            return
+        # payload_len is the one field outside _TYPE_BOUNDED whose type
+        # holds values above its maximum; ts_us only goes below its range.
+        days = rows["ts_us"] // US_PER_DAY
+        last = self.index[-1][0] if self.index else 0
+        if (rows["payload_len"] > MAX_UDP_PAYLOAD).any() or not (
+            last <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()
+        ):
+            self.discard()
+            return
+        starts = run_starts(days).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(rows)]):
+            self.add(int(days[lo]), rows[lo:hi])
 
     def commit(self) -> None:
         if self.fh is None:
@@ -545,11 +574,12 @@ def read_days(path):
     becomes resident.
 
     A CSV is decoded once: a complete read of a regular file leaves its
-    tables in `.<name>.days` beside it (_CacheWriter), and a later read
-    whose CSV still has the size and CRC-32 it had yields the same tables
-    from there (_open_cache), one np.fromfile per day.  A cache that is
-    missing, stale or corrupt, or cannot be written, changes no table and
-    no error; a read that raises or stops early leaves no file.
+    tables in `.<name>.days` beside it (_CacheWriter), as write_csv_tables
+    does when it writes one, and a later read whose CSV still has the size
+    and CRC-32 it had yields the same tables from there (_open_cache), one
+    np.fromfile per day.  A cache that is missing, stale or corrupt, or
+    cannot be written, changes no table and no error; a read that raises
+    or stops early leaves no file.
     """
     with open(path, "rb") as fh:
         cache = _cache_path(path) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
@@ -669,23 +699,61 @@ def _render(t: np.ndarray, rows: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
+def _write_table(fh, records: np.ndarray, rows: np.ndarray, writer: _CacheWriter | None) -> None:
+    """Write a table's CSV rows to fh a chunk at a time, and each chunk to writer's cache.
+
+    Its views of the table end with the call, so the caller can drop the
+    table before the next one is made.
+    """
+    if writer and not (records.dtype == TRAFFIC_DTYPE and records.flags.c_contiguous):
+        writer.discard()  # the cache takes a table's own bytes, never a copy
+    for lo in range(0, len(records), _CHUNK_ROWS):
+        chunk = records[lo : lo + _CHUNK_ROWS]
+        data = _render(chunk, rows)
+        fh.write(data)
+        if writer:
+            writer.seen(data)
+            writer.add_written(chunk)
+        del data  # so the next chunk is rendered without it
+
+
 def write_csv_tables(tables, path) -> int:
     """Write traffic tables one after another as one canonical CSV; returns the row count.
 
     Rows are rendered _CHUNK_ROWS at a time into one byte matrix that every
-    chunk of every table reuses.
+    chunk of every table reuses.  A regular file also gets the day cache a
+    complete read_days of it leaves (_CacheWriter), byte for byte, from the
+    chunks and bytes written, so no read of it decodes text.  Any old cache
+    is removed first.  The new one is kept only if the CSV is written whole,
+    every table is a contiguous TRAFFIC_DTYPE array and every chunk passes
+    add_written's rules: exactly when the decoder yields the rows written.
     """
-    n = 0
+    n, writer = 0, None
     rows = np.empty((_CHUNK_ROWS, 11), dtype=np.uint64)
-    with open(path, "wb") as fh:
-        fh.write(CSV_HEADER.encode() + b"\n")
-        for records in tables:
-            # A plain array: a recarray slices and gets fields in Python.
-            records = np.asarray(records)
-            for lo in range(0, len(records), _CHUNK_ROWS):
-                fh.write(_render(records[lo : lo + _CHUNK_ROWS], rows))
-            n += len(records)
-            del records  # so a generator can free it before it makes the next
+    try:
+        with open(path, "wb") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                cache = _cache_path(path)
+                try:
+                    os.unlink(cache)
+                except OSError:
+                    pass
+                writer = _CacheWriter.create(cache)
+            header = CSV_HEADER.encode() + b"\n"
+            fh.write(header)
+            if writer:
+                writer.seen(header)
+            for records in tables:
+                # A plain array: a recarray slices and gets fields in Python.
+                records = np.asarray(records)
+                _write_table(fh, records, rows, writer)
+                n += len(records)
+                del records  # so a generator can free it before it makes the next
+        if writer:
+            writer.commit()
+    finally:
+        if writer:
+            writer.discard()
     return n
 
 

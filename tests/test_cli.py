@@ -1012,6 +1012,13 @@ def run_outputs(argv, capsys):
     return code, capsys.readouterr().out, files
 
 
+# The inputs besides --csv of the commands that read a simulated run.
+READ_INPUTS = {
+    "analyze": lambda run: ["--labels", str(run / "labels.csv"), "--window", "3h"],
+    "population": lambda run: ["--telescope", CONFIG["telescope"][0]],
+}
+
+
 def test_cold_warm_and_uncached_reads_give_the_same_outputs(sim_dir, tmp_path, monkeypatch, capsys):
     # Cold: no cache beside the CSV, so the read decodes it and leaves one.
     # Warm: the read takes that cache.  Uncached: a copy in a directory
@@ -1021,11 +1028,7 @@ def test_cold_warm_and_uncached_reads_give_the_same_outputs(sim_dir, tmp_path, m
     copy.mkdir()
     for name in ("traffic.csv", "labels.csv"):
         (copy / name).write_bytes((sim_dir / name).read_bytes())
-    inputs = {
-        "analyze": lambda run: ["--labels", str(run / "labels.csv"), "--window", "3h"],
-        "population": lambda run: ["--telescope", CONFIG["telescope"][0]],
-    }
-    for command, more in inputs.items():
+    for command, more in READ_INPUTS.items():
         def argv(run, out):
             return [command, "--csv", str(run / "traffic.csv"), *more(run), "--out", str(tmp_path / command / out)]
 
@@ -1047,6 +1050,47 @@ def test_cold_warm_and_uncached_reads_give_the_same_outputs(sim_dir, tmp_path, m
         assert {k: v for k, v in files.items() if k != "manifest.json"} == {
             k: v for k, v in cold[2].items() if k != "manifest.json"
         }
+
+
+def test_the_first_reads_of_a_simulated_run_decode_no_text(tmp_path, monkeypatch, capsys):
+    # simulate leaves the day cache, so analyze and population take it at
+    # once, and give what they give from a cold read of the CSV.
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(run)]) == 0
+    capsys.readouterr()
+
+    def argv(command, out):
+        return [command, "--csv", str(run / "traffic.csv"), *READ_INPUTS[command](run), "--out", str(tmp_path / out)]
+
+    with monkeypatch.context() as m:
+        m.setattr(records_module, "_decode_days", None)
+        first = {command: run_outputs(argv(command, f"{command}-first"), capsys) for command in READ_INPUTS}
+    for command in READ_INPUTS:
+        (run / ".traffic.csv.days").unlink()
+        cold = run_outputs(argv(command, f"{command}-cold"), capsys)
+        assert cold[0] == 0 and first[command] == cold
+
+
+def test_a_second_simulate_into_one_out_leaves_the_cache_of_its_csv(tmp_path, monkeypatch):
+    run, csvs = tmp_path / "run", []
+    for seed in (21, 22):
+        assert main(["simulate", "--config", str(write_config(tmp_path, seed=seed)), "--out", str(run)]) == 0
+        csvs.append((run / "traffic.csv").read_bytes())
+    assert csvs[0] != csvs[1]
+
+    def tables():
+        return [(day, table.tobytes()) for day, table in read_days(run / "traffic.csv")]
+
+    def decode(*args):
+        raise AssertionError("the warm read decoded")
+
+    with monkeypatch.context() as m:
+        m.setattr(records_module, "_decode_days", decode)
+        warm = tables()
+    cache = run / ".traffic.csv.days"
+    written = cache.read_bytes()
+    cache.unlink()
+    assert tables() == warm and cache.read_bytes() == written
 
 
 # -------------------------------------------------------------------- memory

@@ -73,6 +73,7 @@ GOLDEN = {
         "population/always_on.json": "8a36dd27267a855d802c58a0e241d97047793b74c99e03e9d60dc7d249eb9b81",
         "population/manifest.json": "4fb263d054f898e60c487403d8f9d860d0423ebfd7f743b5fc6cc0e112740618",
         "population:stdout": "01ad04305c20737b88fee71f99dc2655f4499296f7987f1971a02168c17d6da2",
+        "simulate/.traffic.csv.days": "b9cbd7122b7a6e93c86b2d4c462b5464f2fe3f456389f10cdfbe76c44a4c27e4",
         "simulate/labels.csv": "0c16f5d68d174778395e43c7d4eeee3c610dbba5919774870d68eca2c421ed82",
         "simulate/manifest.json": "1129851e1fa8850ecdcade9d61858122e5720bb31be50db054911ee7ef63ad63",
         "simulate/traffic.csv": "74c1e74668801e8202a649e9f76472430920618eb1271770368761c2d6c437cc",
@@ -91,6 +92,7 @@ GOLDEN = {
         "population/manifest.json": "0a5862adeb3194e95d0991096bd1e72fbbf032669f2bf4b24481d09e1b68fb7d",
         "population/peaks.json": "1e83e599b2101822d6eb7052ba6a653bce8f73080044bac980921eb3e6f423d6",
         "population:stdout": "3dec4dfa9a0b61fa66ecc1eaf62ede630f95953ef29c602b91a3cdeb756c6ca2",
+        "simulate/.traffic.csv.days": "ff1015ccec2c9a4be078b82704d3f8755f7af15fbfe7f294c0ed10508431c101",
         "simulate/labels.csv": "4b5d4220000a6ca18b7c0ab83392717beb2760df2faa87794e802215b32d4491",
         "simulate/manifest.json": "28571bf855938c923278f716a49198c24609ca4007d214c51db6e1ead0dfc108",
         "simulate/traffic.csv": "5cee34baca50d6816eb3753c5b045d07340ff19d68e7022befc01de642b26dc0",
@@ -109,6 +111,7 @@ GOLDEN = {
         "population/manifest.json": "482e4a58e373e5847b08f2598c2ef07ca0629abb4123edd54c4a6ede24c01257",
         "population/peaks.json": "e2025971235fdd59f8e04e5f18da464e3f64065c409976ec5fddcb68785b38fe",
         "population:stdout": "484c15d3f20d7373cd424976283bec5fd236f8a106374ccafc2c54626c9bdd3b",
+        "simulate/.traffic.csv.days": "59622a0a1cf59630254a4b6ff2b4edf6cb4c6bd9f979846c224710c482ac2563",
         "simulate/labels.csv": "ac37ed632be0b6eeba4866ca908b1eb85c98a4f81f37bac4bc7e452269da72e0",
         "simulate/manifest.json": "84c879fca35b4507df594ad9674bfca0170e34333e166565e8ee43d5ffc4d491",
         "simulate/traffic.csv": "713a75c53e2b12ad52d9465f8d7680d5bd874a95dbcb1c6900cd08ec372780d3",

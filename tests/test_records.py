@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darkhunt import records as records_module
@@ -1332,11 +1332,8 @@ def test_an_unwritable_directory_is_read_and_left_as_it_is(tmp_path, monkeypatch
         tmp_path.chmod(0o755)
 
 
-def test_a_cache_that_cannot_be_written_whole_is_dropped(tmp_path, monkeypatch):
-    # The disk fills after the first day's rows.
-    p = tmp_path / "t.csv"
-    p.write_text(day_lines(THREE_DAYS))
-    expected = reference_read_days(p)
+def filling_disk(monkeypatch):
+    """Make every cache's writes after its first raise ENOSPC."""
     create = records_module._CacheWriter.create
 
     class Full:
@@ -1358,6 +1355,14 @@ def test_a_cache_that_cannot_be_written_whole_is_dropped(tmp_path, monkeypatch):
         return writer
 
     monkeypatch.setattr(records_module._CacheWriter, "create", filling)
+
+
+def test_a_cache_that_cannot_be_written_whole_is_dropped(tmp_path, monkeypatch):
+    # The disk fills after the first day's rows.
+    p = tmp_path / "t.csv"
+    p.write_text(day_lines(THREE_DAYS))
+    expected = reference_read_days(p)
+    filling_disk(monkeypatch)
     assert decodes(p) == (True, expected)
     assert list(tmp_path.iterdir()) == [p]
 
@@ -1377,3 +1382,125 @@ def test_a_fifo_is_decoded_and_nothing_is_written_beside_it(tmp_path):
         finally:
             writer.join()
     assert sorted(tmp_path.iterdir()) == [fifo, p]
+
+
+# ------------------------------------------------------ day cache from the writer
+
+BIG_ENDIAN = np.dtype([(name, TRAFFIC_DTYPE[name].newbyteorder(">")) for name in TRAFFIC_DTYPE.names])
+DAY0_US = DAY0 * US_PER_DAY
+
+
+def writer_ts():
+    """ts_us in three adjacent days, with the day rules' edges among them."""
+    in_days = st.integers(DAY0_US, DAY0_US + 3 * US_PER_DAY - 1)
+    edges = st.sampled_from([DAY0_US - 1, DAY0_US + US_PER_DAY, 0, LAST_TS])
+    out_of_range = st.sampled_from([-1, -US_PER_DAY - 1, LAST_TS + 1, 2**63 - 1])
+    return st.one_of(in_days, in_days, edges, out_of_range)
+
+
+@st.composite
+def written_tables(draw):
+    """Tables for write_csv_tables, each (form, rows): a traffic table, a
+    raw array (no range check), a strided view or a big-endian array."""
+    rows = draw(st.lists(st.tuples(
+        writer_ts(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.just(50000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=65535),
+        st.just(17),
+        st.integers(min_value=0, max_value=65507) | st.sampled_from([65507, 65508, 65535]),
+    ), max_size=12))
+    if draw(st.booleans()):
+        rows.sort()  # days in order; unsorted, they may go back
+    if not rows and draw(st.booleans()):
+        return []  # no tables at all
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))  # a day split, empty tables
+    forms = st.sampled_from(["table", "table", "raw", "strided", "big-endian"])
+    return [(draw(forms), rows[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
+
+
+def as_given(form, rows):
+    """The array write_csv_tables gets for a (form, rows) pair."""
+    in_range = all(0 <= row[0] and row[-1] <= 65507 for row in rows)
+    if form == "table" and in_range:
+        return traffic_table(rows)
+    if form == "strided":
+        return np.array([row for row in rows for _ in range(2)], dtype=TRAFFIC_DTYPE)[::2]
+    return np.array(rows, dtype=BIG_ENDIAN if form == "big-endian" else TRAFFIC_DTYPE)
+
+
+def decoder_takes_as_written(tables):
+    """Whether the decoder yields exactly the rows of tables: when the writer keeps its cache."""
+    rows = [row for _, table in tables for row in table]
+    days = [row[0] // US_PER_DAY for row in rows]
+    return (
+        all(form in ("table", "raw") or (form == "strided" and len(table) < 2) for form, table in tables)
+        and all(0 <= row[0] <= LAST_TS and row[-1] <= 65507 for row in rows)
+        and days == sorted(days)
+    )
+
+
+def row_at(ts_us, payload_len=100):
+    return make_record(ts_us=ts_us, payload_len=payload_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=written_tables(), chunk=st.sampled_from([1, 2, 3, CHUNK]))
+@example(tables=[], chunk=CHUNK)
+# Two days over two chunks, the second day split across tables, an empty table.
+@example(tables=[("table", [row_at(DAY0_US), row_at(DAY0_US + 1), row_at(DAY0_US + US_PER_DAY)]),
+                 ("table", [row_at(DAY0_US + US_PER_DAY + 1)]), ("table", [])], chunk=2)
+# A strided view is refused whole, though its one-row chunks are contiguous.
+@example(tables=[("strided", [row_at(DAY0_US)] * 3)], chunk=1)
+@example(tables=[("raw", [row_at(DAY0_US, payload_len=65535)])], chunk=CHUNK)
+@example(tables=[("raw", [row_at(-1)])], chunk=CHUNK)
+@example(tables=[("raw", [row_at(LAST_TS + 1)])], chunk=CHUNK)
+@example(tables=[("table", [row_at(DAY0_US + US_PER_DAY)]), ("table", [row_at(DAY0_US)])], chunk=CHUNK)
+def test_the_writer_leaves_the_cache_a_cold_read_writes_or_none(tmp_path_factory, tables, chunk):
+    # Chunks of a few rows put day edges and refusals at chunk edges.
+    p = tmp_path_factory.mktemp("w") / "w.csv"
+    with mock.patch.object(records_module, "_CHUNK_ROWS", chunk):
+        assert write_csv_tables([as_given(form, rows) for form, rows in tables], p) == sum(
+            len(rows) for _, rows in tables
+        )
+    cached = decoder_takes_as_written(tables)
+    assert sorted(p.parent.iterdir()) == ([day_cache(p)] if cached else []) + [p]
+    written = day_cache(p).read_bytes() if cached else None
+    # A cold read (read_days_list deletes the cache first) gives the line
+    # reference's rows or its error, and leaves the writer's cache again.
+    assert outcome(read_days_list, p) == outcome(reference_read_days, p)
+    if cached:
+        assert day_cache(p).read_bytes() == written
+
+
+def test_a_write_replaces_the_old_cache_or_removes_it(tmp_path):
+    p, _ = cached_csv(tmp_path)
+    rows = [make_record(ts_us=(DAY0 + 5 + t // 2) * US_PER_DAY + t) for t in range(4)]
+    write_csv_tables([traffic_table(rows)], p)
+    assert decodes(p) == (False, split_by_day(rows))
+    write_csv_tables([traffic_table(rows[2:]), traffic_table(rows[:2])], p)  # a day that goes back
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_a_write_that_raises_leaves_no_cache(tmp_path):
+    p, _ = cached_csv(tmp_path)
+
+    def tables():
+        yield traffic_table([make_record(ts_us=DAY0 * US_PER_DAY + t) for t in range(3)])
+        raise KeyError("the second day")
+
+    with pytest.raises(KeyError):
+        write_csv_tables(tables(), p)
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_a_write_whose_cache_fills_the_disk_leaves_no_cache(tmp_path, monkeypatch):
+    # The disk fills after the first chunk's rows.
+    p = tmp_path / "t.csv"
+    rows = [row_at(DAY0_US + d * US_PER_DAY + t) for d, times in THREE_DAYS for t in times]
+    filling_disk(monkeypatch)
+    monkeypatch.setattr(records_module, "_CHUNK_ROWS", 2)
+    write_csv_tables([traffic_table(rows)], p)
+    assert list(tmp_path.iterdir()) == [p]
+    assert p.read_bytes() == reference_csv(rows)
