@@ -503,19 +503,28 @@ class _CacheWriter:
             self.discard()
 
     def add_written(self, rows: np.ndarray) -> None:
-        """Add a chunk of a table write_csv_tables checked, split at its
-        days, if the decoder reads it back as it is: every value within its
-        field's range, and days from 1970-01-01 to 9999-12-31 that never go
-        back.  Else the cache is discarded."""
+        """Add a non-empty chunk of a table write_csv_tables checked, split
+        at its days, if the decoder reads it back as it is: every value
+        within its field's range, and days from 1970-01-01 to 9999-12-31
+        that never go back.  Else the cache is discarded.
+
+        A chunk whose first and last days (of its smallest and largest
+        ts_us) are one day is added whole, with no per-row day."""
         if self.fh is None:
             return
         # payload_len is the one field outside _TYPE_BOUNDED whose type
         # holds values above its maximum; ts_us only goes below its range.
-        days = rows["ts_us"] // US_PER_DAY
+        ts = rows["ts_us"]
+        first, end = int(ts.min()) // US_PER_DAY, int(ts.max()) // US_PER_DAY
         last = self.index[-1][0] if self.index else 0
-        if (rows["payload_len"] > MAX_UDP_PAYLOAD).any() or not (
-            last <= days[0] and days[-1] <= _LAST_DAY and (days[1:] >= days[:-1]).all()
-        ):
+        if rows["payload_len"].max() > MAX_UDP_PAYLOAD or not last <= first <= end <= _LAST_DAY:
+            self.discard()
+            return
+        if first == end:
+            self.add(first, rows)
+            return
+        days = ts // US_PER_DAY
+        if not (days[1:] >= days[:-1]).all():
             self.discard()
             return
         starts = run_starts(days).tolist()
@@ -668,12 +677,17 @@ def _render(t: np.ndarray, rows: np.ndarray) -> bytes:
     rows = rows[: len(t)]
     # ts_us's five four-digit groups, most significant first: 20 digits
     # hold 2**63 - 1.  Dividing by one scalar at a time lets numpy divide
-    # by multiply and shift.
+    # by multiply and shift; a group is then the value less its quotient
+    # times 10000, which costs less than numpy's remainder.
     groups = np.empty((5, len(t)), dtype=np.int64)
-    groups[0] = t["ts_us"]
+    value, quotient = t["ts_us"].astype(np.int64), np.empty(len(t), dtype=np.int64)
     for group in groups[:0:-1]:
-        np.remainder(groups[0], 10000, out=group)
-        groups[0] //= 10000
+        np.floor_divide(value, 10000, out=quotient)
+        np.multiply(quotient, -10000, out=group)
+        group += value
+        value, quotient = quotient, value
+    groups[0] = value
+    del value, quotient
     # Table block per group: 0 after the leading group, 1 at it, 2 before.
     # Group j is at or before the leading group when the value is below
     # the bound of group j - 1 (always, for the first), and before it when
@@ -705,6 +719,11 @@ def _write_table(fh, records: np.ndarray, rows: np.ndarray, writer: _CacheWriter
     Its views of the table end with the call, so the caller can drop the
     table before the next one is made.
     """
+    ts = records["ts_us"]
+    # Negative is the one way out of range a ts_us column can go; the
+    # digit tables would render it as another, positive timestamp.
+    if len(ts) and ts.min() < 0:
+        raise ValueError(f"ts_us out of range 0-{_MAXIMA['ts_us']}: {ts[ts < 0][0]}")
     if writer and not (records.dtype == TRAFFIC_DTYPE and records.flags.c_contiguous):
         writer.discard()  # the cache takes a table's own bytes, never a copy
     for lo in range(0, len(records), _CHUNK_ROWS):

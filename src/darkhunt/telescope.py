@@ -17,6 +17,7 @@ from __future__ import annotations
 import ipaddress
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -100,14 +101,20 @@ class TelescopeSpec:
         i &= 1
         return i.astype(bool)
 
-    def addresses_at_array(self, indices: np.ndarray) -> np.ndarray:
-        """The telescope's addresses at an int array of indices in [0, k), in block order."""
+    @cached_property
+    def _index_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each block's first index, and what an index in that block adds to
+        become its address: the block's first address less that index."""
         starts, sizes = self._bounds[::2], np.diff(self._bounds)[::2]
         before = np.cumsum(sizes) - sizes  # the addresses in the blocks before each block
+        return before, starts - before
+
+    def addresses_at_array(self, indices: np.ndarray) -> np.ndarray:
+        """The telescope's addresses at an int array of indices in [0, k), in block order."""
+        before, offsets = self._index_offsets
         j = np.searchsorted(before, indices, side="right")
         j -= 1
-        # Each index plus its block's first address less the indices before it.
-        out = (starts - before)[j]
+        out = offsets[j]
         del j
         out += indices
         return out

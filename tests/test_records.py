@@ -1457,9 +1457,23 @@ def row_at(ts_us, payload_len=100):
 @example(tables=[("raw", [row_at(-1)])], chunk=CHUNK)
 @example(tables=[("raw", [row_at(LAST_TS + 1)])], chunk=CHUNK)
 @example(tables=[("table", [row_at(DAY0_US + US_PER_DAY)]), ("table", [row_at(DAY0_US)])], chunk=CHUNK)
+# The first table is written; the second is refused before its first row.
+@example(tables=[("table", [row_at(DAY0_US)]), ("raw", [row_at(DAY0_US + 1), row_at(-2**63)])], chunk=1)
 def test_the_writer_leaves_the_cache_a_cold_read_writes_or_none(tmp_path_factory, tables, chunk):
     # Chunks of a few rows put day edges and refusals at chunk edges.
     p = tmp_path_factory.mktemp("w") / "w.csv"
+    negative = [[row[0] for row in rows if row[0] < 0] for _, rows in tables]
+    if any(negative):
+        # A negative ts_us raises as traffic_table does, naming the first of
+        # its table, before any row of that table is written; no cache is left.
+        refused = next(i for i, values in enumerate(negative) if values)
+        message = f"ts_us out of range 0-{2**63 - 1}: {negative[refused][0]}"
+        with mock.patch.object(records_module, "_CHUNK_ROWS", chunk), pytest.raises(ValueError) as exc:
+            write_csv_tables([as_given(form, rows) for form, rows in tables], p)
+        assert str(exc.value) == message
+        assert list(p.parent.iterdir()) == [p]
+        assert p.read_bytes() == reference_csv([row for _, rows in tables[:refused] for row in rows])
+        return
     with mock.patch.object(records_module, "_CHUNK_ROWS", chunk):
         assert write_csv_tables([as_given(form, rows) for form, rows in tables], p) == sum(
             len(rows) for _, rows in tables

@@ -86,17 +86,43 @@ def test_different_seed_different_traffic():
     n_ts=st.integers(min_value=1, max_value=50),
     n_values=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    in_one_day=st.booleans(),
 )
-def test_time_order_is_the_six_key_lexsort(n, n_ts, n_values, seed):
+def test_time_order_is_the_six_key_lexsort(n, n_ts, n_values, seed, in_one_day):
     # Timestamps from a few values and keys from fewer force ties on every
     # key, and full duplicates, whose order only the row index settles.
+    # Timestamps of one day sort as packed keys; spans up to 2**62 mostly
+    # take the argsort.
     rng = np.random.default_rng(seed)
-    ts = rng.choice(rng.integers(0, 2**62, size=n_ts), size=n)
+    lo, hi = (day_start_us(START), day_start_us(START) + US_PER_DAY) if in_one_day else (0, 2**62)
+    ts = rng.choice(rng.integers(lo, hi, size=n_ts), size=n)
     size, dport, sport, dst, src = rng.integers(0, n_values, size=(5, n))
     keys = (size, dport, sport, dst, src, ts)
     order, sorted_ts = sim_module._time_order(keys)
     assert order.tolist() == np.lexsort(keys).tolist()
     assert sorted_ts.tolist() == ts[order].tolist()
+
+
+@pytest.mark.parametrize("key_bits", [63, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("fits", [True, False])
+def test_time_order_packs_the_keys_that_fit_its_bit_budget(monkeypatch, key_bits, n, fits):
+    # n rows take the index's bit length; the span of the timestamps takes
+    # the rest of the budget, at its largest or one past it.  At 63 bits a
+    # key one past the budget would overflow into the sign.
+    monkeypatch.setattr(sim_module, "_KEY_BITS", key_bits)
+    argsort = np.argsort
+    argsorted = []
+    monkeypatch.setattr(np, "argsort", lambda a: argsorted.append(a.size) or argsort(a))
+    span = (1 << (key_bits - (n - 1).bit_length())) - (1 if fits else 0)
+    rng = np.random.default_rng(n)
+    ts = 7 + rng.choice([0, span // 3, span], size=n)
+    ts[:2] = 7 + span, 7  # both ends of the span, the largest first
+    keys = (*rng.integers(0, 2, size=(5, n)), ts)
+    order, sorted_ts = sim_module._time_order(keys)
+    assert order.tolist() == np.lexsort(keys).tolist()
+    assert sorted_ts.tolist() == ts[order].tolist()
+    assert argsorted == ([] if fits else [n])
 
 
 def test_rows_at_a_days_end_stay_in_their_day(monkeypatch):
@@ -721,6 +747,53 @@ def test_default_background_is_modal_and_low_port():
     for scanner in default_background():
         assert scanner.service_port < 49108
         assert len(scanner.sizes) <= 4
+
+
+class StatesBeforeRandom:
+    """A generator that keeps its bit generator's state before each random() draw."""
+
+    def __init__(self, rng):
+        self.rng, self.states = rng, []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, *args, **kwargs):
+        self.states.append(self.rng.bit_generator.state)
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("dist", [
+    ((1,), (1.0,)),
+    ((46, 50), (0.8, 0.2)),
+    ((103, 107, 111, 99), (0.4, 0.3, 0.2, 0.1)),
+    ((1, 2, 3, 4), (0.2500000002,) * 4),  # a sum within tolerance of 1, normalized
+    ((9, 8, 7), (0.5, 1e-6, 0.499999)),
+])
+def test_a_scanners_sizes_are_generator_choices_draw(monkeypatch, dist):
+    # The sizes are drawn as Generator.choice(len(sizes), n, p=size_probs)
+    # draws from the same stream state, so a numpy whose choice draws
+    # otherwise fails here and not only in a golden digest.
+    sizes, probs = dist
+    scanner = BackgroundScanner(5060, "block", 0.5, sizes, probs, n_sources=20)
+    cfg = small_config(background=(scanner,))
+    streams = []
+    stream = sim_module._stream
+    monkeypatch.setattr(sim_module, "_stream", lambda *key: streams.append(StatesBeforeRandom(stream(*key))) or streams[-1])
+    sources, size_array, size_cdf = sim_module._background_setup(cfg, 0, scanner)
+    # choice's own normalization, which a sample of draws cannot tell apart
+    # from none when the probabilities sum to 1 within 1e-9.
+    cdf = np.cumsum(probs)
+    assert size_cdf.tolist() == (cdf / cdf[-1]).tolist()
+    part = sim_module._background_day(cfg, 1, 0, scanner, sources, size_array, size_cdf)
+    rows = np.empty(next(part), dtype=TRAFFIC_DTYPE)
+    with pytest.raises(StopIteration):
+        part.send(rows)
+    [state] = streams[-1].states
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    assert len(rows) > 40_000
+    assert rows["payload_len"].tolist() == np.array(sizes)[rng.choice(len(sizes), len(rows), p=probs)].tolist()
 
 
 # -------------------------------------------------------- ephemeral src ports
