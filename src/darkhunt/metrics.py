@@ -23,78 +23,111 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import PortDayPartition, run_starts
+from .records import PortDayPartition, run_heads, run_starts
 
 __all__ = ["METRIC_IDS", "size_entropy", "score_segments"]
 
 METRIC_IDS = ("address_count", "block_count", "src_spread", "size_entropy")
 
 
-def score_segments(records: np.ndarray, bounds: np.ndarray, metric_ids: Sequence[str], order: np.ndarray) -> np.ndarray:
-    """Metric values of every segment of a table: a float array with a row per metric id, in order.
+def score_segments(
+    records: np.ndarray, keys: np.ndarray, metric_ids: Sequence[str], rows: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every segment of a table and its metric values.
 
-    Segment i is records[order[bounds[i]:bounds[i + 1]]]; only the columns
-    the metrics read are gathered, one at a time.  Distinct counts are
-    runs in one sort of (segment << 32 | value), filled straight into the
-    metric's row.  size_entropy sums the terms (c/n) * log2(c/n) of a
-    segment's distinct sizes in ascending size order, one after another
-    from 0.0, with math.log2, so every value is bit-identical to that sum
-    written as a Python loop.
+    keys holds a non-negative int64 segment key for each of the rows of
+    records that rows selects (segment_keys' UDP mask, or every row); a
+    segment is every row with one key.  Returns the segments' keys,
+    ascending, and a float array with a row per metric id, in order, and
+    a column per segment.
+
+    Each metric sorts its own packed keys in place, (key << 32 | value)
+    or (key << 16 | size): segments are runs of the high bits and a
+    segment's distinct values the runs within them.  Keys of 2^31 and up
+    are first replaced by their dense ranks, so the packed keys fit 63
+    bits.  size_entropy sums the terms (c/n) * log2(c/n) of a segment's
+    distinct sizes in ascending size order, one after another from 0.0,
+    with math.log2, so every value is bit-identical to that sum written
+    as a Python loop.
     """
-    n = np.diff(bounds)
     for i, metric_id in enumerate(metric_ids):
         if metric_id not in METRIC_IDS:
             raise ValueError(f"unknown metric {metric_id!r}; expected one of {METRIC_IDS}")
         if metric_id in metric_ids[:i]:
             raise ValueError(f"metric {metric_id!r} given twice")
-        if metric_id in ("src_spread", "size_entropy") and not n.all():
-            raise ValueError(f"{metric_id} is undefined on an empty partition")
+    if not len(keys) or not metric_ids:
+        segments = np.unique(keys)
+        return segments, np.empty((len(metric_ids), len(segments)))
+    segments = None
+    if keys.max() >= 1 << 31:
+        segments, keys = np.unique(keys, return_inverse=True)
 
     def sorted_keys(name, shift):
-        # (segment << shift | value), built and sorted in place.
-        keys = np.repeat(np.arange(len(n), dtype=np.int64) << shift, n)
-        keys |= np.take(records[name], order)
-        keys.sort()
-        return keys
+        # (key << shift | value), built and sorted in place.
+        packed = keys << shift
+        packed |= records[name][rows]
+        packed.sort()
+        return packed
 
-    def distinct(keys, shift):
-        # keys are sorted with the segment in the bits from `shift` up.
-        firsts = keys[run_starts(keys)]
-        firsts >>= shift
-        return np.bincount(firsts, minlength=len(n))
+    # Every packed array sorts by key first, so a segment holds the same
+    # sorted rows in each: firsts, each segment's first row, serve them all.
+    firsts = None
+
+    def segments_of(packed, shift):
+        # Each segment's first row and key, from sorted packed keys shifted
+        # in place to their keys.
+        packed >>= shift
+        starts = run_starts(packed)
+        return starts, packed[starts]
+
+    def distinct(heads):
+        # The number of distinct values in each segment: its run heads.
+        return np.add.reduceat(heads, firsts, dtype=np.int64)
 
     # The entropy first, before the values are allocated: its temporaries
     # set the call's peak.
     if "size_entropy" in metric_ids:
         sizes = sorted_keys("payload_len", 16)
-        starts = run_starts(sizes)
-        run_seg = sizes[starts] >> 16
-        p = np.diff(np.append(starts, len(sizes))) / n[run_seg]
-        del sizes, starts
+        heads = run_heads(sizes)
+        firsts, found = segments_of(sizes, 16)
+        del sizes
+        count = np.diff(np.append(np.flatnonzero(heads), len(keys)))
+        run_seg = np.repeat(np.arange(len(firsts)), distinct(heads))
+        del heads
+        p = count / np.diff(np.append(firsts, len(keys)))[run_seg]
+        del count
         # Runs share few probabilities: one math.log2 call for each.
         probabilities, inverse = np.unique(p, return_inverse=True)
         p *= np.fromiter(map(math.log2, probabilities.tolist()), dtype=float, count=len(probabilities))[inverse]
         del inverse
         # bincount adds each segment's weights in input order, one at a time.
-        total = np.bincount(run_seg, weights=p, minlength=len(n))
+        total = np.bincount(run_seg, weights=p)
         del run_seg, p
-    values = np.empty((len(metric_ids), len(n)))
-    row = dict(zip(metric_ids, values))
-    if "size_entropy" in row:
-        row["size_entropy"][:] = np.where(total < 0, -total, 0.0)  # max(0.0, -total): never -0.0
-        del total
-    if {"address_count", "block_count", "src_spread"} & row.keys():
+    counts = {}
+    if {"address_count", "block_count", "src_spread"} & set(metric_ids):
         src = sorted_keys("src_ip", 32)
-        addresses = distinct(src, 32)
-        if "block_count" in row:
+        heads = {"address_count": run_heads(src)}
+        shift = 32
+        if "block_count" in metric_ids:
             src >>= 8
-            row["block_count"][:] = distinct(src, 24)
+            heads["block_count"] = run_heads(src)
+            shift = 24
+        if firsts is None:
+            firsts, found = segments_of(src, shift)
         del src
-        if "address_count" in row:
-            row["address_count"][:] = addresses
-    if "src_spread" in row:
-        np.divide(addresses, distinct(sorted_keys("dst_ip", 32), 32), out=row["src_spread"])
-    return values
+        counts = {metric_id: distinct(h) for metric_id, h in heads.items()}
+        del heads
+    if "src_spread" in metric_ids:
+        destinations = distinct(run_heads(sorted_keys("dst_ip", 32)))
+    values = np.empty((len(metric_ids), len(found)))
+    for metric_id, row in zip(metric_ids, values):
+        if metric_id == "size_entropy":
+            row[:] = np.where(total < 0, -total, 0.0)  # max(0.0, -total): never -0.0
+        elif metric_id == "src_spread":
+            np.divide(counts["address_count"], destinations, out=row)
+        else:
+            row[:] = counts[metric_id]
+    return (found if segments is None else segments), values
 
 
 def size_entropy(part: PortDayPartition) -> float:
@@ -109,5 +142,7 @@ def size_entropy(part: PortDayPartition) -> float:
     exactly independent of packet order.
     """
     n = len(part.records)
-    [[value]] = score_segments(part.records, np.array([0, n]), ["size_entropy"], np.arange(n))
+    if not n:
+        raise ValueError("size_entropy is undefined on an empty partition")
+    _, [[value]] = score_segments(part.records, np.zeros(n, dtype=np.int64), ["size_entropy"])
     return float(value)

@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .metrics import score_segments
-from .records import PortDayPartition, day_of_ts, run_starts, segment_by_window, write_csv_rows, write_json
+from .records import PortDayPartition, day_of_ts, run_starts, segment_keys, segment_starts_ports, write_csv_rows, write_json
 
 __all__ = [
     "DEFAULT_TOP_N",
@@ -126,14 +126,16 @@ def score_periods(
 ) -> PeriodScores:
     """Score every (window start, port) segment of a table and rank it in its period.
 
-    One segmentation and one score_segments call serve every metric; each
+    One segment_keys and one score_segments call serve every metric; each
     metric then ranks with one sort by (period, -value), ties by port.
     Windows never cross 0000Z, so the results of a table's days,
     concatenated, equal the whole table's.
     """
-    seg = segment_by_window(records, window)
-    value = score_segments(records, seg.bounds, metric_ids, seg.order)
-    firsts, period = _periods(seg.start_us)
+    udp, keys, windows = segment_keys(records, window)
+    segments, value = score_segments(records, keys, metric_ids, udp)
+    del udp, keys  # before the ranks: with many small segments, their temporaries set the peak
+    start_us, port = segment_starts_ports(segments, windows)
+    firsts, period = _periods(start_us)
     rank = np.empty(value.shape, dtype=np.int64)
     for v, r in zip(value, rank):
         # Periods stay in place (they are sorted), so a segment's rank is
@@ -142,7 +144,7 @@ def score_periods(
         # stable, so tied values keep ascending port order without a port key.
         order = np.lexsort((-v, period))
         r[order] = np.arange(len(order)) - firsts[period] + 1
-    return PeriodScores(seg.start_us, seg.port, value, rank)
+    return PeriodScores(start_us, port, value, rank)
 
 
 def labeled_rows(

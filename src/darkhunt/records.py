@@ -57,9 +57,11 @@ __all__ = [
     "traffic_table",
     "read_days",
     "write_csv_tables",
+    "run_heads",
     "run_starts",
-    "Segments",
-    "segment_by_window",
+    "SegmentWindows",
+    "segment_keys",
+    "segment_starts_ports",
     "partition_by_day_port",
     "write_labels_csv",
     "read_labels_csv",
@@ -845,6 +847,13 @@ def json_digest(obj) -> str:
     return sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
+def run_heads(keys: np.ndarray) -> np.ndarray:
+    """A bool mask of the first element of each run of equal adjacent values."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """Index of the first element of each run of equal adjacent values.
 
@@ -852,64 +861,81 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
     np.unique: numpy 2.x's np.unique without return_* flags hashes, which
     is tens of times slower than a sort on large int64 arrays.
     """
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(first)
+    return np.flatnonzero(run_heads(keys))
 
 
-class Segments(NamedTuple):
-    """A table's UDP packets in (window start, destination port) segments.
+class SegmentWindows(NamedTuple):
+    """How segment_keys' keys name their windows.
 
-    Segment i is records[order[bounds[i]:bounds[i + 1]]], every packet to
-    port[i] in the window starting at start_us[i].  Segments come in
-    (start, port) order and hold packets ordered by timestamp (ties keep
-    input order).  The rows are not copied: a caller gathers the columns
-    it reads.
+    A key's bits from 16 up are its window's index counted from the first
+    window, which starts at first_us; or, when starts_us is set (a span of
+    2^47 windows or more), the rank of its window's start in starts_us.
     """
 
-    order: np.ndarray
-    bounds: np.ndarray
-    start_us: np.ndarray
-    port: np.ndarray
+    window_us: int
+    first_us: int
+    starts_us: np.ndarray | None = None
 
 
-def segment_by_window(records: np.ndarray, window: timedelta) -> Segments:
-    """Sort the UDP packets of a table into (window start, port) segments.
+def segment_keys(records: np.ndarray, window: timedelta) -> tuple[np.ndarray, np.ndarray, SegmentWindows]:
+    """The (window start, destination port) segment of each UDP packet of a table, as one int64 key.
 
-    Windows are aligned to 0000Z and must divide a day evenly (15 minutes,
-    3 hours, 24 hours, ...).  Only proto-17 packets participate; other
-    protocols are carried by the data model but never feed the metrics.
+    Returns the UDP rows as a bool mask, a non-negative key per UDP row,
+    (window index - first window's) << 16 | dst_port, and the SegmentWindows that
+    segment_starts_ports reads the keys back with.  Keys sort in (window
+    start, port) order.  Windows are aligned to 0000Z and must divide a
+    day evenly (15 minutes, 3 hours, 24 hours, ...).  Only proto-17
+    packets participate; other protocols are carried by the data model
+    but never feed the metrics.
     """
-    window_us = int(window.total_seconds() * 1_000_000)
+    window_us = window // timedelta(microseconds=1)
     if window_us <= 0 or US_PER_DAY % window_us != 0:
         raise ValueError(f"window must evenly divide one day, got {window}")
-    # Each temporary is dropped as soon as it is used: only the window
-    # indices, ports and row order are left at the end.
-    udp = np.flatnonzero(records["proto"] == PROTO_UDP)
-    ts, port = records["ts_us"][udp], records["dst_port"][udp]
-    win = ts // window_us
-    order = np.lexsort((ts, port, win))
-    del ts
-    win, port = win[order], port[order]
-    udp = udp[order]
-    del order
-    first = np.ones(len(udp), dtype=bool)
-    first[1:] = (win[1:] != win[:-1]) | (port[1:] != port[:-1])
-    los = np.flatnonzero(first)
-    del first
-    starts = win[los]
-    starts *= window_us
-    return Segments(udp, np.append(los, len(udp)), starts, port[los])
+    udp = records["proto"] == PROTO_UDP
+    keys = records["ts_us"][udp]
+    keys //= window_us
+    first = int(keys.min()) if len(keys) else 0
+    keys -= first
+    windows = SegmentWindows(window_us, first * window_us)
+    if len(keys) and int(keys.max()) >> 47:
+        # Too many windows for the 47 bits above the port: key their ranks.
+        starts, keys = np.unique(keys, return_inverse=True)
+        starts += first
+        starts *= window_us
+        windows = windows._replace(starts_us=starts)
+        keys = keys.astype(np.int64, copy=False).reshape(-1)
+    keys <<= 16
+    keys |= records["dst_port"][udp]
+    return udp, keys, windows
+
+
+def segment_starts_ports(segments: np.ndarray, windows: SegmentWindows) -> tuple[np.ndarray, np.ndarray]:
+    """The window starts (int64 microseconds) and destination ports (uint16) of segment_keys' keys."""
+    start_us = segments >> 16
+    if windows.starts_us is not None:
+        start_us = windows.starts_us[start_us]
+    else:
+        start_us *= windows.window_us
+        start_us += windows.first_us
+    return start_us, (segments & 0xFFFF).astype(np.uint16)
 
 
 def partition_by_day_port(records: np.ndarray) -> dict[tuple[date, int], PortDayPartition]:
-    """segment_by_window's one-day segments as partitions keyed by (UTC day, port)."""
-    seg = segment_by_window(records, timedelta(days=1))
+    """A table's one-day segment_keys segments as partitions keyed by (UTC day, port).
+
+    Each partition holds its packets ordered by timestamp (ties keep input order).
+    """
+    udp, keys, windows = segment_keys(records, timedelta(days=1))
+    order = np.lexsort((records["ts_us"][udp], keys))
+    rows = np.flatnonzero(udp)
     # np.take gathers structured rows many times faster than fancy indexing.
-    rows = traffic_table(np.take(records, seg.order))
-    bounds = seg.bounds.tolist()
-    days = [day_of_ts(start_us) for start_us in seg.start_us.tolist()]
+    table = traffic_table(np.take(records, rows[order]))
+    keys = keys[order]
+    los = run_starts(keys)
+    bounds = np.append(los, len(keys)).tolist()
+    start_us, ports = segment_starts_ports(keys[los], windows)
+    days = [day_of_ts(start) for start in start_us.tolist()]
     return {
-        (day, port): PortDayPartition(day=day, dst_port=port, records=rows[lo:hi])
-        for lo, hi, day, port in zip(bounds[:-1], bounds[1:], days, seg.port.tolist())
+        (day, port): PortDayPartition(day=day, dst_port=port, records=table[lo:hi])
+        for lo, hi, day, port in zip(bounds[:-1], bounds[1:], days, ports.tolist())
     }

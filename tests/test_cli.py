@@ -428,13 +428,13 @@ def test_analyze_window_15m(sim_dir, tmp_path):
 
 def test_analyze_partitions_once_for_all_metrics(sim_dir, tmp_path, monkeypatch):
     calls = []
-    segment = ranking.segment_by_window
+    segment = ranking.segment_keys
 
     def counting(*args, **kwargs):
         calls.append(args[1:])
         return segment(*args, **kwargs)
 
-    monkeypatch.setattr(ranking, "segment_by_window", counting)
+    monkeypatch.setattr(ranking, "segment_keys", counting)
     assert main([
         "analyze",
         "--csv", str(sim_dir / "traffic.csv"),

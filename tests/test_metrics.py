@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from darkhunt.metrics import score_segments, size_entropy
+from darkhunt.metrics import METRIC_IDS, score_segments, size_entropy
 from darkhunt.records import PortDayPartition, partition_by_day_port, traffic_table
 from conftest import make_record
 
@@ -27,9 +27,9 @@ def score(metric_id):
     """One metric of one partition, scored as a single segment by score_segments."""
 
     def f(part):
-        n = len(part.records)
-        [[value]] = score_segments(part.records, np.array([0, n]), [metric_id], np.arange(n)).tolist()
-        return value
+        segments, [[value]] = score_segments(part.records, np.zeros(len(part.records), dtype=np.int64), [metric_id])
+        assert segments.tolist() == [0]
+        return float(value)
 
     return f
 
@@ -49,7 +49,10 @@ def test_address_count_dedupes():
 
 
 def test_address_count_empty():
-    assert address_count(empty_part()) == 0
+    # An empty partition is no segment, so no metric has a value for it.
+    segments, values = score_segments(empty_part().records, np.zeros(0, dtype=np.int64), METRIC_IDS)
+    assert segments.shape == (0,)
+    assert values.shape == (len(METRIC_IDS), 0)
 
 
 def test_block_count_same_slash24():
@@ -76,11 +79,6 @@ def test_src_spread_block_scanner():
     recs = [make_record(src="5.6.7.8", dst=f"10.0.0.{i}", ts_us=i) for i in range(256)]
     p = part_of(recs)
     assert src_spread(p) == pytest.approx(1 / 256)
-
-
-def test_src_spread_empty_partition_errors():
-    with pytest.raises(ValueError):
-        src_spread(empty_part())
 
 
 def test_entropy_identical_sizes_is_zero():

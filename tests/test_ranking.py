@@ -19,7 +19,7 @@ from darkhunt.ranking import (
     write_report_csv,
     write_report_json,
 )
-from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, partition_by_day_port, segment_by_window, traffic_table
+from darkhunt.records import PROTO_UDP, TRAFFIC_DTYPE, partition_by_day_port, segment_keys, segment_starts_ports, traffic_table
 from conftest import make_record
 
 US_PER_DAY = 86_400_000_000
@@ -239,9 +239,10 @@ def test_time_series_all_metrics_match_single_metric_runs():
 
 
 def test_scoring_a_day_gathers_columns_not_rows():
-    # The UDP rows' order, the segment keys and one gathered column at a
-    # time: about 1.75 times the table's bytes, against 2.4 when segments
-    # were a sorted copy of the rows.
+    # The segment keys, one metric's packed keys, the column it gathers
+    # and its run-head masks: about 1.0 times the table's bytes, against 1.57 when a lexsort made
+    # the segments and each column was gathered through their row order,
+    # and 2.4 when segments were a sorted copy of the rows.
     rng = np.random.default_rng(5)
     rows = np.zeros(40_000, dtype=TRAFFIC_DTYPE)
     rows["ts_us"] = rng.integers(0, US_PER_DAY, len(rows))
@@ -260,7 +261,7 @@ def test_scoring_a_day_gathers_columns_not_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * table.nbytes, peak / table.nbytes
+    assert peak < 1.4 * table.nbytes, peak / table.nbytes
 
 
 def test_size_entropy_of_many_small_segments_takes_one_log2_per_probability(monkeypatch):
@@ -307,7 +308,7 @@ def test_size_entropy_of_many_small_segments_takes_one_log2_per_probability(monk
     assert got == expected
     assert peak < 4.2 * table.nbytes, peak / table.nbytes
     # All four metrics, scored into one (metric x segment) array that is
-    # allocated once the entropy's temporaries are gone: a peak of 3.94
+    # allocated once the entropy's temporaries are gone: a peak of 3.59
     # times the table's bytes, against 4.88 when each metric's values were
     # held both in a dict and in the array stacked from it.
     score_periods(table, METRIC_IDS, window)
@@ -391,15 +392,7 @@ def bits(value):
     return None if value is None else value.hex()
 
 
-@pytest.mark.parametrize(
-    "window",
-    [timedelta(minutes=15), timedelta(hours=3), timedelta(days=1)],
-    ids=["15m", "3h", "1d"],
-)
-@settings(max_examples=40)
-@given(rows=report_rows_st, label_ports=st.tuples(st.integers(0, 5), st.integers(0, 5)))
-def test_segment_report_matches_per_partition_reference(window, rows, label_ports):
-    labels = {d(0): label_ports[0], d(1): label_ports[1]}
+def assert_matches_reference(rows, labels, window):
     ref_scores, ref_report = reference_report(rows, labels, window)
     got_report = report(rows, METRIC_IDS, labels, window)
     assert list(got_report) == list(METRIC_IDS)
@@ -408,13 +401,57 @@ def test_segment_report_matches_per_partition_reference(window, rows, label_port
         assert got == [(p, bits(v), rank) for p, v, rank in ref_report[metric_id]]
     # Every segment, not only the labeled ports', scores bit for bit.
     table = traffic_table(rows)
-    seg = segment_by_window(table, window)
-    values = dict(zip(METRIC_IDS, score_segments(table, seg.bounds, METRIC_IDS, seg.order)))
-    for i, key in enumerate(zip(seg.start_us.tolist(), seg.port.tolist())):
+    udp, keys, windows = segment_keys(table, window)
+    segments, values = score_segments(table, keys, METRIC_IDS, udp)
+    start_us, port = segment_starts_ports(segments, windows)
+    assert list(zip(start_us.tolist(), port.tolist())) == sorted(ref_scores)
+    values = dict(zip(METRIC_IDS, values))
+    for i, key in enumerate(sorted(ref_scores)):
         for metric_id in METRIC_IDS:
             assert bits(float(values[metric_id][i])) == bits(ref_scores[key][metric_id])
     zero = [float(v) for v in values["size_entropy"] if v == 0]
     assert all(math.copysign(1.0, v) == 1.0 for v in zero)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [timedelta(seconds=1), timedelta(minutes=15), timedelta(hours=3), timedelta(days=1)],
+    ids=["1s", "15m", "3h", "1d"],
+)
+@settings(max_examples=40)
+@given(rows=report_rows_st, label_ports=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_segment_report_matches_per_partition_reference(window, rows, label_ports):
+    assert_matches_reference(rows, {d(0): label_ports[0], d(1): label_ports[1]}, window)
+
+
+def test_segment_report_over_more_windows_than_keys_pack_matches_reference():
+    # Two days of one-second windows: the segment keys reach 2^31, so
+    # score_segments scores their dense ranks.
+    rng = np.random.default_rng(3)
+    ts = np.sort(rng.integers(0, 2 * US_PER_DAY, 2000))
+    ts[:2] = 0, 2 * US_PER_DAY - 1
+    rows = [
+        (t, int(rng.integers(0, 4)), 0, int(rng.integers(0, 3)), int(rng.integers(0, 3)), 17, int(rng.integers(0, 4)))
+        for t in ts.tolist()
+    ]
+    _, keys, _ = segment_keys(traffic_table(rows), timedelta(seconds=1))
+    assert keys.max() >= 1 << 31
+    assert_matches_reference(rows, {d(0): 1, d(1): 2}, timedelta(seconds=1))
+
+
+def test_segment_report_over_more_windows_than_key_bits_matches_reference():
+    # One-microsecond windows 2^47 apart: the segment keys hold the
+    # windows' ranks, as (window - first) << 16 would overflow int64.
+    far = 1 << 47
+    rows = [
+        (0, 1, 0, 1, 3, 17, 10),
+        (far, 2, 0, 2, 3, 17, 20),
+        (far, 3, 0, 2, 4, 17, 20),
+        (far, 4, 0, 9, 4, 17, 0),
+        (5, 4, 0, 9, 3, 17, 0),
+    ]
+    assert segment_keys(traffic_table(rows), timedelta(microseconds=1))[2].starts_us is not None
+    assert_matches_reference(rows, {d(0): 3, d(far // US_PER_DAY): 4}, timedelta(microseconds=1))
 
 
 # ---------------------------------------------------------------- emitters

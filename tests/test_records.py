@@ -24,7 +24,8 @@ from darkhunt.records import (
     day_start_us,
     partition_by_day_port,
     read_days,
-    segment_by_window,
+    segment_keys,
+    segment_starts_ports,
     traffic_table,
     write_csv_tables,
 )
@@ -916,20 +917,25 @@ def test_partition_complete_and_pure(items):
         assert part.records.tolist() == sorted(mine, key=lambda r: r[0])
 
 
-def test_segment_by_window_quarter_hour():
+def test_segment_keys_quarter_hour():
     recs = [
-        make_record(ts_us=0, dst_port=50000),
-        make_record(ts_us=15 * 60 * 1_000_000, dst_port=50000),
-        make_record(ts_us=16 * 60 * 1_000_000, dst_port=50000),
+        make_record(ts_us=2 * 15 * 60 * 1_000_000 + 5, dst_port=50000),
+        make_record(ts_us=3 * 15 * 60 * 1_000_000, dst_port=50000),
+        make_record(ts_us=3 * 15 * 60 * 1_000_000, dst_port=50000, proto=6),
+        make_record(ts_us=4 * 15 * 60 * 1_000_000 - 1, dst_port=5060),
     ]
-    seg = segment_by_window(traffic_table(recs), timedelta(minutes=15))
-    assert np.diff(seg.bounds).tolist() == [1, 2]
-    assert seg.start_us.tolist() == [0, 15 * 60 * 1_000_000]
+    udp, keys, windows = segment_keys(traffic_table(recs), timedelta(minutes=15))
+    assert udp.tolist() == [True, True, False, True]
+    assert keys.tolist() == [50000, 1 << 16 | 50000, 1 << 16 | 5060]
+    start_us, port = segment_starts_ports(keys, windows)
+    assert start_us.tolist() == [2 * 15 * 60 * 1_000_000, 3 * 15 * 60 * 1_000_000, 3 * 15 * 60 * 1_000_000]
+    assert port.tolist() == [50000, 50000, 5060]
+    assert (start_us.dtype, port.dtype) == (np.int64, np.uint16)
 
 
-def test_segment_by_window_rejects_uneven():
+def test_segment_keys_rejects_uneven():
     with pytest.raises(ValueError):
-        segment_by_window(traffic_table([]), timedelta(minutes=7))
+        segment_keys(traffic_table([]), timedelta(minutes=7))
 
 
 # ---------------------------------------------------------- day reader
